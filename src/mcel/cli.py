@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from . import lda as ldamod
-from .errors import DataFormatError, McelError, TrainingDivergedError
+from .errors import McelError
 from .gradcheck import REL_TOL, run_all
 from .harness import (
     DEFAULT_GRID,
@@ -217,8 +217,7 @@ def _write_meta(out, wall_seconds):
 def cmd_similarity(args):
     dataset = load_dataset(args)
     out = _outdir(args)
-    model = ldamod.fit_lda(dataset, num_components=args.lda_components, ridge=args.ridge)
-    sim = ldamod.build_similarity_matrix(model)
+    sim = similarity_from_dataset(dataset, args.lda_components, args.ridge)
     sim_path = out / "similarity.txt"
     ldamod.save_similarity(sim, sim_path)
     with open(out / "similarity_heatmap.csv", "w", newline="") as fh:
@@ -413,12 +412,13 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergedError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except McelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ValueError as exc:
+        # bad values in flags or config that pass argparse/configparser
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -7,10 +7,9 @@ reruns with identical seeds are byte-identical.
 """
 
 import hashlib
-import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +26,7 @@ def dumps_report(payload):
 
 
 def similarity_checksum(sim):
-    buf = io.StringIO()
-    buf.write(f"{sim.k}\n")
-    for row in sim.a:
-        buf.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return hashlib.sha256(ldamod.format_similarity(sim).encode()).hexdigest()
 
 
 def _mixing_echo(mixing):
@@ -128,7 +123,7 @@ def similarity_from_dataset(train, num_components=None, ridge=None):
 
 
 def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
-                    seeds=(0,), topk=5, run_callback=None):
+                    seeds=(0,), topk=5):
     """One training run per (epsilon, seed); epsilon 0 runs plain CE.
 
     make_splits(seed) must return (train, val, test, sim). Selection is the
@@ -143,8 +138,6 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
         accs = []
         for seed in seeds:
             train, val, test, sim = make_splits(seed)
-            from dataclasses import replace
-
             cfg = replace(
                 base_cfg,
                 seed=seed,
@@ -160,8 +153,6 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
                 {"epsilon": eps, "seed": seed, "val_acc": result.report["best_val_acc"],
                  "test_top1": result.report["test_top1"]}
             )
-            if run_callback is not None:
-                run_callback(eps, seed, result)
         curve.append(
             {
                 "epsilon": eps,
@@ -175,7 +166,7 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
 
 def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_sizes,
                          epsilon_candidates=(0.2,), split_fractions=(0.7, 0.15, 0.15),
-                         topk=5, lda_components=None, run_callback=None):
+                         topk=5, lda_components=None):
     """CE vs MCEL at each noise fraction; noise touches the train split only.
 
     For each seed the MCEL epsilon comes from the candidate list by clean
@@ -183,8 +174,6 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
     Returns comparison rows plus the per-run noise masks (train-split row
     indices that were flipped).
     """
-    from dataclasses import replace
-
     rows = []
     masks = {}
     for fraction in fractions:
@@ -218,6 +207,4 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
                 {"fraction": fraction, "seed": seed, "variant": "mcel",
                  "epsilon": eps, "test_top1": run.report["test_top1"]}
             )
-            if run_callback is not None:
-                run_callback(fraction, seed, rows[-2], rows[-1])
     return {"rows": rows, "masks": masks}

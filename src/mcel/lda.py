@@ -8,11 +8,12 @@ distances into a row-stochastic, zero-diagonal similarity matrix.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from .errors import DataFormatError, DimensionError
-from .numerics import solve_generalized_symmetric_eig
+from .errors import DataFormatError, DimensionError, SingularScatterError
 
 ROW_SUM_TOL = 1e-9
+SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,47 @@ def scatter_matrices(data):
     return sw, sb, means
 
 
+def solve_generalized_symmetric_eig(sb, sw, ridge=0.0):
+    """Eigenpairs of (sw + ridge*I)^(-1) sb for symmetric sb, sw.
+
+    Reduces to a standard symmetric problem through the Cholesky factor of
+    the regularized within matrix, then runs numpy's eigh. Eigenvalues come
+    back non-increasing; eigenvectors are columns, unit Euclidean norm. Ties
+    keep eigh's ascending column order.
+    """
+    sb = np.asarray(sb, dtype=float)
+    sw = np.asarray(sw, dtype=float)
+    if sb.ndim != 2 or sb.size == 0 or sb.shape[0] != sb.shape[1] or sb.shape != sw.shape:
+        raise DimensionError(
+            f"sb and sw must be square and equal-sized, got {sb.shape} and {sw.shape}"
+        )
+    if not (np.all(np.isfinite(sb)) and np.all(np.isfinite(sw))):
+        raise ValueError("sb and sw must be finite")
+    if ridge < 0:
+        raise ValueError("ridge must be >= 0")
+    for name, m in (("sb", sb), ("sw", sw)):
+        if np.linalg.norm(m - m.T) > SYMMETRY_TOL * max(np.linalg.norm(m), 1.0):
+            raise ValueError(f"{name} is not symmetric")
+
+    try:
+        chol = np.linalg.cholesky(sw + ridge * np.eye(sw.shape[0]))
+    except LinAlgError:
+        raise SingularScatterError(
+            "within-class scatter plus ridge is not positive definite; "
+            "increase the ridge term"
+        ) from None
+
+    # C = L^-1 sb L^-T is symmetric with the same eigenvalues.
+    inv_chol = np.linalg.inv(chol)
+    c = inv_chol @ sb @ inv_chol.T
+    vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
+
+    order = np.argsort(-vals, kind="stable")
+    # L^-T is invertible, so no back-transformed column is zero
+    vecs = inv_chol.T @ vecs[:, order]
+    return vals[order], vecs / np.linalg.norm(vecs, axis=0)
+
+
 def default_ridge(sw):
     return 1e-6 * np.trace(sw) / sw.shape[0]
 
@@ -150,13 +192,15 @@ def build_similarity_matrix(model):
     return SimilarityMatrix(k, a)
 
 
-def save_similarity(sim, path):
+def format_similarity(sim):
     """Plain-text format: line 1 is k, then k rows of k numbers at full
     double precision. Round trips exactly."""
+    return f"{sim.k}\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in sim.a)
+
+
+def save_similarity(sim, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{sim.k}\n")
-        for row in sim.a:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(format_similarity(sim))
 
 
 def load_similarity(path):

@@ -7,6 +7,7 @@ change the target rows, soft (trainable) specs also receive momentum
 updates on their mixing parameters each batch.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -109,12 +110,6 @@ def forward_batch(model, x):
         acts.append(h)
     logits = h @ model.weights[-1].T + model.biases[-1]
     return softmax(logits), acts
-
-
-def forward(model, x):
-    """Single-vector forward pass; returns (probs, cache)."""
-    probs, acts = forward_batch(model, np.asarray(x, dtype=float)[None, :])
-    return probs[0], [a[0] for a in acts]
 
 
 def backprop(model, acts, grad_logits):
@@ -305,25 +300,34 @@ def save_checkpoint(model, path):
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size, nbytes, path, what):
+    """Read nbytes, checking first against the bytes left in the file."""
+    left = size - fh.tell()
+    if nbytes > left:
+        raise DataFormatError(
+            f"{path}: truncated at offset {fh.tell()}: {what} needs {nbytes} bytes, {left} left"
+        )
+    return fh.read(nbytes)
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
-        version, layers = struct.unpack("<II", fh.read(8))
+        version, layers = struct.unpack("<II", _read_exact(fh, size, 8, path, "header"))
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported version {version}")
         weights = []
         biases = []
         sizes = []
         for _ in range(layers):
-            rows, cols = struct.unpack("<II", fh.read(8))
-            wbuf = fh.read(rows * cols * 8)
-            bbuf = fh.read(rows * 8)
-            if len(wbuf) != rows * cols * 8 or len(bbuf) != rows * 8:
-                raise DataFormatError(f"{path}: truncated at offset {fh.tell()}")
-            weights.append(np.frombuffer(wbuf, dtype="<f8").reshape(rows, cols).copy())
-            biases.append(np.frombuffer(bbuf, dtype="<f8").copy())
+            rows, cols = struct.unpack("<II", _read_exact(fh, size, 8, path, "layer shape"))
+            nw = rows * cols
+            body = _read_exact(fh, size, (nw + rows) * 8, path, f"{rows}x{cols} layer")
+            weights.append(np.frombuffer(body, dtype="<f8", count=nw).reshape(rows, cols).copy())
+            biases.append(np.frombuffer(body, dtype="<f8", offset=nw * 8).copy())
             if not sizes:
                 sizes.append(cols)
             sizes.append(rows)

@@ -1,15 +1,32 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import mcel
 from mcel.cli import main
 from mcel.data import gen_blobs
 from mcel.harness import similarity_from_dataset
 from mcel.lda import load_similarity
 
 
+SRC = str(Path(mcel.__file__).resolve().parents[1])
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_python(*argv):
+    """Run a fresh interpreter with the package importable; returns the
+    completed process with text stdout/stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestSimilarityCommand:
@@ -140,6 +157,50 @@ class TestTrainCommand:
 
     def test_no_dataset_is_usage_error(self, tmp_path):
         assert run_cli("train", "--out", str(tmp_path / "x")) == 1
+
+
+class TestBadValues:
+    def assert_clean_usage_error(self, proc):
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_too_few_samples(self, tmp_path):
+        proc = run_python(
+            "-m", "mcel.cli", "similarity", "--blobs", "3,1,2,1.0",
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_usage_error(proc)
+        assert "more samples than classes" in proc.stderr
+
+    def test_zero_batch_size(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[train]\nbatch_size = 0\n")
+        proc = run_python(
+            "-m", "mcel.cli", "train", "--blobs", "3,30,2,0.8", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_usage_error(proc)
+
+    def test_non_integer_epochs(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[train]\nepochs = abc\n")
+        proc = run_python(
+            "-m", "mcel.cli", "train", "--blobs", "3,30,2,0.8", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_usage_error(proc)
+        assert "abc" in proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_python(
+        "-c",
+        "import sys, mcel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestGridSearch:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from mcel.net import (
     Trainer,
     backprop,
     evaluate,
-    forward,
     forward_batch,
     init_model,
     load_checkpoint,
@@ -52,36 +53,36 @@ class TestForward:
         model = init_model((3, 4, 5), seed=0)
         for w in model.weights:
             w[:] = 0.0
-        probs, _ = forward(model, np.zeros(3))
-        assert np.allclose(probs, 0.2, atol=1e-15)
+        probs, _ = forward_batch(model, np.zeros(3)[None, :])
+        assert np.allclose(probs[0], 0.2, atol=1e-15)
 
     def test_bias_shift_invariance(self):
         model = init_model((3, 4, 5), seed=1)
         x = np.array([0.3, -0.2, 1.0])
-        probs, _ = forward(model, x)
+        probs, _ = forward_batch(model, x[None, :])
         model.biases[-1] += 42.0
-        shifted, _ = forward(model, x)
+        shifted, _ = forward_batch(model, x[None, :])
         assert np.max(np.abs(probs - shifted)) <= 1e-12
 
     def test_probs_valid(self):
         model = init_model((4, 8, 6), seed=2)
-        probs, _ = forward(model, np.ones(4))
+        probs, _ = forward_batch(model, np.ones(4)[None, :])
         assert np.all(probs > 0)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_layer_by_layer_oracle(self):
         model = init_model((3, 5, 4), seed=5)
         x = np.random.default_rng(0).normal(size=3)
-        probs, _ = forward(model, x)
+        probs, _ = forward_batch(model, x[None, :])
         h = np.maximum(model.weights[0] @ x + model.biases[0], 0.0)
         logits = model.weights[1] @ h + model.biases[1]
         expd = np.exp(logits - logits.max())
-        assert np.max(np.abs(probs - expd / expd.sum())) <= 1e-12
+        assert np.max(np.abs(probs[0] - expd / expd.sum())) <= 1e-12
 
     def test_non_finite_rejected(self):
         model = init_model((2, 3), seed=0)
         with pytest.raises(ValueError):
-            forward(model, np.array([np.nan, 1.0]))
+            forward_batch(model, np.array([np.nan, 1.0])[None, :])
 
 
 def flatten_params(model):
@@ -339,4 +340,22 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(DataFormatError, match="magic"):
+            load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"MCEL\x01\x00")
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_truncated_layer_shape_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"MCEL" + struct.pack("<II", 1, 1) + b"\x02\x00")
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_oversized_layer_rejected(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"MCEL" + struct.pack("<IIII", 1, 1, 2**31, 2**31) + b"\x00" * 64)
+        with pytest.raises(DataFormatError, match="needs"):
             load_checkpoint(path)

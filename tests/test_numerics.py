@@ -1,66 +1,13 @@
 import numpy as np
 import pytest
 
-from mcel.errors import DimensionError, SingularScatterError
-from mcel.numerics import jacobi_eigh, matmul, solve_generalized_symmetric_eig
-
-
-def triple_loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for t in range(a.shape[1]):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3) + 1
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        assert np.allclose(matmul(a, b), triple_loop_matmul(a, b), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_associative(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(6, 5))
-        c = rng.normal(size=(5, 3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-10 * max(1.0, np.max(np.abs(left)))
+from mcel.errors import SingularScatterError
+from mcel.lda import solve_generalized_symmetric_eig
 
 
 def random_spd(rng, n, shift=0.5):
     m = rng.normal(size=(n, n))
     return m @ m.T + shift * n * np.eye(n)
-
-
-class TestJacobi:
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_reconstructs(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n))
-        a = 0.5 * (a + a.T)
-        vals, vecs = jacobi_eigh(a)
-        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-10)
-        assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-10)
 
 
 class TestGeneralizedEig:
