@@ -4,7 +4,6 @@ plus a small fully-connected training harness."""
 from .data import LabeledDataset, NoiseSpec
 from .lda import LdaModel, SimilarityMatrix
 from .losses import (
-    LossResult,
     MatrixMixing,
     PenaltyWeights,
     PerClassMixing,
@@ -17,7 +16,6 @@ __all__ = [
     "NoiseSpec",
     "LdaModel",
     "SimilarityMatrix",
-    "LossResult",
     "MatrixMixing",
     "PenaltyWeights",
     "PerClassMixing",

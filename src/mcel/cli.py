@@ -31,7 +31,7 @@ from .harness import (
     similarity_from_dataset,
 )
 from .losses import (
-    MatrixMixing,
+    VARIANTS,
     PenaltyWeights,
     PerClassMixing,
     SimpleMixing,
@@ -112,9 +112,6 @@ DEFAULT_CONFIG = {
         "standardize": "true",
     },
 }
-
-VARIANTS = ("ce", "mcel", "sg-mcel", "gmcel", "sg-mcel-soft", "gmcel-soft")
-
 
 def load_config(path=None):
     parser = configparser.ConfigParser()

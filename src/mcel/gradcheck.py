@@ -1,24 +1,16 @@
-"""Finite-difference verification of every analytic gradient.
+"""Finite-difference verification of the batch loss kernel.
 
-Central differences with h = 1e-6 against random instances whose
-probabilities stay at least 1e-3 away from zero. Used both by the test
-suite and the `mcel gradcheck` CLI command.
+For every CLI loss variant, central differences with h = 1e-6 check the
+gradients that losses.batch_loss returns for the logits and, for the
+soft variants, for the trainable mixing parameters. The trainer steps on
+the same function. Used both by the test suite and the `mcel gradcheck`
+CLI command.
 """
 
 import numpy as np
 
 from .lda import SimilarityMatrix
-from .losses import (
-    MatrixMixing,
-    PenaltyWeights,
-    gmcel_loss,
-    gmcel_soft_loss,
-    logit_gradient,
-    mcel_loss,
-    sg_mcel_loss,
-    sg_mcel_soft_loss,
-    softmax,
-)
+from .losses import VARIANTS, MatrixMixing, PenaltyWeights, batch_loss, softmax, target_matrix
 
 FD_STEP = 1e-6
 REL_TOL = 1e-5
@@ -48,12 +40,6 @@ def max_rel_error(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def random_probs(rng, k, floor=1e-3):
-    p = rng.random(k) + floor * k
-    p = p / p.sum()
-    return np.maximum(p, floor) / np.maximum(p, floor).sum()
-
-
 def random_similarity(rng, k):
     a = rng.random((k, k)) + 0.1
     np.fill_diagonal(a, 0.0)
@@ -78,134 +64,63 @@ def random_matrix_mixing(rng, k):
     return MatrixMixing(e, margins)
 
 
-def check_mcel(k, trials, seed, corrupt=0.0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        sim = random_similarity(rng, k)
-        probs = random_probs(rng, k)
-        y = int(rng.integers(k))
-        eps = float(rng.uniform(0.05, 0.45))
-        res = mcel_loss(probs, y, sim, eps)
-        num = central_diff(lambda p: mcel_loss(p, y, sim, eps).value, probs)
-        worst = max(worst, max_rel_error(res.grad_probs + corrupt, num))
-    return worst
+def random_case(variant, rng, k):
+    """Random mixing state for one variant: (params, sim, margins, penalties).
 
-
-def check_sg_mcel(k, trials, seed, corrupt=0.0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        sim = random_similarity(rng, k)
-        probs = random_probs(rng, k)
-        y = int(rng.integers(k))
-        eps = rng.uniform(0.05, 0.45, size=k)
-        res = sg_mcel_loss(probs, y, sim, eps)
-        num = central_diff(lambda p: sg_mcel_loss(p, y, sim, eps).value, probs)
-        worst = max(worst, max_rel_error(res.grad_probs + corrupt, num))
-    return worst
-
-
-def check_gmcel(k, trials, seed, corrupt=0.0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        spec = random_matrix_mixing(rng, k)
-        probs = random_probs(rng, k)
-        y = int(rng.integers(k))
-        res = gmcel_loss(probs, y, spec)
-        num = central_diff(lambda p: gmcel_loss(p, y, spec).value, probs)
-        worst = max(worst, max_rel_error(res.grad_probs + corrupt, num))
-    return worst
-
-
-def check_sg_soft(k, trials, seed, corrupt=0.0, batch_size=4):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        sim = random_similarity(rng, k)
-        batch = [
-            (random_probs(rng, k), int(rng.integers(k))) for _ in range(batch_size)
-        ]
-        eps = rng.uniform(0.05, 0.45, size=k)
-        w = PenaltyWeights(
-            alpha=float(rng.uniform(0, 2)),
-            beta=float(rng.uniform(0, 2)),
-            gamma=float(rng.uniform(0, 2)),
-            p=2.0,
+    penalties is None for the fixed variants. The soft matrix variant gets
+    entries in (0, 1) whose rows need not sum to 1, as training produces.
+    """
+    sim = random_similarity(rng, k)
+    margins = None
+    if variant == "ce":
+        params = np.eye(k)
+    elif variant == "mcel":
+        params = np.full(k, rng.uniform(0.05, 0.45))
+    elif variant in ("sg-mcel", "sg-mcel-soft"):
+        params = rng.uniform(0.05, 0.45, size=k)
+    elif variant == "gmcel":
+        params = random_matrix_mixing(rng, k).e_matrix.copy()
+    else:  # gmcel-soft
+        params = rng.uniform(0.05, 0.95, size=(k, k))
+        margins = rng.uniform(0.05, 0.3, size=k)
+    penalties = None
+    if variant.endswith("-soft"):
+        penalties = PenaltyWeights(
+            *(float(v) for v in rng.uniform(0, 2, size=4)), p=2.0
         )
-        res = sg_mcel_soft_loss(batch, sim, eps, w)
-        num_eps = central_diff(
-            lambda e: sg_mcel_soft_loss(batch, sim, e, w).value, eps
-        )
-        worst = max(worst, max_rel_error(res.grad_mixing + corrupt, num_eps))
-        for row, (probs, y) in enumerate(batch):
-            def value_of(p, _row=row):
-                probe = list(batch)
-                probe[_row] = (p, probe[_row][1])
-                return sg_mcel_soft_loss(probe, sim, eps, w).value
-
-            num_p = central_diff(value_of, probs)
-            worst = max(worst, max_rel_error(res.grad_probs[row] + corrupt, num_p))
-    return worst
+    return params, sim, margins, penalties
 
 
-def check_gmcel_soft(k, trials, seed, corrupt=0.0, batch_size=4):
+def check_variant(variant, k, trials, seed, corrupt=0.0, batch_size=4):
+    """Worst relative FD error of batch_loss's gradients over random batches."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        spec = random_matrix_mixing(rng, k)
-        batch = [
-            (random_probs(rng, k), int(rng.integers(k))) for _ in range(batch_size)
-        ]
-        w = PenaltyWeights(
-            alpha=float(rng.uniform(0, 2)),
-            beta=float(rng.uniform(0, 2)),
-            gamma=float(rng.uniform(0, 2)),
-            eta=float(rng.uniform(0, 2)),
-            p=2.0,
-        )
-        res = gmcel_soft_loss(batch, spec.e_matrix, spec.margins, w)
-        num_e = central_diff(
-            lambda e: gmcel_soft_loss(batch, e, spec.margins, w).value,
-            spec.e_matrix.copy(),
-        )
-        worst = max(worst, max_rel_error(res.grad_mixing + corrupt, num_e))
-        for row, (probs, y) in enumerate(batch):
-            def value_of(p, _row=row):
-                probe = list(batch)
-                probe[_row] = (p, probe[_row][1])
-                return gmcel_soft_loss(probe, spec.e_matrix, spec.margins, w).value
+        params, sim, margins, penalties = random_case(variant, rng, k)
+        labels = rng.integers(k, size=batch_size)
+        logits = rng.normal(0, 2, size=(batch_size, k))
 
-            num_p = central_diff(value_of, probs)
-            worst = max(worst, max_rel_error(res.grad_probs[row] + corrupt, num_p))
-    return worst
+        def loss(lg, mix):
+            targets = target_matrix(sim, mix)[labels]
+            return batch_loss(softmax(lg), labels, targets, penalties, mix, sim, margins)
 
-
-def check_logit(k, trials, seed, corrupt=0.0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        logits = rng.normal(0, 2, size=k)
-        target = random_probs(rng, k)
-
-        def value_of(lg):
-            p = np.maximum(softmax(lg), 1e-300)
-            return -float(np.dot(target, np.log(p)))
-
-        grad = logit_gradient(logits, target)
-        num = central_diff(value_of, logits)
-        worst = max(worst, max_rel_error(grad + corrupt, num))
+        _, grad_logits, grad_mixing = loss(logits, params)
+        num = central_diff(lambda lg: loss(lg, params)[0], logits)
+        worst = max(worst, max_rel_error(grad_logits + corrupt, num))
+        if penalties is not None:
+            num = central_diff(lambda mix: loss(logits, mix)[0], params.copy())
+            worst = max(worst, max_rel_error(grad_mixing + corrupt, num))
     return worst
 
 
 def run_all(k=5, trials=50, seed=0, corrupt=0.0):
-    """Max relative finite-difference error per loss variant."""
+    """Max relative finite-difference error per loss variant. The soft
+    variants also probe every mixing parameter, so they run a fifth of the
+    trials."""
     return {
-        "mcel": check_mcel(k, trials, seed, corrupt),
-        "sg_mcel": check_sg_mcel(k, trials, seed + 1, corrupt),
-        "gmcel": check_gmcel(k, trials, seed + 2, corrupt),
-        "sg_mcel_soft": check_sg_soft(k, max(1, trials // 5), seed + 3, corrupt),
-        "gmcel_soft": check_gmcel_soft(k, max(1, trials // 5), seed + 4, corrupt),
-        "logit": check_logit(k, trials, seed + 5, corrupt),
+        variant: check_variant(
+            variant, k, max(1, trials // 5) if variant.endswith("-soft") else trials,
+            seed + i, corrupt,
+        )
+        for i, variant in enumerate(VARIANTS)
     }

@@ -126,18 +126,18 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
                     seeds=(0,), topk=5):
     """One training run per (epsilon, seed); epsilon 0 runs plain CE.
 
-    make_splits(seed) must return (train, val, test, sim). Selection is the
-    highest mean best-validation accuracy, ties toward smaller epsilon.
+    make_splits(seed) must return (train, val, test, sim); it is called
+    once per seed, and only one seed's splits are alive at a time. Runs are
+    reported epsilon-major. Selection is the highest mean best-validation
+    accuracy, ties toward smaller epsilon.
     """
     for eps in epsilons:
         if not 0.0 <= eps < 0.5:
             raise ValueError(f"grid epsilon {eps} outside [0, 0.5)")
-    rows = []
-    curve = []
-    for eps in epsilons:
-        accs = []
-        for seed in seeds:
-            train, val, test, sim = make_splits(seed)
+    runs = {}
+    for j, seed in enumerate(seeds):
+        train, val, test, sim = make_splits(seed)
+        for i, eps in enumerate(epsilons):
             cfg = replace(
                 base_cfg,
                 seed=seed,
@@ -148,11 +148,14 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
                 train, val, test, cfg, hidden_sizes,
                 sim if eps > 0.0 else None, topk,
             )
-            accs.append(result.report["best_val_acc"])
-            rows.append(
-                {"epsilon": eps, "seed": seed, "val_acc": result.report["best_val_acc"],
-                 "test_top1": result.report["test_top1"]}
-            )
+            runs[i, j] = {"epsilon": eps, "seed": seed,
+                          "val_acc": result.report["best_val_acc"],
+                          "test_top1": result.report["test_top1"]}
+        del train, val, test, sim
+    rows = [runs[i, j] for i in range(len(epsilons)) for j in range(len(seeds))]
+    curve = []
+    for i, eps in enumerate(epsilons):
+        accs = [runs[i, j]["val_acc"] for j in range(len(seeds))]
         curve.append(
             {
                 "epsilon": eps,

@@ -1,19 +1,23 @@
-"""The mixed cross-entropy loss family with analytic gradients.
+"""The mixed cross-entropy loss family: one batch kernel for every variant.
 
-Variants:
-  * mcel_loss        - scalar mixing weight epsilon
-  * sg_mcel_loss     - one mixing weight per class
-  * gmcel_loss       - full mixture matrix E with per-class margins
-  * *_soft_loss      - penalty-augmented batch losses whose mixing
-                       parameters carry gradients and can be trained
-  * logit_gradient   - exact gradient through the softmax, for training
+Every variant trains against a target matrix H whose row y blends the
+one-hot label y with class-similarity mass:
+  * ce            - H = I
+  * mcel          - one mixing weight epsilon, H[y] = eps * A[y] + (1 - eps) at y
+  * sg-mcel       - one mixing weight per class
+  * gmcel         - a full mixture matrix E with per-class margins, H = E
+  * *-soft        - the per-class or matrix mixing parameters are trained
+                    too, under soft penalties
+
+target_matrix builds H, and batch_loss returns a batch's loss with its
+exact gradients for the logits and the trainable mixing parameters. The
+trainer steps on batch_loss and gradcheck verifies it.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .errors import DimensionError
 
 PROB_CLAMP = 1e-12
 EPS_MARGIN = 1e-6  # how far trainable epsilons stay inside their open interval
+VARIANTS = ("ce", "mcel", "sg-mcel", "gmcel", "sg-mcel-soft", "gmcel-soft")
 
 
 @dataclass(frozen=True)
@@ -83,9 +88,6 @@ class MatrixMixing:
         return self.e_matrix.shape[0]
 
 
-MixingSpec = Union[SimpleMixing, PerClassMixing, MatrixMixing]
-
-
 @dataclass(frozen=True)
 class PenaltyWeights:
     alpha: float = 0.0
@@ -102,229 +104,87 @@ class PenaltyWeights:
             raise ValueError("p must be >= 1")
 
 
-@dataclass(frozen=True)
-class LossResult:
-    value: float
-    grad_probs: np.ndarray  # d(loss)/d(probs); per-sample rows for batch losses
-    grad_mixing: Optional[np.ndarray] = None
+def target_matrix(sim, params):
+    """Target matrix H: row y is the training target of label y.
 
-
-def _check_probs(probs, k=None):
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1:
-        raise DimensionError("probs must be a vector")
-    if k is not None and probs.shape[0] != k:
-        raise DimensionError(f"probs must have length {k}, got {probs.shape[0]}")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("probs contain non-finite values")
-    if np.any(probs <= 0.0) or np.any(probs > 1.0):
-        raise ValueError("probs entries must lie in (0, 1]")
-    # nominal tolerance is 1e-6; the extra slack admits finite-difference
-    # probes that perturb one component by 1e-6
-    if abs(probs.sum() - 1.0) > 1e-5:
-        raise ValueError(f"probs must sum to 1, got {probs.sum()!r}")
-    return probs
-
-
-def _check_label(y, k):
-    y = int(y)
-    if not 0 <= y < k:
-        raise ValueError(f"label {y} outside [0, {k})")
-    return y
-
-
-def target_matrix(sim, spec):
-    """Effective row-stochastic target matrix H.
-
-    Simple/per-class mixing blends each one-hot row with the matching
-    similarity row; matrix mixing uses E verbatim.
+    params is the mixing state a trainer holds. A vector of per-class
+    epsilons gives H[y] = eps_y * A[y] with 1 - eps_y on the diagonal; a
+    k x k mixture matrix E is H itself.
     """
-    if isinstance(spec, MatrixMixing):
-        if spec.k != sim.k:
-            raise DimensionError("mixture matrix size does not match similarity matrix")
-        return spec.e_matrix.copy()
-    k = sim.k
-    if isinstance(spec, SimpleMixing):
-        eps = np.full(k, spec.epsilon)
-    elif isinstance(spec, PerClassMixing):
-        if spec.epsilons.shape[0] != k:
-            raise DimensionError("epsilon vector length does not match similarity matrix")
-        eps = spec.epsilons
-    else:
-        raise TypeError(f"unknown mixing spec {type(spec).__name__}")
-    h = eps[:, None] * sim.a
-    h[np.arange(k), np.arange(k)] = 1.0 - eps
+    if params.ndim == 2:
+        return params
+    k = params.shape[0]
+    if sim.k != k:
+        raise DimensionError(f"need {sim.k} epsilons, got {k}")
+    h = params[:, None] * sim.a
+    h[np.arange(k), np.arange(k)] = 1.0 - params
     return h
-
-
-def _weighted_ce(probs, weights):
-    clamped = np.maximum(probs, PROB_CLAMP)
-    value = -float(np.dot(weights, np.log(clamped)))
-    grad = -weights / clamped
-    return value, grad
-
-
-def mcel_loss(probs, y, sim, epsilon):
-    """Cross-entropy against (1-eps) * one-hot + eps * similarity row."""
-    spec = SimpleMixing(epsilon)
-    probs = _check_probs(probs, sim.k)
-    y = _check_label(y, sim.k)
-    weights = spec.epsilon * sim.row(y).copy()
-    weights[y] = 1.0 - spec.epsilon
-    value, grad = _weighted_ce(probs, weights)
-    return LossResult(value, grad)
-
-
-def sg_mcel_loss(probs, y, sim, epsilons):
-    """Per-class mixing weights; the target uses the convention that the
-    diagonal similarity entry is 1 inside the scaled probability vector."""
-    spec = epsilons if isinstance(epsilons, PerClassMixing) else PerClassMixing(np.asarray(epsilons))
-    if spec.epsilons.shape[0] != sim.k:
-        raise DimensionError(f"need {sim.k} epsilons, got {spec.epsilons.shape[0]}")
-    probs = _check_probs(probs, sim.k)
-    y = _check_label(y, sim.k)
-    weights = _scaled_prob_vector(sim, spec.epsilons, y)
-    value, grad = _weighted_ce(probs, weights)
-    return LossResult(value, grad)
-
-
-def _scaled_prob_vector(sim, eps, i):
-    # p_i = [eps_i*A[i,1], ..., (1-eps_i) at slot i, ..., eps_i*A[i,k]]
-    p = eps[i] * sim.row(i).copy()
-    p[i] = 1.0 - eps[i]
-    return p
-
-
-def gmcel_loss(probs, y, spec):
-    """Cross-entropy against row y of the mixture matrix E."""
-    if not isinstance(spec, MatrixMixing):
-        raise TypeError("gmcel_loss needs a MatrixMixing spec")
-    probs = _check_probs(probs, spec.k)
-    y = _check_label(y, spec.k)
-    value, grad = _weighted_ce(probs, spec.e_matrix[y])
-    return LossResult(value, grad)
 
 
 def mixing_from_simple(sim, epsilon):
     """The matrix-mixing encoding of the simple loss: off-diagonal
     eps*A[i,j], diagonal 1-eps, margins (0.5-eps)/2."""
     spec = SimpleMixing(epsilon)
-    k = sim.k
-    e = spec.epsilon * sim.a.copy()
-    np.fill_diagonal(e, 1.0 - spec.epsilon)
-    margins = np.full(k, (0.5 - spec.epsilon) / 2.0)
-    return MatrixMixing(e, margins)
+    e = target_matrix(sim, np.full(sim.k, spec.epsilon))
+    return MatrixMixing(e, np.full(sim.k, (0.5 - spec.epsilon) / 2.0))
 
 
-def _check_batch(batch, k):
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    out = []
-    for probs, y in batch:
-        out.append((_check_probs(probs, k), _check_label(y, k)))
-    return out
+def batch_loss(probs, labels, targets, penalties=None, params=None, sim=None, margins=None):
+    """Summed mixed cross-entropy of one batch and its exact gradients.
 
+    probs is n x k softmax output and targets = target_matrix(sim,
+    params)[labels]. Returns (value, grad_logits, grad_mixing):
 
-def sg_mcel_soft_loss(batch, sim, epsilons, weights):
-    """Batch loss with trainable per-class epsilons and soft penalties.
+      value       = -sum(targets * log clamp(probs)) + penalties
+      grad_logits = probs * rowsum(targets) - targets, exact through the
+                    softmax also when a target row does not sum to 1
+      grad_mixing = d(value)/d(params); None for the fixed variants
 
-    value = sum of per-sample losses
-            + alpha * sum_i (||p_i||_1 - 1)^2
-            + beta * ||eps - 0.5||_p^p + gamma * ||eps||_p^p
+    The fixed variants pass penalties=None and pay for nothing else. The
+    soft variants pass their trainable params, the similarity matrix for
+    per-class epsilons or the margins c for a mixture matrix E, and
+    penalties weighted by PenaltyWeights (x = params, hi = 0.5 for
+    epsilons and 1 for E):
 
-    grad_probs stacks the per-sample gradients; grad_mixing is d(value)/d(eps).
-    Every epsilon must sit strictly inside (0, 0.5).
+      alpha * sum_i (rowsum(H)_i - 1)^2
+      + beta * ||x - hi||_p^p + gamma * ||x||_p^p
+      + eta * sum_i ((k-1) * (E[i,i] - c_i) - offdiag_row_sum_i)^2   (E only)
     """
-    eps = np.asarray(epsilons, dtype=float)
-    k = sim.k
-    if eps.shape != (k,):
-        raise DimensionError(f"need {k} epsilons")
-    if np.any(eps <= 0.0) or np.any(eps >= 0.5):
-        raise ValueError("soft-variant epsilons must lie strictly in (0, 0.5)")
-    p = weights.p
-    if p != 2.0 and (np.any(eps < EPS_MARGIN) or np.any(eps > 0.5 - EPS_MARGIN)):
-        raise ValueError("for p != 2, epsilons must stay 1e-6 away from 0 and 0.5")
-    samples = _check_batch(batch, k)
+    logp = np.log(np.maximum(probs, PROB_CLAMP))
+    value = -float(np.sum(targets * logp))
+    grad_logits = probs * targets.sum(axis=1)[:, None] - targets
+    if penalties is None:
+        return value, grad_logits, None
 
-    value = 0.0
-    grad_probs = np.empty((len(samples), k))
-    grad_eps = np.zeros(k)
-    for row, (probs, y) in enumerate(samples):
-        pv = _scaled_prob_vector(sim, eps, y)
-        v, g = _weighted_ce(probs, pv)
-        value += v
-        grad_probs[row] = g
-        logp = np.log(np.maximum(probs, PROB_CLAMP))
-        # d/d eps_y of -p_y . log f: similarity row with the diagonal
-        # (fixed at 1) entering with opposite sign
-        a_row = sim.row(y).copy()
-        a_row[y] = -1.0
-        grad_eps[y] += -float(np.dot(logp, a_row))
-
-    # alpha term: ||p_i||_1 = 1 + eps_i * (rho_i - 1) with rho_i the
-    # off-diagonal row sum of A (rho_i = 1 for a valid similarity matrix,
-    # so this penalty vanishes there but its gradient is still exact)
-    rho = sim.a.sum(axis=1)
-    norms = 1.0 - eps + eps * rho
-    value += weights.alpha * float(np.sum((norms - 1.0) ** 2))
-    grad_eps += weights.alpha * 2.0 * (norms - 1.0) * (rho - 1.0)
-
-    value += weights.beta * float(np.sum(np.abs(eps - 0.5) ** p))
-    grad_eps += weights.beta * p * np.abs(eps - 0.5) ** (p - 1.0) * np.sign(eps - 0.5)
-    value += weights.gamma * float(np.sum(np.abs(eps) ** p))
-    grad_eps += weights.gamma * p * np.abs(eps) ** (p - 1.0) * np.sign(eps)
-
-    return LossResult(value, grad_probs, grad_eps)
-
-
-def gmcel_soft_loss(batch, e_matrix, margins, weights):
-    """Batch loss with a trainable mixture matrix and soft penalties.
-
-    value = sum of per-sample losses
-            + alpha * sum_i (row_sum_i - 1)^2
-            + beta * ||E - 1||_p^p + gamma * ||E||_p^p
-            + eta * sum_i ((k-1) * (E[i,i] - c_i) - offdiag_row_sum_i)^2
-
-    grad_mixing is the k x k matrix d(value)/dE. Entries must lie in (0, 1).
-    """
-    e = np.asarray(e_matrix, dtype=float)
-    k = e.shape[0]
-    if e.shape != (k, k):
-        raise DimensionError("e_matrix must be square")
-    c = np.asarray(margins, dtype=float)
-    if c.shape != (k,):
-        raise DimensionError(f"need {k} margins")
-    if np.any(e <= 0.0) or np.any(e >= 1.0):
-        raise ValueError("mixture entries must lie strictly in (0, 1)")
-    p = weights.p
-    samples = _check_batch(batch, k)
-
-    value = 0.0
-    grad_probs = np.empty((len(samples), k))
-    grad_e = np.zeros((k, k))
-    for row, (probs, y) in enumerate(samples):
-        v, g = _weighted_ce(probs, e[y])
-        value += v
-        grad_probs[row] = g
-        grad_e[y] += -np.log(np.maximum(probs, PROB_CLAMP))
-
-    row_sums = e.sum(axis=1)
-    value += weights.alpha * float(np.sum((row_sums - 1.0) ** 2))
-    grad_e += weights.alpha * 2.0 * (row_sums - 1.0)[:, None]
-
-    value += weights.beta * float(np.sum(np.abs(e - 1.0) ** p))
-    grad_e += weights.beta * p * np.abs(e - 1.0) ** (p - 1.0) * np.sign(e - 1.0)
-    value += weights.gamma * float(np.sum(np.abs(e) ** p))
-    grad_e += weights.gamma * p * np.abs(e) ** (p - 1.0) * np.sign(e)
-
-    diag = np.diag(e)
-    off_sums = row_sums - diag
-    margin_gap = (k - 1) * (diag - c) - off_sums
-    value += weights.eta * float(np.sum(margin_gap ** 2))
-    grad_e += weights.eta * 2.0 * margin_gap[:, None] * -1.0
-    grad_e[np.arange(k), np.arange(k)] += weights.eta * 2.0 * margin_gap * ((k - 1) + 1.0)
-
-    return LossResult(value, grad_probs, grad_e)
+    w = penalties
+    k = probs.shape[1]
+    h = target_matrix(sim, params)
+    # d(value)/dH: every sample adds its -log p to the row of its label
+    cells = (labels[:, None] * k + np.arange(k)).ravel()
+    grad_h = -np.bincount(cells, weights=logp.ravel(), minlength=k * k).reshape(k, k)
+    row_sums = h.sum(axis=1)
+    value += w.alpha * float(np.sum((row_sums - 1.0) ** 2))
+    grad_h += w.alpha * 2.0 * (row_sums - 1.0)[:, None]
+    if params.ndim == 2:
+        grad = grad_h
+        hi = 1.0
+        diag = np.diag(params)
+        margin_gap = (k - 1) * (diag - margins) - (row_sums - diag)
+        value += w.eta * float(np.sum(margin_gap ** 2))
+        grad -= w.eta * 2.0 * margin_gap[:, None]
+        grad[np.arange(k), np.arange(k)] += w.eta * 2.0 * margin_gap * k
+    else:
+        # dH[y]/d eps_y is the similarity row with -1 on the diagonal
+        dh = sim.a.copy()
+        np.fill_diagonal(dh, -1.0)
+        grad = np.sum(grad_h * dh, axis=1)
+        hi = 0.5
+    p = w.p
+    value += w.beta * float(np.sum(np.abs(params - hi) ** p))
+    grad += w.beta * p * np.abs(params - hi) ** (p - 1.0) * np.sign(params - hi)
+    value += w.gamma * float(np.sum(np.abs(params) ** p))
+    grad += w.gamma * p * np.abs(params) ** (p - 1.0) * np.sign(params)
+    return value, grad_logits, grad
 
 
 def softmax(logits):
@@ -334,16 +194,3 @@ def softmax(logits):
     expd = np.exp(shifted)
     return expd / expd.sum(axis=-1, keepdims=True)
 
-
-def logit_gradient(logits, target_row):
-    """Gradient of -target . log softmax(logits) w.r.t. the logits.
-
-    Equals softmax(logits) - target_row when the target sums to 1.
-    """
-    logits = np.asarray(logits, dtype=float)
-    target = np.asarray(target_row, dtype=float)
-    if logits.shape != target.shape:
-        raise DimensionError("logits and target must have equal length")
-    if abs(target.sum() - 1.0) > 1e-9:
-        raise ValueError(f"target must sum to 1, got {target.sum()!r}")
-    return softmax(logits) - target

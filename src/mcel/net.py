@@ -16,12 +16,13 @@ import numpy as np
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
 from .losses import (
     EPS_MARGIN,
-    PROB_CLAMP,
     MatrixMixing,
     PerClassMixing,
     PenaltyWeights,
     SimpleMixing,
+    batch_loss,
     softmax,
+    target_matrix,
 )
 
 CHECKPOINT_MAGIC = b"MCEL"
@@ -61,7 +62,7 @@ class TrainConfig:
     batch_size: int = 32
     lr_decay: float = 0.0
     seed: int = 0
-    mixing: object = None  # None = plain cross-entropy; else a MixingSpec
+    mixing: object = None  # None = plain cross-entropy; else a *Mixing spec
     trainable_mixing: bool = False
     penalties: PenaltyWeights = field(default_factory=PenaltyWeights)
 
@@ -128,17 +129,9 @@ def backprop(model, acts, grad_logits):
     return grads_w, grads_b
 
 
-def _target_rows(sim, cfg, mixing_params, ys):
-    """Per-sample target rows for the configured variant."""
-    if cfg.mixing is None:
-        h = np.eye(int(mixing_params))  # plain CE: one-hot targets
-    elif isinstance(cfg.mixing, MatrixMixing):
-        h = mixing_params
-    else:
-        eps = mixing_params
-        h = eps[:, None] * sim.a
-        h[np.arange(sim.k), np.arange(sim.k)] = 1.0 - eps
-    return h[ys]
+def _target_rows(sim, mixing_params, ys):
+    """Per-sample target rows for the current mixing parameters."""
+    return target_matrix(sim, mixing_params)[ys]
 
 
 class Trainer:
@@ -164,12 +157,13 @@ class Trainer:
         )
 
     def _init_mixing_params(self):
+        """Per-class epsilons, or a mixture matrix (the identity for plain CE)."""
         cfg = self.cfg
+        if cfg.trainable_mixing and not isinstance(cfg.mixing, (PerClassMixing, MatrixMixing)):
+            raise ValueError("trainable mixing needs a per-class or matrix spec")
         if cfg.mixing is None:
-            return self.model.num_classes
+            return np.eye(self.model.num_classes)
         if isinstance(cfg.mixing, SimpleMixing):
-            if cfg.trainable_mixing:
-                raise ValueError("trainable mixing needs a per-class or matrix spec")
             return np.full(self.sim.k, cfg.mixing.epsilon)
         if isinstance(cfg.mixing, PerClassMixing):
             return cfg.mixing.epsilons.copy()
@@ -177,8 +171,15 @@ class Trainer:
 
     @property
     def mixing_params(self):
-        params = self._mixing_params
-        return params.copy() if isinstance(params, np.ndarray) else params
+        return self._mixing_params.copy()
+
+    def _loss_args(self):
+        """The batch_loss arguments after the targets: none for fixed mixing."""
+        cfg = self.cfg
+        if not cfg.trainable_mixing:
+            return ()
+        margins = cfg.mixing.margins if isinstance(cfg.mixing, MatrixMixing) else None
+        return (cfg.penalties, self._mixing_params, self.sim, margins)
 
     def learning_rate(self):
         return self.cfg.learning_rate / (1.0 + self.cfg.lr_decay * self.epoch)
@@ -191,20 +192,21 @@ class Trainer:
         lr = self.learning_rate()
         total_loss = 0.0
         correct = 0
+        loss_args = self._loss_args()
         for start in range(0, data.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             x = data.features[idx]
             ys = data.labels[idx]
             probs, acts = forward_batch(self.model, x)
-            targets = _target_rows(self.sim, cfg, self._mixing_params, ys)
-            clamped = np.maximum(probs, PROB_CLAMP)
-            batch_loss = -float(np.sum(targets * np.log(clamped)))
-            if not np.isfinite(batch_loss):
+            targets = _target_rows(self.sim, self._mixing_params, ys)
+            batch_value, grad_logits, grad_mixing = batch_loss(
+                probs, ys, targets, *loss_args
+            )
+            if not np.isfinite(batch_value):
                 raise TrainingDivergedError(self.epoch, start // cfg.batch_size)
-            total_loss += batch_loss
+            total_loss += batch_value
             correct += int(np.sum(np.argmax(probs, axis=1) == ys))
 
-            grad_logits = probs - targets
             grads_w, grads_b = backprop(self.model, acts, grad_logits)
             scale = 1.0 / idx.shape[0]
             for layer in range(len(self.model.weights)):
@@ -215,8 +217,8 @@ class Trainer:
                 self._vel_b[layer] = cfg.momentum * self._vel_b[layer] - lr * gb
                 self.model.biases[layer] += self._vel_b[layer]
 
-            if cfg.trainable_mixing:
-                self._step_mixing(clamped, ys, lr)
+            if grad_mixing is not None:
+                self._step_mixing(grad_mixing * scale, lr)
 
             if not self.model.check_finite():
                 raise TrainingDivergedError(self.epoch, start // cfg.batch_size)
@@ -226,43 +228,14 @@ class Trainer:
             "accuracy": correct / data.n,
         }
 
-    def _step_mixing(self, clamped_probs, ys, lr):
-        cfg = self.cfg
-        w = cfg.penalties
-        logp = np.log(clamped_probs)
-        n = ys.shape[0]
-        if isinstance(cfg.mixing, MatrixMixing):
-            e = self._mixing_params
-            k = e.shape[0]
-            grad = np.zeros_like(e)
-            np.add.at(grad, ys, -logp)
-            row_sums = e.sum(axis=1)
-            grad += w.alpha * 2.0 * (row_sums - 1.0)[:, None]
-            grad += w.beta * w.p * np.abs(e - 1.0) ** (w.p - 1.0) * np.sign(e - 1.0)
-            grad += w.gamma * w.p * np.abs(e) ** (w.p - 1.0) * np.sign(e)
-            diag = np.diag(e)
-            gap = (k - 1) * (diag - cfg.mixing.margins) - (row_sums - diag)
-            grad += w.eta * 2.0 * gap[:, None] * -1.0
-            grad[np.arange(k), np.arange(k)] += w.eta * 2.0 * gap * k
-            self._vel_mix = cfg.momentum * self._vel_mix - lr * grad / n
-            e += self._vel_mix
-            np.clip(e, EPS_MARGIN, 1.0 - EPS_MARGIN, out=e)
-        else:
-            eps = self._mixing_params
-            a = self.sim.a
-            grad = np.zeros_like(eps)
-            for row, y in enumerate(ys):
-                a_row = a[y].copy()
-                a_row[y] = -1.0
-                grad[y] += -float(np.dot(logp[row], a_row))
-            rho = a.sum(axis=1)
-            norms = 1.0 - eps + eps * rho
-            grad += w.alpha * 2.0 * (norms - 1.0) * (rho - 1.0)
-            grad += w.beta * w.p * np.abs(eps - 0.5) ** (w.p - 1.0) * np.sign(eps - 0.5)
-            grad += w.gamma * w.p * np.abs(eps) ** (w.p - 1.0) * np.sign(eps)
-            self._vel_mix = cfg.momentum * self._vel_mix - lr * grad / n
-            eps += self._vel_mix
-            np.clip(eps, EPS_MARGIN, 0.5 - EPS_MARGIN, out=eps)
+    def _step_mixing(self, grad, lr):
+        """Momentum step on the mixing parameters, clipped inside their
+        open interval: (0, 0.5) for epsilons, (0, 1) for E."""
+        params = self._mixing_params
+        self._vel_mix = self.cfg.momentum * self._vel_mix - lr * grad
+        params += self._vel_mix
+        hi = 1.0 if params.ndim == 2 else 0.5
+        np.clip(params, EPS_MARGIN, hi - EPS_MARGIN, out=params)
 
 
 def evaluate(model, data, topk=5):
@@ -319,11 +292,20 @@ def load_checkpoint(path):
         version, layers = struct.unpack("<II", _read_exact(fh, size, 8, path, "header"))
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported version {version}")
+        if layers == 0:
+            raise DataFormatError(f"{path}: declares zero layers")
         weights = []
         biases = []
         sizes = []
         for _ in range(layers):
             rows, cols = struct.unpack("<II", _read_exact(fh, size, 8, path, "layer shape"))
+            if rows == 0 or cols == 0:
+                raise DataFormatError(f"{path}: layer {len(weights)} is empty ({rows}x{cols})")
+            if sizes and cols != sizes[-1]:
+                raise DataFormatError(
+                    f"{path}: layer {len(weights)} takes {cols} inputs, "
+                    f"the previous layer gives {sizes[-1]}"
+                )
             nw = rows * cols
             body = _read_exact(fh, size, (nw + rows) * 8, path, f"{rows}x{cols} layer")
             weights.append(np.frombuffer(body, dtype="<f8", count=nw).reshape(rows, cols).copy())

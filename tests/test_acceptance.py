@@ -9,19 +9,15 @@ import time
 import numpy as np
 
 from mcel.data import gen_blobs, split, standardize
-from mcel.gradcheck import random_probs, random_similarity, run_all
+from mcel.gradcheck import random_similarity, run_all
 from mcel.harness import dumps_report, run_noise_experiment, run_training, similarity_from_dataset
 from mcel.lda import LdaModel, build_similarity_matrix, fit_lda, scatter_matrices, uniform_similarity
 from mcel.losses import (
     PenaltyWeights,
-    PerClassMixing,
     SimpleMixing,
-    gmcel_loss,
-    gmcel_soft_loss,
-    mcel_loss,
+    batch_loss,
     mixing_from_simple,
-    sg_mcel_loss,
-    sg_mcel_soft_loss,
+    softmax,
     target_matrix,
 )
 from mcel.net import TrainConfig, backprop, forward_batch, init_model
@@ -40,32 +36,34 @@ def test_reduction_suite():
     for k in (2, 5, 10):
         rng = np.random.default_rng(k)
         for _ in range(1000):
-            probs = random_probs(rng, k)
-            y = int(rng.integers(k))
+            probs = softmax(rng.normal(0, 2, size=(1, k)))
+            y = rng.integers(k, size=1)
             sim = random_similarity(rng, k)
             eps = float(rng.uniform(0.05, 0.45))
+            eps_vec = np.full(k, eps)
+            e = mixing_from_simple(sim, eps).e_matrix
 
-            base = mcel_loss(probs, y, sim, eps)
-            plain = -float(np.log(probs[y]))
-            zero_eps = mcel_loss(probs, y, sim, 0.0)
-            worst = max(worst, abs(zero_eps.value - plain))
+            def loss(params, *soft):
+                return batch_loss(probs, y, target_matrix(sim, params)[y], *soft)
 
-            sg = sg_mcel_loss(probs, y, sim, np.full(k, eps))
-            worst = max(worst, abs(sg.value - base.value),
-                        float(np.max(np.abs(sg.grad_probs - base.grad_probs))))
+            # the simple loss written out: (1-eps) * one-hot + eps * A[y]
+            w = eps * sim.a[y[0]]
+            w[y[0]] = 1.0 - eps
+            base_value = -float(np.dot(w, np.log(probs[0])))
+            base_grad = probs * w.sum() - w
 
-            mix = mixing_from_simple(sim, eps)
-            gm = gmcel_loss(probs, y, mix)
-            worst = max(worst, abs(gm.value - base.value),
-                        float(np.max(np.abs(gm.grad_probs - base.grad_probs))))
+            zero_eps = loss(np.zeros(k))
+            worst = max(worst, abs(zero_eps[0] - -float(np.log(probs[0, y[0]]))))
 
-            soft = sg_mcel_soft_loss([(probs, y)], sim, np.full(k, eps), zero)
-            worst = max(worst, abs(soft.value - sg.value),
-                        float(np.max(np.abs(soft.grad_probs[0] - sg.grad_probs))))
-
-            gsoft = gmcel_soft_loss([(probs, y)], mix.e_matrix, mix.margins, zero)
-            worst = max(worst, abs(gsoft.value - gm.value),
-                        float(np.max(np.abs(gsoft.grad_probs[0] - gm.grad_probs))))
+            for params, soft in (
+                (eps_vec, ()),
+                (e, ()),
+                (eps_vec, (zero, eps_vec, sim)),
+                (e, (zero, e, None, np.full(k, 0.1))),
+            ):
+                value, grad, _ = loss(params, *soft)
+                worst = max(worst, abs(value - base_value),
+                            float(np.max(np.abs(grad - base_grad))))
     elapsed = time.monotonic() - started
     report(
         "reduction suite",
@@ -157,7 +155,7 @@ def test_label_smoothing_equivalence():
     for k in (3, 5, 10):
         sim = uniform_similarity(k)
         for eps in (0.1, 0.3):
-            h = target_matrix(sim, SimpleMixing(eps))
+            h = target_matrix(sim, np.full(k, eps))
             eps_ls = eps * k / (k - 1)
             ls = (1.0 - eps_ls) * np.eye(k) + eps_ls / k * np.ones((k, k))
             worst = max(worst, float(np.max(np.abs(h - ls))))
@@ -194,7 +192,7 @@ def _param_gradient_error(targets_for):
 
     theta = _flatten(model)
     probs, acts = forward_batch(model, x)
-    grads_w, grads_b = backprop(model, acts, probs - targets_for(ys))
+    grads_w, grads_b = backprop(model, acts, batch_loss(probs, ys, targets_for(ys))[1])
     analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
     numeric = np.empty_like(analytic)
     h = 1e-6
@@ -230,11 +228,13 @@ def test_end_to_end_training():
     sim3 = random_similarity(np.random.default_rng(5), k)
     eps_vec = np.array([0.1, 0.25, 0.4])
     mix3 = mixing_from_simple(sim3, 0.3)
+    soft3 = np.random.default_rng(6).uniform(0.05, 0.95, (k, k))
     variants = {
         "ce": lambda ys: np.eye(k)[ys],
-        "simple": lambda ys: target_matrix(sim3, SimpleMixing(0.2))[ys],
-        "per-class": lambda ys: target_matrix(sim3, PerClassMixing(eps_vec))[ys],
-        "matrix": lambda ys: target_matrix(sim3, mix3)[ys],
+        "simple": lambda ys: target_matrix(sim3, np.full(k, 0.2))[ys],
+        "per-class": lambda ys: target_matrix(sim3, eps_vec)[ys],
+        "matrix": lambda ys: target_matrix(sim3, mix3.e_matrix)[ys],
+        "soft-matrix": lambda ys: soft3[ys],  # rows that do not sum to 1
     }
     grad_errs = {name: _param_gradient_error(fn) for name, fn in variants.items()}
     worst_grad = max(grad_errs.values())

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,11 @@ from pathlib import Path
 import numpy as np
 
 import mcel
-from mcel.cli import main
-from mcel.data import gen_blobs
-from mcel.harness import similarity_from_dataset
+from mcel.cli import VARIANTS, main
+from mcel.data import gen_blobs, split
+from mcel.harness import run_grid_search, similarity_from_dataset
 from mcel.lda import load_similarity
+from mcel.net import TrainConfig
 
 
 SRC = str(Path(mcel.__file__).resolve().parents[1])
@@ -194,6 +196,35 @@ class TestBadValues:
         assert "abc" in proc.stderr
 
 
+class TestRuntimeExitCodes:
+    def test_truncated_idx_is_runtime_error(self, tmp_path):
+        img = tmp_path / "img.idx"
+        lab = tmp_path / "lab.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(10))
+        lab.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 0, 1]))
+        proc = run_python(
+            "-m", "mcel.cli", "similarity", "--data-idx", str(img), str(lab),
+            "--out", str(tmp_path / "x"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "truncated" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_corrupted_gradcheck_exits_3(self):
+        proc = run_python("-m", "mcel.cli", "gradcheck", "--trials", "3", "--corrupt")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.count("[FAIL]") == len(VARIANTS)
+
+    def test_gradcheck_prints_one_line_per_variant(self):
+        proc = run_python("-m", "mcel.cli", "gradcheck", "--trials", "5")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == list(VARIANTS)
+        assert all(line.endswith("[ok]") for line in lines)
+
+
 def test_cli_import_loads_no_scipy():
     proc = run_python(
         "-c",
@@ -232,6 +263,22 @@ class TestGridSearch:
         grid = json.loads((out / "grid.json").read_text())
         assert len(grid["runs"]) == 1
         assert grid["selected_epsilon"] == 0.2
+
+    def test_splits_once_per_seed(self):
+        dataset = gen_blobs(3, 40, 2, spread=0.8, seed=1)
+        calls = []
+
+        def make_splits(seed):
+            calls.append(seed)
+            train, val, test = split(dataset, (0.7, 0.15, 0.15), seed)
+            return train, val, test, similarity_from_dataset(train)
+
+        base = TrainConfig(epochs=2, batch_size=16)
+        result = run_grid_search(make_splits, base, (4,), (0.0, 0.2, 0.4), (5, 6), topk=2)
+        assert calls == [5, 6]
+        assert [(r["epsilon"], r["seed"]) for r in result["runs"]] == [
+            (e, s) for e in (0.0, 0.2, 0.4) for s in (5, 6)
+        ]
 
 
 class TestNoiseExperiment:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from mcel.errors import DimensionError
 from mcel.gradcheck import (
     central_diff,
     max_rel_error,
     random_matrix_mixing,
-    random_probs,
     random_similarity,
 )
 from mcel.lda import SimilarityMatrix, uniform_similarity
@@ -14,13 +14,8 @@ from mcel.losses import (
     PenaltyWeights,
     PerClassMixing,
     SimpleMixing,
-    gmcel_loss,
-    gmcel_soft_loss,
-    logit_gradient,
-    mcel_loss,
+    batch_loss,
     mixing_from_simple,
-    sg_mcel_loss,
-    sg_mcel_soft_loss,
     softmax,
     target_matrix,
 )
@@ -28,6 +23,39 @@ from mcel.losses import (
 
 def two_class_sim():
     return SimilarityMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def random_probs(rng, k, floor=1e-3):
+    p = rng.random(k) + floor * k
+    p = p / p.sum()
+    return np.maximum(p, floor) / np.maximum(p, floor).sum()
+
+
+def loss_of(probs, y, sim, params):
+    """Value and probs-row logit gradient of one sample under fixed mixing."""
+    labels = np.array([y])
+    value, grad, _ = batch_loss(
+        np.asarray(probs)[None, :], labels, target_matrix(sim, params)[labels]
+    )
+    return value, grad[0]
+
+
+def logit_fd_error(logits, y, sim, params):
+    """FD relative error of the kernel's logit gradient for one sample."""
+    labels = np.array([y])
+    targets = target_matrix(sim, params)[labels]
+    _, grad, _ = batch_loss(softmax(logits)[None, :], labels, targets)
+    num = central_diff(
+        lambda lg: batch_loss(softmax(lg)[None, :], labels, targets)[0], logits
+    )
+    return max_rel_error(grad[0], num)
+
+
+def soft_loss(probs_batch, labels, params, weights, sim=None, margins=None):
+    return batch_loss(
+        probs_batch, labels, target_matrix(sim, params)[labels],
+        weights, params, sim, margins,
+    )
 
 
 class TestMixingSpecs:
@@ -62,17 +90,17 @@ class TestMixingSpecs:
 class TestTargetMatrix:
     def test_epsilon_zero_is_identity(self):
         sim = random_similarity(np.random.default_rng(0), 4)
-        h = target_matrix(sim, SimpleMixing(0.0))
+        h = target_matrix(sim, np.zeros(4))
         assert np.array_equal(h, np.eye(4))
 
     def test_direct_substitution(self):
-        h = target_matrix(two_class_sim(), SimpleMixing(0.4))
+        h = target_matrix(two_class_sim(), np.full(2, 0.4))
         assert np.allclose(h, [[0.6, 0.4], [0.4, 0.6]], atol=1e-15)
 
     @pytest.mark.parametrize("k", [3, 5, 10])
     @pytest.mark.parametrize("eps", [0.1, 0.3])
     def test_label_smoothing_equivalence(self, k, eps):
-        h = target_matrix(uniform_similarity(k), SimpleMixing(eps))
+        h = target_matrix(uniform_similarity(k), np.full(k, eps))
         eps_prime = eps * k / (k - 1)
         smoothed = (1 - eps_prime) * np.eye(k) + eps_prime / k
         assert np.max(np.abs(h - smoothed)) <= 1e-12
@@ -81,51 +109,43 @@ class TestTargetMatrix:
         rng = np.random.default_rng(1)
         for k in (2, 5, 9):
             sim = random_similarity(rng, k)
-            for spec in (SimpleMixing(0.3), PerClassMixing(rng.uniform(0, 0.49, k))):
-                h = target_matrix(sim, spec)
+            for eps in (np.full(k, 0.3), rng.uniform(0, 0.49, k)):
+                h = target_matrix(sim, eps)
                 assert np.allclose(h.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matrix_spec_passthrough(self):
         rng = np.random.default_rng(2)
         spec = random_matrix_mixing(rng, 3)
         sim = random_similarity(rng, 3)
-        assert np.array_equal(target_matrix(sim, spec), spec.e_matrix)
+        assert np.array_equal(target_matrix(sim, spec.e_matrix), spec.e_matrix)
 
 
 class TestMcelLoss:
     def test_perfect_prediction(self):
         probs = np.array([1.0 - 2e-9, 1e-9, 1e-9])
         sim = random_similarity(np.random.default_rng(0), 3)
-        res = mcel_loss(probs, 0, sim, 0.0)
-        assert res.value == pytest.approx(0.0, abs=1e-8)
+        value, _ = loss_of(probs, 0, sim, np.zeros(3))
+        assert value == pytest.approx(0.0, abs=1e-8)
 
     def test_reduces_to_cross_entropy(self):
         rng = np.random.default_rng(1)
         sim = random_similarity(rng, 4)
         probs = random_probs(rng, 4)
-        res = mcel_loss(probs, 2, sim, 0.0)
-        assert abs(res.value - (-np.log(probs[2]))) <= 1e-15
+        value, _ = loss_of(probs, 2, sim, np.zeros(4))
+        assert abs(value - (-np.log(probs[2]))) <= 1e-15
 
     def test_hand_instance_with_oracle(self):
         a = np.array([[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
         sim = SimilarityMatrix(3, a)
         probs = np.array([0.7, 0.2, 0.1])
         eps = 0.3
-        res = mcel_loss(probs, 0, sim, eps)
+        value, _ = loss_of(probs, 0, sim, np.full(3, eps))
         expected = 0.0
         for i in range(3):
             w = (1 - eps) * (i == 0) + eps * a[0, i]
             expected -= w * np.log(probs[i])
-        assert abs(res.value - expected) <= 1e-12
-        num = central_diff(lambda p: mcel_loss(p, 0, sim, eps).value, probs)
-        assert max_rel_error(res.grad_probs, num) <= 1e-6
-
-    def test_rejects_bad_inputs(self):
-        sim = two_class_sim()
-        with pytest.raises(ValueError):
-            mcel_loss(np.array([np.nan, 1.0]), 0, sim, 0.1)
-        with pytest.raises(ValueError):
-            mcel_loss(np.array([0.5, 0.5]), 2, sim, 0.1)
+        assert abs(value - expected) <= 1e-12
+        assert logit_fd_error(np.log(probs), 0, sim, np.full(3, eps)) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(3))
     def test_affine_in_epsilon(self, seed):
@@ -133,9 +153,7 @@ class TestMcelLoss:
         sim = random_similarity(rng, 5)
         probs = random_probs(rng, 5)
         y = int(rng.integers(5))
-        v0 = mcel_loss(probs, y, sim, 0.1).value
-        v1 = mcel_loss(probs, y, sim, 0.2).value
-        v2 = mcel_loss(probs, y, sim, 0.3).value
+        v0, v1, v2 = (loss_of(probs, y, sim, np.full(5, e))[0] for e in (0.1, 0.2, 0.3))
         assert abs(v2 - 2 * v1 + v0) <= 1e-12
 
     def test_permutation_invariance(self):
@@ -148,9 +166,9 @@ class TestMcelLoss:
         inv = np.argsort(perm)
         a_p = sim.a[np.ix_(inv, inv)]
         sim_p = SimilarityMatrix(k, a_p / a_p.sum(axis=1, keepdims=True))
-        res = mcel_loss(probs, y, sim, 0.3)
-        res_p = mcel_loss(probs[inv], perm[y], sim_p, 0.3)
-        assert abs(res.value - res_p.value) <= 1e-12
+        value, _ = loss_of(probs, y, sim, np.full(k, 0.3))
+        value_p, _ = loss_of(probs[inv], perm[y], sim_p, np.full(k, 0.3))
+        assert abs(value - value_p) <= 1e-12
 
 
 class TestSgMcel:
@@ -159,42 +177,39 @@ class TestSgMcel:
         sim = random_similarity(rng, 5)
         probs = random_probs(rng, 5)
         for y in range(5):
-            a = sg_mcel_loss(probs, y, sim, np.full(5, 0.3))
-            b = mcel_loss(probs, y, sim, 0.3)
-            assert abs(a.value - b.value) <= 1e-15
-            assert np.max(np.abs(a.grad_probs - b.grad_probs)) <= 1e-12
+            value, grad = loss_of(probs, y, sim, np.full(5, 0.3))
+            # the simple loss written out: (1-eps) * one-hot + eps * A[y]
+            w = 0.3 * sim.a[y]
+            w[y] = 0.7
+            assert abs(value - -float(np.dot(w, np.log(probs)))) <= 1e-15
+            assert np.max(np.abs(grad - (probs * w.sum() - w))) <= 1e-12
 
     def test_zero_vector_is_cross_entropy(self):
         rng = np.random.default_rng(1)
         sim = random_similarity(rng, 3)
         probs = random_probs(rng, 3)
-        res = sg_mcel_loss(probs, 1, sim, np.zeros(3))
-        assert abs(res.value - (-np.log(probs[1]))) <= 1e-15
+        value, _ = loss_of(probs, 1, sim, np.zeros(3))
+        assert abs(value - (-np.log(probs[1]))) <= 1e-15
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
         sim = random_similarity(rng, 5)
-        probs = random_probs(rng, 5)
+        logits = rng.normal(0, 2, 5)
         eps = rng.uniform(0.05, 0.45, 5)
-        res = sg_mcel_loss(probs, 3, sim, eps)
-        num = central_diff(lambda p: sg_mcel_loss(p, 3, sim, eps).value, probs)
-        assert max_rel_error(res.grad_probs, num) <= 1e-6
+        assert logit_fd_error(logits, 3, sim, eps) <= 1e-6
 
     def test_wrong_length_rejected(self):
-        sim = two_class_sim()
-        with pytest.raises(Exception):
-            sg_mcel_loss(np.array([0.5, 0.5]), 0, sim, np.array([0.1, 0.1, 0.1]))
+        with pytest.raises(DimensionError):
+            target_matrix(two_class_sim(), np.array([0.1, 0.1, 0.1]))
 
 
 class TestGmcel:
     def test_delta_rows_are_cross_entropy(self):
         k = 3
-        e = np.eye(k)
-        spec = MatrixMixing(e, np.full(k, 0.5))
         rng = np.random.default_rng(0)
         probs = random_probs(rng, k)
-        res = gmcel_loss(probs, 1, spec)
-        assert abs(res.value - (-np.log(probs[1]))) <= 1e-15
+        value, _ = loss_of(probs, 1, None, np.eye(k))
+        assert abs(value - (-np.log(probs[1]))) <= 1e-15
 
     def test_simple_construction_equivalence(self):
         rng = np.random.default_rng(1)
@@ -203,17 +218,15 @@ class TestGmcel:
         spec = mixing_from_simple(sim, eps)
         probs = random_probs(rng, 4)
         for y in range(4):
-            a = gmcel_loss(probs, y, spec)
-            b = mcel_loss(probs, y, sim, eps)
-            assert abs(a.value - b.value) <= 1e-15
+            a, _ = loss_of(probs, y, sim, spec.e_matrix)
+            b, _ = loss_of(probs, y, sim, np.full(4, eps))
+            assert abs(a - b) <= 1e-15
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
         spec = random_matrix_mixing(rng, 4)
-        probs = random_probs(rng, 4)
-        res = gmcel_loss(probs, 2, spec)
-        num = central_diff(lambda p: gmcel_loss(p, 2, spec).value, probs)
-        assert max_rel_error(res.grad_probs, num) <= 1e-6
+        logits = rng.normal(0, 2, 4)
+        assert logit_fd_error(logits, 2, None, spec.e_matrix) <= 1e-6
 
     def test_margin_violation_named(self):
         e = np.array([[0.6, 0.4], [0.4, 0.6]])
@@ -226,68 +239,56 @@ class TestSoftLosses:
         rng = np.random.default_rng(0)
         sim = random_similarity(rng, 4)
         eps = rng.uniform(0.1, 0.4, 4)
-        batch = [(random_probs(rng, 4), int(rng.integers(4))) for _ in range(6)]
-        res = sg_mcel_soft_loss(batch, sim, eps, PenaltyWeights())
-        base = sum(sg_mcel_loss(p, y, sim, eps).value for p, y in batch)
-        assert abs(res.value - base) <= 1e-12
+        probs = np.array([random_probs(rng, 4) for _ in range(6)])
+        labels = rng.integers(4, size=6)
+        value, grad, _ = soft_loss(probs, labels, eps, PenaltyWeights(), sim=sim)
+        base = sum(loss_of(p, y, sim, eps)[0] for p, y in zip(probs, labels))
+        assert abs(value - base) <= 1e-12
+        fixed = batch_loss(probs, labels, target_matrix(sim, eps)[labels])
+        assert np.array_equal(grad, fixed[1]) and fixed[2] is None
 
     def test_sg_soft_literal_oracle(self):
         sim = uniform_similarity(3)
         eps = np.array([0.2, 0.2, 0.2])
-        probs = np.array([0.5, 0.3, 0.2])
+        probs = np.array([[0.5, 0.3, 0.2]])
+        labels = np.array([1])
         w = PenaltyWeights(alpha=1.0, beta=1.0, gamma=1.0, p=2.0)
-        res = sg_mcel_soft_loss([(probs, 1)], sim, eps, w)
+        value, _, grad_eps = soft_loss(probs, labels, eps, w, sim=sim)
         p1 = np.array([0.2 * 0.5, 0.8, 0.2 * 0.5])
-        expected = -float(np.dot(p1, np.log(probs)))
+        expected = -float(np.dot(p1, np.log(probs[0])))
         for i in range(3):
             pi = eps[i] * sim.a[i].copy()
             pi[i] = 1 - eps[i]
             expected += 1.0 * (np.sum(np.abs(pi)) - 1) ** 2
         expected += float(np.sum((eps - 0.5) ** 2)) + float(np.sum(eps ** 2))
-        assert abs(res.value - expected) <= 1e-10
-        num_eps = central_diff(lambda e: sg_mcel_soft_loss([(probs, 1)], sim, e, w).value, eps)
-        assert max_rel_error(res.grad_mixing, num_eps) <= 1e-6
-
-    def test_sg_soft_domain(self):
-        sim = uniform_similarity(3)
-        with pytest.raises(ValueError, match="strictly"):
-            sg_mcel_soft_loss(
-                [(np.array([0.4, 0.3, 0.3]), 0)], sim, np.array([0.0, 0.2, 0.2]),
-                PenaltyWeights(),
-            )
-        with pytest.raises(ValueError, match="non-empty"):
-            sg_mcel_soft_loss([], sim, np.array([0.2, 0.2, 0.2]), PenaltyWeights())
+        assert abs(value - expected) <= 1e-10
+        num_eps = central_diff(lambda e: soft_loss(probs, labels, e, w, sim=sim)[0], eps)
+        assert max_rel_error(grad_eps, num_eps) <= 1e-6
 
     def test_gmcel_soft_zero_penalties(self):
         rng = np.random.default_rng(1)
         spec = random_matrix_mixing(rng, 4)
-        batch = [(random_probs(rng, 4), int(rng.integers(4))) for _ in range(5)]
-        res = gmcel_soft_loss(batch, spec.e_matrix, spec.margins, PenaltyWeights())
-        base = sum(gmcel_loss(p, y, spec).value for p, y in batch)
-        assert abs(res.value - base) <= 1e-12
+        probs = np.array([random_probs(rng, 4) for _ in range(5)])
+        labels = rng.integers(4, size=5)
+        value, _, _ = soft_loss(
+            probs, labels, spec.e_matrix, PenaltyWeights(), margins=spec.margins
+        )
+        base = sum(loss_of(p, y, None, spec.e_matrix)[0] for p, y in zip(probs, labels))
+        assert abs(value - base) <= 1e-12
 
     def test_gmcel_soft_literal_oracle(self):
         e = np.array([[0.7, 0.3], [0.25, 0.75]])
         c = np.array([0.1, 0.2])
-        probs = np.array([0.6, 0.4])
+        probs = np.array([[0.6, 0.4]])
         w = PenaltyWeights(alpha=0.5, beta=1.5, gamma=0.7, eta=2.0, p=2.0)
-        res = gmcel_soft_loss([(probs, 0)], e, c, w)
-        expected = -float(np.dot(e[0], np.log(probs)))
+        value, _, _ = soft_loss(probs, np.array([0]), e, w, margins=c)
+        expected = -float(np.dot(e[0], np.log(probs[0])))
         expected += 0.5 * sum((e[i].sum() - 1) ** 2 for i in range(2))
         expected += 1.5 * float(np.sum((e - 1) ** 2)) + 0.7 * float(np.sum(e ** 2))
         for i in range(2):
             off = e[i].sum() - e[i, i]
             expected += 2.0 * ((2 - 1) * (e[i, i] - c[i]) - off) ** 2
-        assert abs(res.value - expected) <= 1e-10
-
-    def test_gmcel_soft_domain(self):
-        with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            gmcel_soft_loss(
-                [(np.array([0.5, 0.5]), 0)],
-                np.array([[1.0, 0.0], [0.0, 1.0]]),
-                np.array([0.1, 0.1]),
-                PenaltyWeights(),
-            )
+        assert abs(value - expected) <= 1e-10
 
 
 class TestReductionChain:
@@ -299,12 +300,18 @@ class TestReductionChain:
             probs = random_probs(rng, k)
             y = int(rng.integers(k))
             eps = float(rng.uniform(0.01, 0.49))
-            base = mcel_loss(probs, y, sim, eps).value
-            assert abs(sg_mcel_loss(probs, y, sim, np.full(k, eps)).value - base) <= 1e-12
-            spec = mixing_from_simple(sim, eps)
-            assert abs(gmcel_loss(probs, y, spec).value - base) <= 1e-12
+            base, _ = loss_of(probs, y, sim, mixing_from_simple(sim, eps).e_matrix)
+            per_class = rng.uniform(0.01, 0.49, k)
+            per_class[y] = eps
+            assert abs(loss_of(probs, y, sim, per_class)[0] - base) <= 1e-12
+            assert abs(loss_of(probs, y, sim, np.full(k, eps))[0] - base) <= 1e-12
             ce = -np.log(probs[y])
-            assert abs(mcel_loss(probs, y, sim, 0.0).value - ce) <= 1e-12
+            assert abs(loss_of(probs, y, sim, np.zeros(k))[0] - ce) <= 1e-12
+
+
+def logit_gradient(logits, target_row):
+    _, grad, _ = batch_loss(softmax(logits)[None, :], np.array([0]), target_row[None, :])
+    return grad[0]
 
 
 class TestLogitGradient:
@@ -333,12 +340,22 @@ class TestLogitGradient:
         num = central_diff(value_of, logits)
         assert max_rel_error(g, num) <= 1e-7
 
+    def test_unnormalised_target_matches_fd(self):
+        # a trained mixture row need not sum to 1; softmax - target is then wrong
+        rng = np.random.default_rng(3)
+        logits = rng.normal(0, 2, size=6)
+        target = rng.uniform(0.05, 0.6, size=6)
+        g = logit_gradient(logits, target)
+        num = central_diff(lambda lg: -float(np.dot(target, np.log(softmax(lg)))), logits)
+        assert max_rel_error(g, num) <= 1e-7
+        assert max_rel_error(softmax(logits) - target, num) > 1e-2
+
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             k = int(rng.integers(2, 8))
             sim = random_similarity(rng, k)
-            h = target_matrix(sim, SimpleMixing(float(rng.uniform(0, 0.49))))
+            h = target_matrix(sim, np.full(k, float(rng.uniform(0, 0.49))))
             logits = rng.normal(size=k)
             g = logit_gradient(logits, h[int(rng.integers(k))])
             assert abs(g.sum()) <= 1e-12

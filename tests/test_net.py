@@ -1,18 +1,21 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import DataFormatError, TrainingDivergedError
 from mcel.gradcheck import random_matrix_mixing, random_similarity
 from mcel.losses import (
     PROB_CLAMP,
-    MatrixMixing,
     PenaltyWeights,
     PerClassMixing,
     SimpleMixing,
-    softmax,
+    batch_loss,
     target_matrix,
 )
 from mcel.net import (
@@ -111,16 +114,19 @@ def variant_targets(k, ys, variant, rng):
     if variant == "ce":
         h = np.eye(k)
     elif variant == "mcel":
-        h = target_matrix(sim, SimpleMixing(0.3))
+        h = target_matrix(sim, np.full(k, 0.3))
     elif variant == "sg":
-        h = target_matrix(sim, PerClassMixing(rng.uniform(0.05, 0.45, k)))
-    else:
+        h = target_matrix(sim, rng.uniform(0.05, 0.45, k))
+    elif variant == "gmcel":
         h = random_matrix_mixing(rng, k).e_matrix
+    else:
+        # a trained soft mixture matrix: rows that do not sum to 1
+        h = rng.uniform(0.05, 0.95, (k, k))
     return h[ys]
 
 
 class TestBackprop:
-    @pytest.mark.parametrize("variant", ["ce", "mcel", "sg", "gmcel"])
+    @pytest.mark.parametrize("variant", ["ce", "mcel", "sg", "gmcel", "unnormalised"])
     def test_end_to_end_gradient(self, variant):
         rng = np.random.default_rng(hash(variant) % 2**32)
         model = init_model((2, 3, 3), seed=11)
@@ -128,7 +134,7 @@ class TestBackprop:
         ys = rng.integers(3, size=4)
         targets = variant_targets(3, ys, variant, rng)
         probs, acts = forward_batch(model, x)
-        grads_w, grads_b = backprop(model, acts, probs - targets)
+        grads_w, grads_b = backprop(model, acts, batch_loss(probs, ys, targets)[1])
         analytic = np.concatenate(
             [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
         )
@@ -271,6 +277,28 @@ class TestTrainer:
         e = trainer.mixing_params
         assert np.all(e > 0.0) and np.all(e < 1.0)
 
+    def test_soft_step_follows_kernel(self):
+        # one full batch without momentum: the reported loss is the kernel's
+        # value, penalties included, and the epsilons take its gradient step
+        data = self.make_data(k=3, per_class=10, spread=1.2)
+        sim = random_similarity(np.random.default_rng(12), 3)
+        model = init_model((2, 6, 3), seed=12)
+        eps = np.array([0.1, 0.2, 0.3])
+        w = PenaltyWeights(alpha=0.5, beta=0.2, gamma=0.3)
+        probs, _ = forward_batch(model, data.features)
+        targets = target_matrix(sim, eps)[data.labels]
+        value, _, grad = batch_loss(probs, data.labels, targets, w, eps, sim)
+        cfg = TrainConfig(
+            learning_rate=0.01, momentum=0.0, weight_decay=0.0, epochs=1,
+            batch_size=data.n, seed=12, mixing=PerClassMixing(eps),
+            trainable_mixing=True, penalties=w,
+        )
+        trainer = Trainer(model, cfg, sim)
+        metrics = trainer.train_epoch(data)
+        assert metrics["mean_loss"] == pytest.approx(value / data.n, rel=1e-12)
+        step = trainer.mixing_params - (eps - 0.01 * grad / data.n)
+        assert np.max(np.abs(step)) <= 1e-15
+
 
 def logit_model(k):
     """Single-layer model whose logits equal its input features."""
@@ -359,3 +387,79 @@ class TestCheckpoint:
         path.write_bytes(b"MCEL" + struct.pack("<IIII", 1, 1, 2**31, 2**31) + b"\x00" * 64)
         with pytest.raises(DataFormatError, match="needs"):
             load_checkpoint(path)
+
+    def test_zero_layers_rejected(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"MCEL" + struct.pack("<II", 1, 0))
+        with pytest.raises(DataFormatError, match="zero layers"):
+            load_checkpoint(path)
+
+    def test_layer_chain_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model((4, 7, 3), seed=13), path)
+        raw = bytearray(path.read_bytes())
+        second = 12 + 8 + (7 * 4 + 7) * 8  # offset of the second layer's shape
+        raw[second:second + 8] = struct.pack("<II", 3, 6)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="6 inputs"):
+            load_checkpoint(path)
+
+
+def saved_checkpoint():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(init_model((3, 4, 2), seed=0), path)
+        return path.read_bytes()
+
+
+SAVED = saved_checkpoint()
+# version, layer count and both layer shapes, as u32 words; then every header byte
+HEADER_WORDS = [4, 8, 12, 16, 148, 152]
+HEADER_BYTES = [*range(20), *range(148, 156)]
+
+
+def load_bytes(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        path.write_bytes(raw)
+        return load_checkpoint(path)
+
+
+def load_or_reject(raw):
+    """Load raw checkpoint bytes; a clean load must be a consistent model."""
+    try:
+        model = load_bytes(raw)
+    except DataFormatError:
+        return
+    sizes = model.layer_sizes
+    assert len(sizes) >= 2 and min(sizes) >= 1
+    assert [w.shape for w in model.weights] == list(zip(sizes[1:], sizes[:-1]))
+    assert [b.shape for b in model.biases] == [(s,) for s in sizes[1:]]
+
+
+class TestCheckpointProperties:
+    def test_every_truncation(self):
+        assert struct.unpack_from("<II", SAVED, 148) == (2, 4)  # second layer shape
+        for cut in range(len(SAVED)):
+            with pytest.raises(DataFormatError):
+                load_bytes(SAVED[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(HEADER_WORDS),
+                    st.integers(0, 8) | st.integers(0, 2**32 - 1),  # near the true sizes, or any
+                    st.just("<I"),
+                ),
+                st.tuples(st.sampled_from(HEADER_BYTES), st.integers(0, 255), st.just("<B")),
+            ),
+            min_size=1, max_size=4,
+        )
+    )
+    def test_header_mutations(self, edits):
+        raw = bytearray(SAVED)
+        for offset, value, fmt in edits:
+            struct.pack_into(fmt, raw, offset, value)
+        load_or_reject(bytes(raw))
