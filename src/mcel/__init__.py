@@ -3,12 +3,7 @@ plus a small fully-connected training harness."""
 
 from .data import LabeledDataset, NoiseSpec
 from .lda import LdaModel, SimilarityMatrix
-from .losses import (
-    MatrixMixing,
-    PenaltyWeights,
-    PerClassMixing,
-    SimpleMixing,
-)
+from .losses import PenaltyWeights
 from .net import MlpModel, TrainConfig, Trainer
 
 __all__ = [
@@ -16,10 +11,7 @@ __all__ = [
     "NoiseSpec",
     "LdaModel",
     "SimilarityMatrix",
-    "MatrixMixing",
     "PenaltyWeights",
-    "PerClassMixing",
-    "SimpleMixing",
     "MlpModel",
     "TrainConfig",
     "Trainer",

@@ -12,10 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import data as datamod
 from . import lda as ldamod
@@ -30,13 +27,7 @@ from .harness import (
     similarity_checksum,
     similarity_from_dataset,
 )
-from .losses import (
-    VARIANTS,
-    PenaltyWeights,
-    PerClassMixing,
-    SimpleMixing,
-    mixing_from_simple,
-)
+from .losses import VARIANTS, PenaltyWeights
 from .net import TrainConfig, save_checkpoint
 
 EXIT_OK = 0
@@ -117,7 +108,10 @@ def load_config(path=None):
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULT_CONFIG)
     if path is not None:
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise UsageError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if not read:
             raise UsageError(f"config file {path} not found")
     cfg = {
@@ -132,38 +126,9 @@ def load_config(path=None):
     return cfg
 
 
-def build_train_config(cfg, seed, sim):
+def build_train_config(cfg, seed=0):
     t = cfg["train"]
     loss = cfg["loss"]
-    variant = loss["variant"]
-    penalties = PenaltyWeights(
-        alpha=float(loss["alpha"]),
-        beta=float(loss["beta"]),
-        gamma=float(loss["gamma"]),
-        eta=float(loss["eta"]),
-        p=float(loss["p"]),
-    )
-    epsilon = float(loss["epsilon"])
-    mixing = None
-    trainable = False
-    if variant != "ce":
-        if sim is None:
-            raise UsageError(f"loss variant {variant!r} needs a similarity matrix")
-        if variant == "mcel":
-            mixing = SimpleMixing(epsilon)
-        elif variant == "sg-mcel":
-            eps = (
-                np.array(_float_list(loss["epsilons"]))
-                if "epsilons" in loss
-                else np.full(sim.k, epsilon)
-            )
-            mixing = PerClassMixing(eps)
-        elif variant == "sg-mcel-soft":
-            mixing = PerClassMixing(np.full(sim.k, epsilon))
-            trainable = True
-        elif variant in ("gmcel", "gmcel-soft"):
-            mixing = mixing_from_simple(sim, epsilon)
-            trainable = variant == "gmcel-soft"
     return TrainConfig(
         learning_rate=float(t["learning_rate"]),
         momentum=float(t["momentum"]),
@@ -172,9 +137,16 @@ def build_train_config(cfg, seed, sim):
         batch_size=int(t["batch_size"]),
         lr_decay=float(t["lr_decay"]),
         seed=seed,
-        mixing=mixing,
-        trainable_mixing=trainable,
-        penalties=penalties,
+        variant=loss["variant"],
+        epsilon=float(loss["epsilon"]),
+        epsilons=tuple(_float_list(loss["epsilons"])) if "epsilons" in loss else None,
+        penalties=PenaltyWeights(
+            alpha=float(loss["alpha"]),
+            beta=float(loss["beta"]),
+            gamma=float(loss["gamma"]),
+            eta=float(loss["eta"]),
+            p=float(loss["p"]),
+        ),
     )
 
 
@@ -235,7 +207,7 @@ def cmd_train(args):
     out = _outdir(args)
     train, val, test = prepare_splits(dataset, cfg, args.seed)
     sim = obtain_similarity(args, cfg, train)
-    tc = build_train_config(cfg, args.seed, sim)
+    tc = build_train_config(cfg, args.seed)
     hidden = _int_list(cfg["train"]["hidden"])
     topk = int(cfg["train"]["topk"])
 
@@ -263,7 +235,7 @@ def cmd_gridsearch(args):
     out = _outdir(args)
     hidden = _int_list(cfg["train"]["hidden"])
     topk = int(cfg["train"]["topk"])
-    base = build_train_config({**cfg, "loss": dict(cfg["loss"], variant="ce")}, 0, None)
+    base = build_train_config(cfg)
     epsilons = args.epsilons if args.epsilons else list(DEFAULT_GRID)
     seeds = args.seeds if args.seeds else [0]
 
@@ -305,7 +277,7 @@ def cmd_noise_exp(args):
     out = _outdir(args)
     hidden = _int_list(cfg["train"]["hidden"])
     topk = int(cfg["train"]["topk"])
-    base = build_train_config({**cfg, "loss": dict(cfg["loss"], variant="ce")}, 0, None)
+    base = build_train_config(cfg)
     pairs = _parse_pairs(args.pairs) if args.pairs else _default_pairs(dataset.k)
     fractions = args.fractions if args.fractions else [0.3]
     seeds = args.seeds if args.seeds else [0]

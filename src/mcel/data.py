@@ -6,6 +6,8 @@ integer labels in [0, k). All randomness flows through explicit seeds.
 """
 
 import csv
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -76,55 +78,71 @@ class NoiseSpec:
 
 
 def load_csv(path, label_column):
-    """Load a labeled dataset from a headered CSV file.
+    """Load a labeled dataset from a headered UTF-8 CSV file.
 
-    Feature columns parse as float64. String labels map to indices in
-    first-appearance order; the mapping is returned alongside the dataset.
+    Feature columns parse as finite float64. String labels map to indices
+    in first-appearance order; the mapping is returned alongside the
+    dataset.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise DataFormatError(f"{path}: no column named {label_column!r} in header")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-
-        rows = []
-        raw_labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            feats = []
-            for col, cell in enumerate(row):
-                if col == label_idx:
-                    continue
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            feature_names, rows, raw_labels = _csv_rows(csv.reader(fh), path, label_column)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # the decoder reads ahead, so find the line again
+            for lineno, line in enumerate(fh, start=1):
                 try:
-                    feats.append(float(cell))
-                except ValueError:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
                     raise DataFormatError(
-                        f"{path}: line {lineno}: non-numeric value {cell!r} "
-                        f"in column {header[col]!r}"
+                        f"{path}: line {lineno}, byte {exc.start + 1}: not UTF-8"
                     ) from None
-            rows.append(feats)
-            raw_labels.append(row[label_idx])
-        if not rows:
-            raise DataFormatError(f"{path}: no data rows")
-
+        raise
+    features = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise DataFormatError(
+            f"{path}: line {row + 2}: non-finite value {float(features[row, col])!r} "
+            f"in column {feature_names[col]!r}"
+        )
     mapping = {}
-    labels = []
-    for lab in raw_labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        labels.append(mapping[lab])
-    data = LabeledDataset(
-        np.array(rows, dtype=float), np.array(labels), len(mapping), feature_names
-    )
-    return data, mapping
+    labels = [mapping.setdefault(lab, len(mapping)) for lab in raw_labels]
+    return LabeledDataset(features, np.array(labels), len(mapping), feature_names), mapping
+
+
+def _csv_rows(reader, path, label_column):
+    """Feature names, feature rows and raw labels of a CSV reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    if label_column not in header:
+        raise DataFormatError(f"{path}: no column named {label_column!r} in header")
+    label_idx = header.index(label_column)
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    rows = []
+    raw_labels = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
+            )
+        feats = []
+        for col, cell in enumerate(row):
+            if col == label_idx:
+                continue
+            try:
+                feats.append(float(cell))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: non-numeric value {cell!r} "
+                    f"in column {header[col]!r}"
+                ) from None
+        rows.append(feats)
+        raw_labels.append(row[label_idx])
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return feature_names, rows, raw_labels
 
 
 def save_csv(data, path, label_names=None):
@@ -138,11 +156,28 @@ def save_csv(data, path, label_names=None):
             writer.writerow([repr(float(v)) for v in x] + [lab])
 
 
-def _read_be_u32(fh, path, what):
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise DataFormatError(f"{path}: truncated while reading {what} at offset {fh.tell()}")
-    return struct.unpack(">I", raw)[0]
+def read_exact(fh, size, nbytes, path, what):
+    """Read nbytes, checking first against the bytes left in the file."""
+    left = size - fh.tell()
+    if nbytes > left:
+        raise DataFormatError(
+            f"{path}: truncated at offset {fh.tell()}: {what} needs {nbytes} bytes, {left} left"
+        )
+    return fh.read(nbytes)
+
+
+def _read_idx(path, magic, kind, ndims):
+    """The header sizes and the body of one IDX file. The body's declared
+    size is bounded by the file size before anything is read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = read_exact(fh, size, 4 * (1 + ndims), path, f"{kind} header")
+        got, *dims = struct.unpack(f">{1 + ndims}I", head)
+        if got != magic:
+            raise DataFormatError(f"{path}: bad {kind} magic 0x{got:08x} at offset 0")
+        if 0 in dims:
+            raise DataFormatError(f"{path}: declares an empty {kind} set {dims}")
+        return dims, read_exact(fh, size, math.prod(dims), path, f"{kind} data")
 
 
 def load_idx(images_path, labels_path):
@@ -150,41 +185,15 @@ def load_idx(images_path, labels_path):
 
     Pixels scale to [0, 1]; each image flattens row-major into one feature row.
     """
-    with open(images_path, "rb") as fh:
-        magic = _read_be_u32(fh, images_path, "magic")
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} at offset 0"
-            )
-        count = _read_be_u32(fh, images_path, "count")
-        rows = _read_be_u32(fh, images_path, "rows")
-        cols = _read_be_u32(fh, images_path, "cols")
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise DataFormatError(
-                f"{images_path}: truncated pixel data at offset {16 + len(raw)}"
-            )
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as fh:
-        magic = _read_be_u32(fh, labels_path, "magic")
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x} at offset 0"
-            )
-        lcount = _read_be_u32(fh, labels_path, "count")
-        raw = fh.read(lcount)
-        if len(raw) != lcount:
-            raise DataFormatError(
-                f"{labels_path}: truncated label data at offset {8 + len(raw)}"
-            )
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "image", 3)
+    (lcount,), raw = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", 1)
     if lcount != count:
         raise DataFormatError(
             f"{labels_path}: label count {lcount} != image count {count}"
         )
+    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
     labels = np.frombuffer(raw, dtype=np.uint8).astype(int)
-    k = int(labels.max()) + 1 if lcount else 1
-    return LabeledDataset(images.astype(float) / 255.0, labels, k)
+    return LabeledDataset(images.astype(float) / 255.0, labels, int(labels.max()) + 1)
 
 
 def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):

@@ -10,7 +10,9 @@ CLI command.
 import numpy as np
 
 from .lda import SimilarityMatrix
-from .losses import VARIANTS, MatrixMixing, PenaltyWeights, batch_loss, softmax, target_matrix
+from .losses import (
+    VARIANTS, PenaltyWeights, batch_loss, initial_mixing, softmax, target_matrix,
+)
 
 FD_STEP = 1e-6
 REL_TOL = 1e-5
@@ -47,40 +49,19 @@ def random_similarity(rng, k):
     return SimilarityMatrix(k, a)
 
 
-def random_matrix_mixing(rng, k):
-    diag = rng.uniform(0.5, 0.8, size=k)
-    e = np.empty((k, k))
-    for i in range(k):
-        off = rng.random(k - 1) + 0.05
-        off = off / off.sum() * (1.0 - diag[i])
-        row = np.empty(k)
-        row[:i] = off[:i]
-        row[i] = diag[i]
-        row[i + 1:] = off[i:]
-        e[i] = row
-    margins = np.array(
-        [(e[i, i] - np.max(np.delete(e[i], i))) / 2.0 for i in range(k)]
-    )
-    return MatrixMixing(e, margins)
-
-
 def random_case(variant, rng, k):
     """Random mixing state for one variant: (params, sim, margins, penalties).
 
-    penalties is None for the fixed variants. The soft matrix variant gets
-    entries in (0, 1) whose rows need not sum to 1, as training produces.
+    The state is the variant's initial_mixing at a random epsilon, or at
+    random per-class epsilons for the sg variants. penalties is None for
+    the fixed variants. The soft matrix variant gets a trained state
+    instead: entries in (0, 1) whose rows need not sum to 1, and a
+    different margin for each class.
     """
     sim = random_similarity(rng, k)
-    margins = None
-    if variant == "ce":
-        params = np.eye(k)
-    elif variant == "mcel":
-        params = np.full(k, rng.uniform(0.05, 0.45))
-    elif variant in ("sg-mcel", "sg-mcel-soft"):
-        params = rng.uniform(0.05, 0.45, size=k)
-    elif variant == "gmcel":
-        params = random_matrix_mixing(rng, k).e_matrix.copy()
-    else:  # gmcel-soft
+    epsilons = rng.uniform(0.05, 0.45, size=k) if variant.startswith("sg-") else None
+    params, margins = initial_mixing(variant, k, sim, float(rng.uniform(0.05, 0.45)), epsilons)
+    if variant == "gmcel-soft":
         params = rng.uniform(0.05, 0.95, size=(k, k))
         margins = rng.uniform(0.05, 0.3, size=k)
     penalties = None

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import data as datamod
 from . import lda as ldamod
-from .losses import MatrixMixing, PerClassMixing, SimpleMixing
 from .net import Trainer, evaluate, init_model
 
 DEFAULT_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45)
@@ -29,20 +28,6 @@ def similarity_checksum(sim):
     return hashlib.sha256(ldamod.format_similarity(sim).encode()).hexdigest()
 
 
-def _mixing_echo(mixing):
-    if mixing is None:
-        return {"variant": "ce"}
-    if isinstance(mixing, SimpleMixing):
-        return {"variant": "simple", "epsilon": mixing.epsilon}
-    if isinstance(mixing, PerClassMixing):
-        return {"variant": "per_class", "epsilons": [float(e) for e in mixing.epsilons]}
-    return {
-        "variant": "matrix",
-        "e_matrix": [[float(v) for v in row] for row in mixing.e_matrix],
-        "margins": [float(c) for c in mixing.margins],
-    }
-
-
 def config_echo(cfg, hidden_sizes, topk):
     return {
         "learning_rate": cfg.learning_rate,
@@ -52,8 +37,9 @@ def config_echo(cfg, hidden_sizes, topk):
         "batch_size": cfg.batch_size,
         "lr_decay": cfg.lr_decay,
         "seed": cfg.seed,
-        "mixing": _mixing_echo(cfg.mixing),
-        "trainable_mixing": cfg.trainable_mixing,
+        "variant": cfg.variant,
+        "epsilon": cfg.epsilon,
+        "epsilons": None if cfg.epsilons is None else [float(e) for e in cfg.epsilons],
         "penalties": {
             "alpha": cfg.penalties.alpha,
             "beta": cfg.penalties.beta,
@@ -107,7 +93,7 @@ def run_training(train, val, test, cfg, hidden_sizes, sim=None, topk=5,
         "topk": min(topk, train.k),
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
-    if cfg.trainable_mixing:
+    if cfg.variant.endswith("-soft"):
         params = trainer.mixing_params
         report["learned_mixing"] = (
             [[float(v) for v in row] for row in params]
@@ -120,6 +106,12 @@ def run_training(train, val, test, cfg, hidden_sizes, sim=None, topk=5,
 def similarity_from_dataset(train, num_components=None, ridge=None):
     model = ldamod.fit_lda(train, num_components=num_components, ridge=ridge)
     return ldamod.build_similarity_matrix(model)
+
+
+def _simple_config(base_cfg, seed, eps):
+    """The simple loss at eps; epsilon 0 is plain CE."""
+    return replace(base_cfg, seed=seed, variant="mcel" if eps > 0.0 else "ce",
+                   epsilon=eps, epsilons=None)
 
 
 def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
@@ -138,14 +130,8 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
     for j, seed in enumerate(seeds):
         train, val, test, sim = make_splits(seed)
         for i, eps in enumerate(epsilons):
-            cfg = replace(
-                base_cfg,
-                seed=seed,
-                mixing=None if eps == 0.0 else SimpleMixing(eps),
-                trainable_mixing=False,
-            )
             result = run_training(
-                train, val, test, cfg, hidden_sizes,
+                train, val, test, _simple_config(base_cfg, seed, eps), hidden_sizes,
                 sim if eps > 0.0 else None, topk,
             )
             runs[i, j] = {"epsilon": eps, "seed": seed,
@@ -189,7 +175,7 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
             masks[(fraction, seed)] = np.flatnonzero(mask)
             sim = similarity_from_dataset(noisy_train, lda_components)
 
-            ce_cfg = replace(base_cfg, seed=seed, mixing=None, trainable_mixing=False)
+            ce_cfg = _simple_config(base_cfg, seed, 0.0)
             ce_run = run_training(noisy_train, val, test, ce_cfg, hidden_sizes, None, topk)
             rows.append(
                 {"fraction": fraction, "seed": seed, "variant": "ce",
@@ -198,9 +184,7 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
 
             best = None
             for eps in epsilon_candidates:
-                cfg = replace(
-                    base_cfg, seed=seed, mixing=SimpleMixing(eps), trainable_mixing=False
-                )
+                cfg = _simple_config(base_cfg, seed, eps)
                 run = run_training(noisy_train, val, test, cfg, hidden_sizes, sim, topk)
                 key = (run.report["best_val_acc"], -eps)
                 if best is None or key > best[0]:

@@ -45,13 +45,14 @@ class SimilarityMatrix:
         a = np.asarray(self.a, dtype=float)
         if a.shape != (self.k, self.k):
             raise DimensionError(f"matrix must be {self.k} x {self.k}, got {a.shape}")
-        if np.any(np.abs(np.diag(a)) > 0.0):
+        # every check is written so that a NaN fails it
+        if not np.all(np.diag(a) == 0.0):
             raise ValueError("diagonal entries must be exactly zero")
         off = a[~np.eye(self.k, dtype=bool)]
-        if np.any(off <= 0.0):
+        if not np.all(off > 0.0):
             raise ValueError("off-diagonal entries must be strictly positive")
         sums = a.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12))
         if bad.size:
             raise ValueError(f"row {int(bad[0])} sums to {sums[bad[0]]!r}, expected 1")
         a.setflags(write=False)
@@ -204,8 +205,11 @@ def save_similarity(sim, path):
 
 
 def load_similarity(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
     pos = 0
     while pos < len(lines) and (not lines[pos].strip() or lines[pos].lstrip().startswith("#")):
         pos += 1
@@ -233,6 +237,8 @@ def load_similarity(path):
             row = [float(c) for c in cells]
         except ValueError:
             raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
+        if not np.all(np.isfinite(row)):
+            raise DataFormatError(f"{path}: line {lineno}: non-finite value")
         if row[i] != 0.0:
             raise DataFormatError(
                 f"{path}: line {lineno}: diagonal entry must be 0, got {row[i]!r}"
@@ -245,8 +251,10 @@ def load_similarity(path):
         rows.append(row)
     a = np.array(rows)
     # renormalize the sub-1e-9 residue so the type invariant (1e-12) holds
-    a = a / a.sum(axis=1, keepdims=True)
-    return SimilarityMatrix(k, a)
+    try:
+        return SimilarityMatrix(k, a / a.sum(axis=1, keepdims=True))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def uniform_similarity(k):

@@ -9,7 +9,8 @@ one-hot label y with class-similarity mass:
   * *-soft        - the per-class or matrix mixing parameters are trained
                     too, under soft penalties
 
-target_matrix builds H, and batch_loss returns a batch's loss with its
+initial_mixing gives a variant's starting mixing state, target_matrix
+builds H from it, and batch_loss returns a batch's loss with its
 exact gradients for the logits and the trainable mixing parameters. The
 trainer steps on batch_loss and gradcheck verifies it.
 
@@ -26,66 +27,6 @@ from .errors import DimensionError
 PROB_CLAMP = 1e-12
 EPS_MARGIN = 1e-6  # how far trainable epsilons stay inside their open interval
 VARIANTS = ("ce", "mcel", "sg-mcel", "gmcel", "sg-mcel-soft", "gmcel-soft")
-
-
-@dataclass(frozen=True)
-class SimpleMixing:
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in [0, 0.5), got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class PerClassMixing:
-    epsilons: np.ndarray
-
-    def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        if eps.ndim != 1:
-            raise DimensionError("epsilons must be a vector")
-        if np.any(eps < 0.0) or np.any(eps >= 0.5):
-            raise ValueError("every epsilon must be in [0, 0.5)")
-        eps.setflags(write=False)
-        object.__setattr__(self, "epsilons", eps)
-
-
-@dataclass(frozen=True)
-class MatrixMixing:
-    """Row-stochastic mixture matrix with diagonal dominance margins:
-    E[i,i] > E[i,j] + margins[i] for all j != i."""
-
-    e_matrix: np.ndarray
-    margins: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.e_matrix, dtype=float)
-        c = np.asarray(self.margins, dtype=float)
-        k = e.shape[0]
-        if e.shape != (k, k) or c.shape != (k,):
-            raise DimensionError("need a k x k matrix and k margins")
-        if np.any(c <= 0.0):
-            raise ValueError("margins must be strictly positive")
-        sums = e.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-        if bad.size:
-            raise ValueError(f"row {int(bad[0])} of E sums to {sums[bad[0]]!r}")
-        for i in range(k):
-            for j in range(k):
-                if i != j and e[i, i] <= e[i, j] + c[i]:
-                    raise ValueError(
-                        f"margin violated at ({i},{j}): "
-                        f"E[{i},{i}]={e[i, i]!r} <= E[{i},{j}]+c = {e[i, j] + c[i]!r}"
-                    )
-        e.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "e_matrix", e)
-        object.__setattr__(self, "margins", c)
-
-    @property
-    def k(self):
-        return self.e_matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -121,12 +62,35 @@ def target_matrix(sim, params):
     return h
 
 
-def mixing_from_simple(sim, epsilon):
-    """The matrix-mixing encoding of the simple loss: off-diagonal
-    eps*A[i,j], diagonal 1-eps, margins (0.5-eps)/2."""
-    spec = SimpleMixing(epsilon)
-    e = target_matrix(sim, np.full(sim.k, spec.epsilon))
-    return MatrixMixing(e, np.full(sim.k, (0.5 - spec.epsilon) / 2.0))
+def initial_mixing(variant, k, sim, epsilon, epsilons=None):
+    """The mixing state a run of `variant` starts from: (params, margins).
+
+    ce trains on E = I. mcel, sg-mcel and sg-mcel-soft hold k per-class
+    epsilons in [0, 0.5): every one is epsilon, unless the sg variants get
+    their own epsilons. gmcel and gmcel-soft hold the mixture matrix E of
+    the simple loss, E = target_matrix(sim, epsilon), with margins
+    (0.5 - epsilon) / 2. margins is None except for the gmcel variants.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown loss variant {variant!r}; pick one of {VARIANTS}")
+    if epsilons is not None and not variant.startswith("sg-"):
+        raise ValueError(f"per-class epsilons need sg-mcel or sg-mcel-soft, not {variant!r}")
+    if variant == "ce":
+        return np.eye(k), None
+    if sim is None:
+        raise ValueError(f"loss variant {variant!r} needs a similarity matrix")
+    if sim.k != k:
+        raise DimensionError(f"similarity matrix is {sim.k} x {sim.k}, the model has {k} classes")
+    if not 0.0 <= epsilon < 0.5:
+        raise ValueError(f"epsilon must be in [0, 0.5), got {epsilon}")
+    eps = np.full(k, float(epsilon)) if epsilons is None else np.array(epsilons, dtype=float)
+    if eps.shape != (k,):
+        raise DimensionError(f"need {k} epsilons, got {eps.size}")
+    if not np.all((eps >= 0.0) & (eps < 0.5)):
+        raise ValueError("every epsilon must be in [0, 0.5)")
+    if variant.startswith("gmcel"):
+        return target_matrix(sim, eps), np.full(k, (0.5 - epsilon) / 2.0)
+    return eps, None
 
 
 def batch_loss(probs, labels, targets, penalties=None, params=None, sim=None, margins=None):

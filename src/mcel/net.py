@@ -2,9 +2,9 @@
 SGD+Momentum training.
 
 Hidden layers are ReLU; the output layer is a max-shifted softmax. The
-trainer plugs in any mixing spec from the loss module: fixed specs just
-change the target rows, soft (trainable) specs also receive momentum
-updates on their mixing parameters each batch.
+trainer runs any loss variant from its losses.initial_mixing state: the
+fixed variants just change the target rows, the *-soft variants also
+take a momentum step on their mixing parameters each batch.
 """
 
 import os
@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_exact
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
 from .losses import (
     EPS_MARGIN,
-    MatrixMixing,
-    PerClassMixing,
     PenaltyWeights,
-    SimpleMixing,
     batch_loss,
+    initial_mixing,
     softmax,
     target_matrix,
 )
@@ -62,8 +61,9 @@ class TrainConfig:
     batch_size: int = 32
     lr_decay: float = 0.0
     seed: int = 0
-    mixing: object = None  # None = plain cross-entropy; else a *Mixing spec
-    trainable_mixing: bool = False
+    variant: str = "ce"  # one of losses.VARIANTS; *-soft variants train their mixing
+    epsilon: float = 0.2
+    epsilons: tuple = None  # per-class starting epsilons, sg-mcel variants only
     penalties: PenaltyWeights = field(default_factory=PenaltyWeights)
 
     def __post_init__(self):
@@ -138,48 +138,25 @@ class Trainer:
     """Owns one model plus the optimizer state for a full training run."""
 
     def __init__(self, model, cfg, sim=None):
-        if cfg.mixing is not None and not isinstance(cfg.mixing, MatrixMixing):
-            if sim is None:
-                raise ValueError("similarity matrix required for this mixing spec")
-            if sim.k != model.num_classes:
-                raise DimensionError("similarity matrix size does not match model")
         self.model = model
         self.cfg = cfg
         self.sim = sim
         self.epoch = 0
         self._vel_w = [np.zeros_like(w) for w in model.weights]
         self._vel_b = [np.zeros_like(b) for b in model.biases]
-        self._mixing_params = self._init_mixing_params()
-        self._vel_mix = (
-            np.zeros_like(self._mixing_params)
-            if cfg.trainable_mixing
-            else None
+        self._mixing_params, margins = initial_mixing(
+            cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons
         )
-
-    def _init_mixing_params(self):
-        """Per-class epsilons, or a mixture matrix (the identity for plain CE)."""
-        cfg = self.cfg
-        if cfg.trainable_mixing and not isinstance(cfg.mixing, (PerClassMixing, MatrixMixing)):
-            raise ValueError("trainable mixing needs a per-class or matrix spec")
-        if cfg.mixing is None:
-            return np.eye(self.model.num_classes)
-        if isinstance(cfg.mixing, SimpleMixing):
-            return np.full(self.sim.k, cfg.mixing.epsilon)
-        if isinstance(cfg.mixing, PerClassMixing):
-            return cfg.mixing.epsilons.copy()
-        return cfg.mixing.e_matrix.copy()
+        # the batch_loss arguments after the targets: none for fixed mixing
+        self._soft_args = ()
+        self._vel_mix = None
+        if cfg.variant.endswith("-soft"):
+            self._soft_args = (cfg.penalties, self._mixing_params, sim, margins)
+            self._vel_mix = np.zeros_like(self._mixing_params)
 
     @property
     def mixing_params(self):
         return self._mixing_params.copy()
-
-    def _loss_args(self):
-        """The batch_loss arguments after the targets: none for fixed mixing."""
-        cfg = self.cfg
-        if not cfg.trainable_mixing:
-            return ()
-        margins = cfg.mixing.margins if isinstance(cfg.mixing, MatrixMixing) else None
-        return (cfg.penalties, self._mixing_params, self.sim, margins)
 
     def learning_rate(self):
         return self.cfg.learning_rate / (1.0 + self.cfg.lr_decay * self.epoch)
@@ -192,7 +169,6 @@ class Trainer:
         lr = self.learning_rate()
         total_loss = 0.0
         correct = 0
-        loss_args = self._loss_args()
         for start in range(0, data.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             x = data.features[idx]
@@ -200,7 +176,7 @@ class Trainer:
             probs, acts = forward_batch(self.model, x)
             targets = _target_rows(self.sim, self._mixing_params, ys)
             batch_value, grad_logits, grad_mixing = batch_loss(
-                probs, ys, targets, *loss_args
+                probs, ys, targets, *self._soft_args
             )
             if not np.isfinite(batch_value):
                 raise TrainingDivergedError(self.epoch, start // cfg.batch_size)
@@ -273,23 +249,13 @@ def save_checkpoint(model, path):
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, size, nbytes, path, what):
-    """Read nbytes, checking first against the bytes left in the file."""
-    left = size - fh.tell()
-    if nbytes > left:
-        raise DataFormatError(
-            f"{path}: truncated at offset {fh.tell()}: {what} needs {nbytes} bytes, {left} left"
-        )
-    return fh.read(nbytes)
-
-
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
-        version, layers = struct.unpack("<II", _read_exact(fh, size, 8, path, "header"))
+        version, layers = struct.unpack("<II", read_exact(fh, size, 8, path, "header"))
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported version {version}")
         if layers == 0:
@@ -298,7 +264,7 @@ def load_checkpoint(path):
         biases = []
         sizes = []
         for _ in range(layers):
-            rows, cols = struct.unpack("<II", _read_exact(fh, size, 8, path, "layer shape"))
+            rows, cols = struct.unpack("<II", read_exact(fh, size, 8, path, "layer shape"))
             if rows == 0 or cols == 0:
                 raise DataFormatError(f"{path}: layer {len(weights)} is empty ({rows}x{cols})")
             if sizes and cols != sizes[-1]:
@@ -307,7 +273,7 @@ def load_checkpoint(path):
                     f"the previous layer gives {sizes[-1]}"
                 )
             nw = rows * cols
-            body = _read_exact(fh, size, (nw + rows) * 8, path, f"{rows}x{cols} layer")
+            body = read_exact(fh, size, (nw + rows) * 8, path, f"{rows}x{cols} layer")
             weights.append(np.frombuffer(body, dtype="<f8", count=nw).reshape(rows, cols).copy())
             biases.append(np.frombuffer(body, dtype="<f8", offset=nw * 8).copy())
             if not sizes:

@@ -12,14 +12,7 @@ from mcel.data import gen_blobs, split, standardize
 from mcel.gradcheck import random_similarity, run_all
 from mcel.harness import dumps_report, run_noise_experiment, run_training, similarity_from_dataset
 from mcel.lda import LdaModel, build_similarity_matrix, fit_lda, scatter_matrices, uniform_similarity
-from mcel.losses import (
-    PenaltyWeights,
-    SimpleMixing,
-    batch_loss,
-    mixing_from_simple,
-    softmax,
-    target_matrix,
-)
+from mcel.losses import PenaltyWeights, batch_loss, initial_mixing, softmax, target_matrix
 from mcel.net import TrainConfig, backprop, forward_batch, init_model
 
 
@@ -41,7 +34,7 @@ def test_reduction_suite():
             sim = random_similarity(rng, k)
             eps = float(rng.uniform(0.05, 0.45))
             eps_vec = np.full(k, eps)
-            e = mixing_from_simple(sim, eps).e_matrix
+            e, margins = initial_mixing("gmcel", k, sim, eps)
 
             def loss(params, *soft):
                 return batch_loss(probs, y, target_matrix(sim, params)[y], *soft)
@@ -59,7 +52,7 @@ def test_reduction_suite():
                 (eps_vec, ()),
                 (e, ()),
                 (eps_vec, (zero, eps_vec, sim)),
-                (e, (zero, e, None, np.full(k, 0.1))),
+                (e, (zero, e, None, margins)),
             ):
                 value, grad, _ = loss(params, *soft)
                 worst = max(worst, abs(value - base_value),
@@ -221,19 +214,19 @@ def test_end_to_end_training():
                        epochs=200, batch_size=32, seed=0)
     ce = run_training(train, val, test, base, (16,), None, topk=2)
     from dataclasses import replace
-    mixed_cfg = replace(base, mixing=SimpleMixing(0.2))
+    mixed_cfg = replace(base, variant="mcel", epsilon=0.2)
     mixed = run_training(train, val, test, mixed_cfg, (16,), sim, topk=2)
 
     k = 3
     sim3 = random_similarity(np.random.default_rng(5), k)
     eps_vec = np.array([0.1, 0.25, 0.4])
-    mix3 = mixing_from_simple(sim3, 0.3)
+    mix3, _ = initial_mixing("gmcel", k, sim3, 0.3)
     soft3 = np.random.default_rng(6).uniform(0.05, 0.95, (k, k))
     variants = {
         "ce": lambda ys: np.eye(k)[ys],
         "simple": lambda ys: target_matrix(sim3, np.full(k, 0.2))[ys],
         "per-class": lambda ys: target_matrix(sim3, eps_vec)[ys],
-        "matrix": lambda ys: target_matrix(sim3, mix3.e_matrix)[ys],
+        "matrix": lambda ys: target_matrix(sim3, mix3)[ys],
         "soft-matrix": lambda ys: soft3[ys],  # rows that do not sum to 1
     }
     grad_errs = {name: _param_gradient_error(fn) for name, fn in variants.items()}
@@ -301,7 +294,7 @@ def test_determinism():
     dataset = gen_blobs(3, 80, 2, spread=0.8, seed=2)
     cfg = TrainConfig(learning_rate=0.1, momentum=0.1, weight_decay=1e-3,
                       epochs=15, batch_size=16, seed=3,
-                      mixing=SimpleMixing(0.2))
+                      variant="mcel", epsilon=0.2)
     payloads = []
     for _ in range(2):
         train, val, test = split(dataset, (0.7, 0.15, 0.15), seed=3)

@@ -140,6 +140,27 @@ class TestTrainCommand:
         assert (out / "model.ckpt").exists()
         assert (out / "meta.json").exists()
 
+    def test_config_echo_names_the_variant(self, tmp_path):
+        cfg = write_config(tmp_path, "sg-mcel", 0.2, "epsilons = 0.1,0.2,0.3\n")
+        report = json.loads((train_report(tmp_path, "e", cfg) / "report.json").read_text())
+        config = report["config"]
+        assert config["variant"] == "sg-mcel" and config["epsilon"] == 0.2
+        assert config["epsilons"] == [0.1, 0.2, 0.3]
+        assert set(config) == {
+            "batch_size", "epochs", "epsilon", "epsilons", "hidden_sizes", "learning_rate",
+            "lr_decay", "momentum", "penalties", "seed", "topk", "variant", "weight_decay",
+        }
+
+    def test_epsilons_set_the_soft_start(self, tmp_path):
+        # with no mixing step (lr 0) the learned epsilons are the start
+        path = tmp_path / "soft.ini"
+        path.write_text(
+            "[train]\nepochs = 2\nlearning_rate = 0.0\n"
+            "[loss]\nvariant = sg-mcel-soft\nepsilons = 0.1,0.2,0.3\n"
+        )
+        report = json.loads((train_report(tmp_path, "s", str(path)) / "report.json").read_text())
+        assert report["learned_mixing"] == [0.1, 0.2, 0.3]
+
     def test_missing_similarity_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "mcel", 0.2)
         code = run_cli(
@@ -194,6 +215,27 @@ class TestBadValues:
         )
         self.assert_clean_usage_error(proc)
         assert "abc" in proc.stderr
+
+
+    def test_malformed_config(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[train]\nepochs = 2\n[train]\nepochs = 3\n")
+        proc = run_python(
+            "-m", "mcel.cli", "train", "--blobs", "3,30,2,0.8", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_usage_error(proc)
+        assert "bad.ini" in proc.stderr
+
+    def test_epsilons_need_an_sg_variant(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[loss]\nvariant = gmcel\nepsilons = 0.1,0.2,0.3\n")
+        proc = run_python(
+            "-m", "mcel.cli", "train", "--blobs", "3,30,2,0.8", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_usage_error(proc)
+        assert "per-class epsilons" in proc.stderr
 
 
 class TestRuntimeExitCodes:

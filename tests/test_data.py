@@ -1,5 +1,11 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcel.data import (
     LabeledDataset,
@@ -43,6 +49,20 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError):
             load_csv(path, "label")
 
+    def test_non_finite_cell(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for cell in ("nan", "inf", "-inf", "1e999"):
+            path.write_text(f"x,y,label\n1,2,a\n3,{cell},b\n")
+            want = r"bad.csv: line 3: non-finite value -?(nan|inf) in column 'y'"
+            with pytest.raises(DataFormatError, match=want):
+                load_csv(path, "label")
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,label\n1,a\n2,b\xff\n")
+        with pytest.raises(DataFormatError, match="bad.csv: line 3, byte 4"):
+            load_csv(path, "label")
+
     def test_round_trip_large(self, tmp_path):
         data = gen_blobs(4, 2500, 3, seed=11)
         path = tmp_path / "big.csv"
@@ -53,8 +73,6 @@ class TestLoadCsv:
 
 
 def write_idx_pair(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801):
-    import struct
-
     pixels = np.asarray(pixels, dtype=np.uint8)
     n, rows, cols = pixels.shape
     img = tmp_path / "img.idx"
@@ -94,6 +112,105 @@ class TestLoadIdx:
         img.write_bytes(img.read_bytes()[:-3])
         with pytest.raises(DataFormatError, match="offset"):
             load_idx(img, lab)
+
+
+    def test_oversized_header(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+        img.write_bytes(struct.pack(">IIII", 0x803, 2**31, 2**31, 2**31) + bytes(4))
+        with pytest.raises(DataFormatError, match="needs"):
+            load_idx(img, lab)
+
+    def test_zero_count(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((0, 2, 2)), [])
+        with pytest.raises(DataFormatError, match="empty"):
+            load_idx(img, lab)
+
+
+def read_bytes_as(loader, *files):
+    """Run loader on temporary files holding the given bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, raw in enumerate(files):
+            paths.append(Path(tmp) / f"f{i}")
+            paths[-1].write_bytes(raw)
+        return loader(*paths)
+
+
+def apply_edits(raw, edits):
+    raw = bytearray(raw)
+    for offset, value in edits:
+        raw[offset % len(raw):offset % len(raw) + len(value)] = value
+    return bytes(raw)
+
+
+IDX_IMAGES = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(range(0, 240, 20))
+IDX_LABELS = struct.pack(">II", 0x801, 3) + bytes([0, 2, 1])
+CSV_TEXT = b"x,y,label\n1.5,-2,cat\n3,4e-3,dog\n0.25,7,cat\n"
+# tokens a mutation may write: bad numbers, CSV syntax and bytes that are not UTF-8
+TOKENS = [b"nan", b"inf", b"-inf", b"1e999", b",", b"\n", b'"', b"\x00", b"\xff", b"\xc3"]
+
+
+def load_idx_or_reject(images, labels):
+    """Load an IDX pair; a clean load must be a consistent dataset."""
+    try:
+        data = read_bytes_as(load_idx, images, labels)
+    except DataFormatError:
+        return
+    assert data.n >= 1 and data.dim >= 1
+    assert np.all((data.features >= 0.0) & (data.features <= 1.0))
+
+
+def load_csv_or_reject(raw):
+    try:
+        data, mapping = read_bytes_as(lambda p: load_csv(p, "label"), raw)
+    except DataFormatError:
+        return
+    assert np.all(np.isfinite(data.features))
+    assert len(data.feature_names) == data.dim and data.k == len(mapping)
+
+
+class TestReaderProperties:
+    def test_every_idx_truncation(self):
+        for cut in range(len(IDX_IMAGES)):
+            with pytest.raises(DataFormatError):
+                read_bytes_as(load_idx, IDX_IMAGES[:cut], IDX_LABELS)
+        for cut in range(len(IDX_LABELS)):
+            with pytest.raises(DataFormatError):
+                read_bytes_as(load_idx, IDX_IMAGES, IDX_LABELS[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),  # which file: images or labels
+                st.sampled_from([4, 8, 12]),  # a size word
+                st.integers(0, 8) | st.integers(0, 2**32 - 1),  # near the true sizes, or any
+            ).map(lambda e: (e[0], e[1], struct.pack(">I", e[2])))
+            | st.tuples(st.booleans(), st.integers(0, 27), st.binary(min_size=1, max_size=1)),
+            min_size=1, max_size=4,
+        )
+    )
+    def test_idx_mutations(self, edits):
+        images = apply_edits(IDX_IMAGES, [(o, v) for is_img, o, v in edits if is_img])
+        labels = apply_edits(IDX_LABELS, [(o, v) for is_img, o, v in edits if not is_img])
+        load_idx_or_reject(images, labels)
+
+    def test_every_csv_truncation(self):
+        for cut in range(len(CSV_TEXT)):
+            load_csv_or_reject(CSV_TEXT[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(CSV_TEXT) - 1),
+                st.sampled_from(TOKENS) | st.binary(min_size=1, max_size=2),
+            ),
+            min_size=1, max_size=4,
+        )
+    )
+    def test_csv_mutations(self, edits):
+        load_csv_or_reject(apply_edits(CSV_TEXT, edits))
 
 
 class TestGenBlobs:

@@ -1,5 +1,11 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import DataFormatError
@@ -224,6 +230,86 @@ class TestSimilarityFile:
         path.write_text("2\n0 junk\n1 0\n")
         with pytest.raises(DataFormatError, match="line 2"):
             load_similarity(path)
+
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, cell):
+        path = tmp_path / "sim.txt"
+        path.write_text(f"3\n0 0.5 0.5\n0.5 0 {cell}\n0.5 0.5 0\n")
+        with pytest.raises(DataFormatError, match="sim.txt: line 3: non-finite"):
+            load_similarity(path)
+
+    def test_invariant_failure_names_the_file(self, tmp_path):
+        # rows sum to 1 but an off-diagonal entry is negative
+        path = tmp_path / "sim.txt"
+        path.write_text("3\n0 1.5 -0.5\n0.5 0 0.5\n0.5 0.5 0\n")
+        with pytest.raises(DataFormatError, match="sim.txt: off-diagonal"):
+            load_similarity(path)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "sim.txt"
+        path.write_bytes(b"2\n0 1\n1 \xff0\n")
+        with pytest.raises(DataFormatError, match="sim.txt: not UTF-8 at byte offset 8"):
+            load_similarity(path)
+
+    def test_nan_fails_the_type_invariants(self):
+        for a in ([[0.0, np.nan], [1.0, 0.0]], [[np.nan, 1.0], [1.0, 0.0]]):
+            with pytest.raises(ValueError):
+                SimilarityMatrix(2, np.array(a))
+
+
+SIM_TEXT = b"3\n0 0.5 0.5\n0.25 0 0.75\n0.5 0.5 0\n"
+# tokens a mutation may write: bad numbers, layout and bytes that are not UTF-8
+SIM_TOKENS = [b"nan", b"inf", b"-0.5", b"0", b"1e308", b" ", b"\n", b"#", b"\xff", b"\xc3"]
+
+
+def load_similarity_or_reject(raw):
+    """Load similarity-file bytes; a clean load must meet the type invariants."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sim.txt"
+        path.write_bytes(raw)
+        try:
+            sim = load_similarity(path)
+        except DataFormatError:
+            return
+    a = sim.a
+    assert np.all(np.isfinite(a)) and np.all(np.diag(a) == 0.0)
+    assert np.all(a[~np.eye(sim.k, dtype=bool)] > 0.0)
+    assert np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-12)
+
+
+def mutate(raw, edits):
+    """Apply ("byte", offset, bytes) overwrites and ("cell", index, bytes)
+    replacements of whole whitespace-separated cells."""
+    raw = bytearray(raw)
+    for kind, index, value in edits:
+        if kind == "byte":
+            raw[index:index + len(value)] = value
+        else:
+            pieces = re.split(rb"(\s+)", bytes(raw))
+            pieces[2 * (index % ((len(pieces) + 1) // 2))] = value
+            raw = bytearray(b"".join(pieces))
+    return bytes(raw)
+
+
+class TestSimilarityFileProperties:
+    def test_every_truncation(self):
+        for cut in range(len(SIM_TEXT)):
+            load_similarity_or_reject(SIM_TEXT[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["byte", "cell"]),
+                st.integers(0, len(SIM_TEXT) - 1),
+                st.sampled_from(SIM_TOKENS) | st.binary(min_size=1, max_size=2),
+            ),
+            min_size=1, max_size=4,
+        )
+    )
+    def test_mutations(self, edits):
+        load_similarity_or_reject(mutate(SIM_TEXT, edits))
 
 
 def test_uniform_similarity():

@@ -2,20 +2,13 @@ import numpy as np
 import pytest
 
 from mcel.errors import DimensionError
-from mcel.gradcheck import (
-    central_diff,
-    max_rel_error,
-    random_matrix_mixing,
-    random_similarity,
-)
+from mcel.gradcheck import central_diff, max_rel_error, random_similarity
 from mcel.lda import SimilarityMatrix, uniform_similarity
 from mcel.losses import (
-    MatrixMixing,
+    VARIANTS,
     PenaltyWeights,
-    PerClassMixing,
-    SimpleMixing,
     batch_loss,
-    mixing_from_simple,
+    initial_mixing,
     softmax,
     target_matrix,
 )
@@ -23,6 +16,24 @@ from mcel.losses import (
 
 def two_class_sim():
     return SimilarityMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def random_matrix_mixing(rng, k):
+    """A random row-stochastic mixture matrix E with a dominant diagonal,
+    and per-class margins half of each row's diagonal lead: (E, margins)."""
+    diag = rng.uniform(0.5, 0.8, size=k)
+    e = np.empty((k, k))
+    for i in range(k):
+        off = rng.random(k - 1) + 0.05
+        off = off / off.sum() * (1.0 - diag[i])
+        e[i] = np.insert(off, i, diag[i])
+    margins = np.array([(e[i, i] - np.max(np.delete(e[i], i))) / 2.0 for i in range(k)])
+    return e, margins
+
+
+def simple_matrix(sim, eps):
+    """The gmcel mixture matrix of the simple loss at eps."""
+    return initial_mixing("gmcel", sim.k, sim, eps)[0]
 
 
 def random_probs(rng, k, floor=1e-3):
@@ -60,25 +71,52 @@ def soft_loss(probs_batch, labels, params, weights, sim=None, margins=None):
 
 class TestMixingSpecs:
     def test_epsilon_range(self):
-        with pytest.raises(ValueError):
-            SimpleMixing(0.5)
-        with pytest.raises(ValueError):
-            SimpleMixing(-0.01)
-        SimpleMixing(0.0)  # cross-entropy limit is admitted
+        sim = two_class_sim()
+        for variant in VARIANTS[1:]:
+            with pytest.raises(ValueError):
+                initial_mixing(variant, 2, sim, 0.5)
+            with pytest.raises(ValueError):
+                initial_mixing(variant, 2, sim, -0.01)
+            with pytest.raises(ValueError):
+                initial_mixing(variant, 2, sim, float("nan"))
+            initial_mixing(variant, 2, sim, 0.0)  # cross-entropy limit is admitted
 
     def test_per_class_range(self):
-        with pytest.raises(ValueError):
-            PerClassMixing(np.array([0.1, 0.5]))
+        for variant in ("sg-mcel", "sg-mcel-soft"):
+            with pytest.raises(ValueError):
+                initial_mixing(variant, 2, two_class_sim(), 0.2, [0.1, 0.5])
+            with pytest.raises(ValueError):
+                initial_mixing(variant, 2, two_class_sim(), 0.2, [0.1, float("nan")])
+            with pytest.raises(DimensionError):
+                initial_mixing(variant, 2, two_class_sim(), 0.2, [0.1, 0.1, 0.1])
 
-    def test_matrix_margin_violation(self):
-        e = np.array([[0.5, 0.5], [0.4, 0.6]])
-        with pytest.raises(ValueError, match=r"\(0,1\)"):
-            MatrixMixing(e, np.array([0.1, 0.1]))
+    def test_per_class_only_for_sg_variants(self):
+        for variant in ("ce", "mcel", "gmcel", "gmcel-soft"):
+            with pytest.raises(ValueError, match="per-class"):
+                initial_mixing(variant, 2, two_class_sim(), 0.2, [0.1, 0.2])
 
-    def test_matrix_row_sum(self):
-        e = np.array([[0.8, 0.1], [0.1, 0.8]])
-        with pytest.raises(ValueError, match="sums"):
-            MatrixMixing(e, np.array([0.1, 0.1]))
+    def test_variant_states(self):
+        sim = random_similarity(np.random.default_rng(3), 4)
+        assert np.array_equal(initial_mixing("ce", 4, None, 0.2)[0], np.eye(4))
+        for variant in ("mcel", "sg-mcel", "sg-mcel-soft"):
+            params, margins = initial_mixing(variant, 4, sim, 0.2)
+            assert np.array_equal(params, np.full(4, 0.2)) and margins is None
+        params, _ = initial_mixing("sg-mcel", 4, sim, 0.2, (0.1, 0.2, 0.3, 0.4))
+        assert np.array_equal(params, [0.1, 0.2, 0.3, 0.4])
+        for variant in ("gmcel", "gmcel-soft"):
+            e, margins = initial_mixing(variant, 4, sim, 0.2)
+            assert np.array_equal(e, target_matrix(sim, np.full(4, 0.2)))
+            assert np.array_equal(margins, np.full(4, 0.15))
+            off = e[~np.eye(4, dtype=bool)].reshape(4, 3)
+            assert np.all(np.diag(e) > off.max(axis=1) + margins)
+
+    def test_similarity_required_and_sized(self):
+        with pytest.raises(ValueError, match="similarity"):
+            initial_mixing("mcel", 2, None, 0.2)
+        with pytest.raises(DimensionError):
+            initial_mixing("gmcel", 3, two_class_sim(), 0.2)
+        with pytest.raises(ValueError, match="unknown"):
+            initial_mixing("focal", 2, two_class_sim(), 0.2)
 
     def test_penalties(self):
         with pytest.raises(ValueError):
@@ -115,9 +153,9 @@ class TestTargetMatrix:
 
     def test_matrix_spec_passthrough(self):
         rng = np.random.default_rng(2)
-        spec = random_matrix_mixing(rng, 3)
+        e, _ = random_matrix_mixing(rng, 3)
         sim = random_similarity(rng, 3)
-        assert np.array_equal(target_matrix(sim, spec.e_matrix), spec.e_matrix)
+        assert np.array_equal(target_matrix(sim, e), e)
 
 
 class TestMcelLoss:
@@ -215,23 +253,18 @@ class TestGmcel:
         rng = np.random.default_rng(1)
         sim = random_similarity(rng, 4)
         eps = 0.25
-        spec = mixing_from_simple(sim, eps)
+        e = simple_matrix(sim, eps)
         probs = random_probs(rng, 4)
         for y in range(4):
-            a, _ = loss_of(probs, y, sim, spec.e_matrix)
+            a, _ = loss_of(probs, y, sim, e)
             b, _ = loss_of(probs, y, sim, np.full(4, eps))
             assert abs(a - b) <= 1e-15
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
-        spec = random_matrix_mixing(rng, 4)
+        e, _ = random_matrix_mixing(rng, 4)
         logits = rng.normal(0, 2, 4)
-        assert logit_fd_error(logits, 2, None, spec.e_matrix) <= 1e-6
-
-    def test_margin_violation_named(self):
-        e = np.array([[0.6, 0.4], [0.4, 0.6]])
-        with pytest.raises(ValueError, match=r"\(0,1\)"):
-            MatrixMixing(e, np.array([0.3, 0.3]))
+        assert logit_fd_error(logits, 2, None, e) <= 1e-6
 
 
 class TestSoftLosses:
@@ -267,13 +300,11 @@ class TestSoftLosses:
 
     def test_gmcel_soft_zero_penalties(self):
         rng = np.random.default_rng(1)
-        spec = random_matrix_mixing(rng, 4)
+        e, margins = random_matrix_mixing(rng, 4)
         probs = np.array([random_probs(rng, 4) for _ in range(5)])
         labels = rng.integers(4, size=5)
-        value, _, _ = soft_loss(
-            probs, labels, spec.e_matrix, PenaltyWeights(), margins=spec.margins
-        )
-        base = sum(loss_of(p, y, None, spec.e_matrix)[0] for p, y in zip(probs, labels))
+        value, _, _ = soft_loss(probs, labels, e, PenaltyWeights(), margins=margins)
+        base = sum(loss_of(p, y, None, e)[0] for p, y in zip(probs, labels))
         assert abs(value - base) <= 1e-12
 
     def test_gmcel_soft_literal_oracle(self):
@@ -300,7 +331,7 @@ class TestReductionChain:
             probs = random_probs(rng, k)
             y = int(rng.integers(k))
             eps = float(rng.uniform(0.01, 0.49))
-            base, _ = loss_of(probs, y, sim, mixing_from_simple(sim, eps).e_matrix)
+            base, _ = loss_of(probs, y, sim, simple_matrix(sim, eps))
             per_class = rng.uniform(0.01, 0.49, k)
             per_class[y] = eps
             assert abs(loss_of(probs, y, sim, per_class)[0] - base) <= 1e-12
