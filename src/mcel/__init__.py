@@ -3,7 +3,6 @@ plus a small fully-connected training harness."""
 
 from .data import LabeledDataset, NoiseSpec
 from .lda import LdaModel, SimilarityMatrix
-from .losses import PenaltyWeights
 from .net import MlpModel, TrainConfig, Trainer
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "NoiseSpec",
     "LdaModel",
     "SimilarityMatrix",
-    "PenaltyWeights",
     "MlpModel",
     "TrainConfig",
     "Trainer",

@@ -27,7 +27,7 @@ from .harness import (
     similarity_checksum,
     similarity_from_dataset,
 )
-from .losses import VARIANTS, PenaltyWeights
+from .losses import VARIANTS
 from .net import TrainConfig, save_checkpoint
 
 EXIT_OK = 0
@@ -92,17 +92,15 @@ DEFAULT_CONFIG = {
     "loss": {
         "variant": "ce",
         "epsilon": "0.2",
-        "alpha": "0.0",
-        "beta": "0.0",
-        "gamma": "0.0",
-        "eta": "0.0",
-        "p": "2.0",
     },
     "split": {
         "fractions": "0.7,0.15,0.15",
         "standardize": "true",
     },
 }
+# keys a config file may set beyond those with a default
+OPTIONAL_KEYS = {"loss": ("epsilons",)}
+
 
 def load_config(path=None):
     parser = configparser.ConfigParser()
@@ -114,6 +112,12 @@ def load_config(path=None):
             raise UsageError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if not read:
             raise UsageError(f"config file {path} not found")
+    # [DEFAULT] first: configparser copies its keys into every section
+    for section in (parser.default_section, *parser.sections()):
+        known = (*DEFAULT_CONFIG.get(section, ()), *OPTIONAL_KEYS.get(section, ()))
+        for key in parser[section]:
+            if key not in known:
+                raise UsageError(f"config file {path}: unknown key {key!r} in [{section}]")
     cfg = {
         "train": dict(parser["train"]),
         "loss": dict(parser["loss"]),
@@ -140,13 +144,6 @@ def build_train_config(cfg, seed=0):
         variant=loss["variant"],
         epsilon=float(loss["epsilon"]),
         epsilons=tuple(_float_list(loss["epsilons"])) if "epsilons" in loss else None,
-        penalties=PenaltyWeights(
-            alpha=float(loss["alpha"]),
-            beta=float(loss["beta"]),
-            gamma=float(loss["gamma"]),
-            eta=float(loss["eta"]),
-            p=float(loss["p"]),
-        ),
     )
 
 

@@ -145,17 +145,6 @@ def _csv_rows(reader, path, label_column):
     return feature_names, rows, raw_labels
 
 
-def save_csv(data, path, label_names=None):
-    """Write a dataset back out in the load_csv format (label column last)."""
-    names = data.feature_names or tuple(f"f{i}" for i in range(data.dim))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + ["label"])
-        for x, y in zip(data.features, data.labels):
-            lab = label_names[y] if label_names else int(y)
-            writer.writerow([repr(float(v)) for v in x] + [lab])
-
-
 def read_exact(fh, size, nbytes, path, what):
     """Read nbytes, checking first against the bytes left in the file."""
     left = size - fh.tell()
@@ -193,6 +182,13 @@ def load_idx(images_path, labels_path):
         )
     images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
     labels = np.frombuffer(raw, dtype=np.uint8).astype(int)
+    # k is the largest label + 1, so every class below it needs a sample
+    missing = np.flatnonzero(np.bincount(labels) == 0)
+    if missing.size:
+        raise DataFormatError(
+            f"{labels_path}: no sample has label {int(missing[0])} "
+            f"(labels run up to {int(labels.max())})"
+        )
     return LabeledDataset(images.astype(float) / 255.0, labels, int(labels.max()) + 1)
 
 

@@ -40,13 +40,6 @@ def config_echo(cfg, hidden_sizes, topk):
         "variant": cfg.variant,
         "epsilon": cfg.epsilon,
         "epsilons": None if cfg.epsilons is None else [float(e) for e in cfg.epsilons],
-        "penalties": {
-            "alpha": cfg.penalties.alpha,
-            "beta": cfg.penalties.beta,
-            "gamma": cfg.penalties.gamma,
-            "eta": cfg.penalties.eta,
-            "p": cfg.penalties.p,
-        },
         "hidden_sizes": list(hidden_sizes),
         "topk": topk,
     }
@@ -94,12 +87,8 @@ def run_training(train, val, test, cfg, hidden_sizes, sim=None, topk=5,
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
     if cfg.variant.endswith("-soft"):
-        params = trainer.mixing_params
-        report["learned_mixing"] = (
-            [[float(v) for v in row] for row in params]
-            if params.ndim == 2
-            else [float(v) for v in params]
-        )
+        report["learned_mixing"] = trainer.mixing_params.tolist()
+        report["learned_similarity"] = trainer.sim.a.tolist()
     return RunResult(report, best_model, time.monotonic() - started)
 
 

@@ -58,9 +58,6 @@ class SimilarityMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
-    def row(self, i):
-        return self.a[i]
-
     def asymmetry(self):
         """Largest |A - A^T| entry; the row-normalized matrix need not be
         symmetric even though the raw similarity scores are."""

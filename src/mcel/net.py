@@ -4,25 +4,20 @@ SGD+Momentum training.
 Hidden layers are ReLU; the output layer is a max-shifted softmax. The
 trainer runs any loss variant from its losses.initial_mixing state: the
 fixed variants just change the target rows, the *-soft variants also
-take a momentum step on their mixing parameters each batch.
+re-estimate their similarity matrix from the correct predictions of each
+epoch.
 """
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import read_exact
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
-from .losses import (
-    EPS_MARGIN,
-    PenaltyWeights,
-    batch_loss,
-    initial_mixing,
-    softmax,
-    target_matrix,
-)
+from .lda import SimilarityMatrix
+from .losses import batch_loss, initial_mixing, softmax, target_matrix
 
 CHECKPOINT_MAGIC = b"MCEL"
 CHECKPOINT_VERSION = 1
@@ -61,10 +56,9 @@ class TrainConfig:
     batch_size: int = 32
     lr_decay: float = 0.0
     seed: int = 0
-    variant: str = "ce"  # one of losses.VARIANTS; *-soft variants train their mixing
+    variant: str = "ce"  # one of losses.VARIANTS; *-soft variants move their similarity
     epsilon: float = 0.2
-    epsilons: tuple = None  # per-class starting epsilons, sg-mcel variants only
-    penalties: PenaltyWeights = field(default_factory=PenaltyWeights)
+    epsilons: tuple = None  # per-class epsilons, sg-mcel variants only
 
     def __post_init__(self):
         # 0 is admitted so a no-op step stays observable
@@ -144,15 +138,9 @@ class Trainer:
         self.epoch = 0
         self._vel_w = [np.zeros_like(w) for w in model.weights]
         self._vel_b = [np.zeros_like(b) for b in model.biases]
-        self._mixing_params, margins = initial_mixing(
+        self._mixing_params = initial_mixing(
             cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons
         )
-        # the batch_loss arguments after the targets: none for fixed mixing
-        self._soft_args = ()
-        self._vel_mix = None
-        if cfg.variant.endswith("-soft"):
-            self._soft_args = (cfg.penalties, self._mixing_params, sim, margins)
-            self._vel_mix = np.zeros_like(self._mixing_params)
 
     @property
     def mixing_params(self):
@@ -169,19 +157,24 @@ class Trainer:
         lr = self.learning_rate()
         total_loss = 0.0
         correct = 0
+        k = self.model.num_classes
+        # soft variants: summed softmax rows of the correct predictions, by class
+        sums = np.zeros(k * k) if cfg.variant.endswith("-soft") else None
         for start in range(0, data.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             x = data.features[idx]
             ys = data.labels[idx]
             probs, acts = forward_batch(self.model, x)
             targets = _target_rows(self.sim, self._mixing_params, ys)
-            batch_value, grad_logits, grad_mixing = batch_loss(
-                probs, ys, targets, *self._soft_args
-            )
+            batch_value, grad_logits = batch_loss(probs, targets)
             if not np.isfinite(batch_value):
                 raise TrainingDivergedError(self.epoch, start // cfg.batch_size)
             total_loss += batch_value
-            correct += int(np.sum(np.argmax(probs, axis=1) == ys))
+            hit = np.argmax(probs, axis=1) == ys
+            correct += int(np.sum(hit))
+            if sums is not None:
+                cells = (ys[hit][:, None] * k + np.arange(k)).ravel()
+                sums += np.bincount(cells, weights=probs[hit].ravel(), minlength=k * k)
 
             grads_w, grads_b = backprop(self.model, acts, grad_logits)
             scale = 1.0 / idx.shape[0]
@@ -193,25 +186,35 @@ class Trainer:
                 self._vel_b[layer] = cfg.momentum * self._vel_b[layer] - lr * gb
                 self.model.biases[layer] += self._vel_b[layer]
 
-            if grad_mixing is not None:
-                self._step_mixing(grad_mixing * scale, lr)
-
             if not self.model.check_finite():
                 raise TrainingDivergedError(self.epoch, start // cfg.batch_size)
+        if sums is not None:
+            self._step_mixing(sums.reshape(k, k))
         self.epoch += 1
         return {
             "mean_loss": total_loss / data.n,
             "accuracy": correct / data.n,
         }
 
-    def _step_mixing(self, grad, lr):
-        """Momentum step on the mixing parameters, clipped inside their
-        open interval: (0, 0.5) for epsilons, (0, 1) for E."""
-        params = self._mixing_params
-        self._vel_mix = self.cfg.momentum * self._vel_mix - lr * grad
-        params += self._vel_mix
-        hi = 1.0 if params.ndim == 2 else 0.5
-        np.clip(params, EPS_MARGIN, hi - EPS_MARGIN, out=params)
+    def _step_mixing(self, sums):
+        """Re-estimate the similarity matrix A from one epoch's sums.
+
+        sums[y] is the summed softmax output of the training samples of
+        class y that the model classified correctly. Row y of A becomes the
+        off-diagonal part of sums[y] normalised to sum to 1; a row keeps its
+        previous value if an off-diagonal entry is not > 0, which includes a
+        class with no correct sample. The epsilons do not move; a mixture
+        matrix E is rebuilt on the new A.
+        """
+        k = sums.shape[0]
+        diag = np.eye(k, dtype=bool)
+        off = np.where(diag, 0.0, sums)
+        ok = np.all((off > 0.0) | diag, axis=1)
+        a = self.sim.a.copy()
+        a[ok] = off[ok] / off[ok].sum(axis=1, keepdims=True)
+        self.sim = SimilarityMatrix(k, a)
+        cfg = self.cfg
+        self._mixing_params = initial_mixing(cfg.variant, k, self.sim, cfg.epsilon, cfg.epsilons)
 
 
 def evaluate(model, data, topk=5):

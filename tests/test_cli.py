@@ -120,14 +120,13 @@ class TestTrainCommand:
             assert ce[key] == m0[key]
 
     def test_soft_run_reports_learned_epsilons(self, tmp_path):
-        cfg = write_config(
-            tmp_path, "sg-mcel-soft", 0.2, "alpha = 1.0\nbeta = 0.1\ngamma = 0.1\n"
-        )
-        out = train_report(tmp_path, "soft", cfg)
+        # the epsilons keep their start; the similarity is re-estimated
+        out = train_report(tmp_path, "soft", write_config(tmp_path, "sg-mcel-soft", 0.2))
         report = json.loads((out / "report.json").read_text())
-        eps = report["learned_mixing"]
-        assert len(eps) == 3
-        assert all(0.0 < e < 0.5 for e in eps)
+        assert report["learned_mixing"] == [0.2, 0.2, 0.2]
+        a = np.array(report["learned_similarity"])
+        assert a.shape == (3, 3) and np.all(np.diag(a) == 0.0)
+        assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
     def test_report_structure(self, tmp_path):
         out = train_report(tmp_path, "r", write_config(tmp_path, "mcel", 0.3))
@@ -148,7 +147,7 @@ class TestTrainCommand:
         assert config["epsilons"] == [0.1, 0.2, 0.3]
         assert set(config) == {
             "batch_size", "epochs", "epsilon", "epsilons", "hidden_sizes", "learning_rate",
-            "lr_decay", "momentum", "penalties", "seed", "topk", "variant", "weight_decay",
+            "lr_decay", "momentum", "seed", "topk", "variant", "weight_decay",
         }
 
     def test_epsilons_set_the_soft_start(self, tmp_path):
@@ -226,6 +225,18 @@ class TestBadValues:
         )
         self.assert_clean_usage_error(proc)
         assert "bad.ini" in proc.stderr
+
+    def test_unknown_key(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        for section, key in (("train", "learning_rat"), ("loss", "alpah"), ("loss", "alpha"),
+                             ("DEFAULT", "epochs")):
+            path.write_text(f"[{section}]\n{key} = 5\n")
+            proc = run_python(
+                "-m", "mcel.cli", "train", "--blobs", "3,30,2,0.8", "--config", str(path),
+                "--out", str(tmp_path / "x"),
+            )
+            self.assert_clean_usage_error(proc)
+            assert f"unknown key '{key}' in [{section}]" in proc.stderr
 
     def test_epsilons_need_an_sg_variant(self, tmp_path):
         path = tmp_path / "bad.ini"

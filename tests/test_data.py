@@ -1,3 +1,4 @@
+import csv
 import struct
 import tempfile
 from pathlib import Path
@@ -14,11 +15,20 @@ from mcel.data import (
     inject_pairwise_noise,
     load_csv,
     load_idx,
-    save_csv,
     split,
     standardize,
 )
 from mcel.errors import DataFormatError
+
+
+def save_csv(data, path):
+    """Write a dataset in the load_csv format (label column last)."""
+    names = data.feature_names or tuple(f"f{i}" for i in range(data.dim))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + ["label"])
+        for x, y in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
 class TestLoadCsv:
@@ -125,6 +135,12 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="empty"):
             load_idx(img, lab)
 
+    def test_class_gap(self, tmp_path):
+        # k is the largest label + 1, so labels 0 and 2 leave class 1 empty
+        img, lab = write_idx_pair(tmp_path, np.zeros((4, 2, 2)), [0, 2, 0, 2])
+        with pytest.raises(DataFormatError, match=r"lab\.idx: no sample has label 1"):
+            load_idx(img, lab)
+
 
 def read_bytes_as(loader, *files):
     """Run loader on temporary files holding the given bytes."""
@@ -158,6 +174,7 @@ def load_idx_or_reject(images, labels):
         return
     assert data.n >= 1 and data.dim >= 1
     assert np.all((data.features >= 0.0) & (data.features <= 1.0))
+    assert np.all(data.class_counts() > 0)
 
 
 def load_csv_or_reject(raw):
@@ -194,6 +211,19 @@ class TestReaderProperties:
         images = apply_edits(IDX_IMAGES, [(o, v) for is_img, o, v in edits if is_img])
         labels = apply_edits(IDX_LABELS, [(o, v) for is_img, o, v in edits if not is_img])
         load_idx_or_reject(images, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 255), min_size=3, max_size=3))
+    def test_idx_label_mutations(self, values):
+        # any label bytes: a load has a sample of every class below k
+        labels = IDX_LABELS[:8] + bytes(values)
+        try:
+            data = read_bytes_as(load_idx, IDX_IMAGES, labels)
+        except DataFormatError as exc:
+            assert "no sample has label" in str(exc)
+            assert set(range(max(values))) - set(values)
+            return
+        assert data.k == max(values) + 1 and np.all(data.class_counts() > 0)
 
     def test_every_csv_truncation(self):
         for cut in range(len(CSV_TEXT)):

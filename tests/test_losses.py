@@ -6,7 +6,6 @@ from mcel.gradcheck import central_diff, max_rel_error, random_similarity
 from mcel.lda import SimilarityMatrix, uniform_similarity
 from mcel.losses import (
     VARIANTS,
-    PenaltyWeights,
     batch_loss,
     initial_mixing,
     softmax,
@@ -19,21 +18,19 @@ def two_class_sim():
 
 
 def random_matrix_mixing(rng, k):
-    """A random row-stochastic mixture matrix E with a dominant diagonal,
-    and per-class margins half of each row's diagonal lead: (E, margins)."""
+    """A random row-stochastic mixture matrix E with a dominant diagonal."""
     diag = rng.uniform(0.5, 0.8, size=k)
     e = np.empty((k, k))
     for i in range(k):
         off = rng.random(k - 1) + 0.05
         off = off / off.sum() * (1.0 - diag[i])
         e[i] = np.insert(off, i, diag[i])
-    margins = np.array([(e[i, i] - np.max(np.delete(e[i], i))) / 2.0 for i in range(k)])
-    return e, margins
+    return e
 
 
 def simple_matrix(sim, eps):
     """The gmcel mixture matrix of the simple loss at eps."""
-    return initial_mixing("gmcel", sim.k, sim, eps)[0]
+    return initial_mixing("gmcel", sim.k, sim, eps)
 
 
 def random_probs(rng, k, floor=1e-3):
@@ -44,29 +41,16 @@ def random_probs(rng, k, floor=1e-3):
 
 def loss_of(probs, y, sim, params):
     """Value and probs-row logit gradient of one sample under fixed mixing."""
-    labels = np.array([y])
-    value, grad, _ = batch_loss(
-        np.asarray(probs)[None, :], labels, target_matrix(sim, params)[labels]
-    )
+    value, grad = batch_loss(np.asarray(probs)[None, :], target_matrix(sim, params)[[y]])
     return value, grad[0]
 
 
 def logit_fd_error(logits, y, sim, params):
     """FD relative error of the kernel's logit gradient for one sample."""
-    labels = np.array([y])
-    targets = target_matrix(sim, params)[labels]
-    _, grad, _ = batch_loss(softmax(logits)[None, :], labels, targets)
-    num = central_diff(
-        lambda lg: batch_loss(softmax(lg)[None, :], labels, targets)[0], logits
-    )
+    targets = target_matrix(sim, params)[[y]]
+    _, grad = batch_loss(softmax(logits)[None, :], targets)
+    num = central_diff(lambda lg: batch_loss(softmax(lg)[None, :], targets)[0], logits)
     return max_rel_error(grad[0], num)
-
-
-def soft_loss(probs_batch, labels, params, weights, sim=None, margins=None):
-    return batch_loss(
-        probs_batch, labels, target_matrix(sim, params)[labels],
-        weights, params, sim, margins,
-    )
 
 
 class TestMixingSpecs:
@@ -97,18 +81,14 @@ class TestMixingSpecs:
 
     def test_variant_states(self):
         sim = random_similarity(np.random.default_rng(3), 4)
-        assert np.array_equal(initial_mixing("ce", 4, None, 0.2)[0], np.eye(4))
+        assert np.array_equal(initial_mixing("ce", 4, None, 0.2), np.eye(4))
         for variant in ("mcel", "sg-mcel", "sg-mcel-soft"):
-            params, margins = initial_mixing(variant, 4, sim, 0.2)
-            assert np.array_equal(params, np.full(4, 0.2)) and margins is None
-        params, _ = initial_mixing("sg-mcel", 4, sim, 0.2, (0.1, 0.2, 0.3, 0.4))
+            assert np.array_equal(initial_mixing(variant, 4, sim, 0.2), np.full(4, 0.2))
+        params = initial_mixing("sg-mcel", 4, sim, 0.2, (0.1, 0.2, 0.3, 0.4))
         assert np.array_equal(params, [0.1, 0.2, 0.3, 0.4])
         for variant in ("gmcel", "gmcel-soft"):
-            e, margins = initial_mixing(variant, 4, sim, 0.2)
+            e = initial_mixing(variant, 4, sim, 0.2)
             assert np.array_equal(e, target_matrix(sim, np.full(4, 0.2)))
-            assert np.array_equal(margins, np.full(4, 0.15))
-            off = e[~np.eye(4, dtype=bool)].reshape(4, 3)
-            assert np.all(np.diag(e) > off.max(axis=1) + margins)
 
     def test_similarity_required_and_sized(self):
         with pytest.raises(ValueError, match="similarity"):
@@ -117,12 +97,6 @@ class TestMixingSpecs:
             initial_mixing("gmcel", 3, two_class_sim(), 0.2)
         with pytest.raises(ValueError, match="unknown"):
             initial_mixing("focal", 2, two_class_sim(), 0.2)
-
-    def test_penalties(self):
-        with pytest.raises(ValueError):
-            PenaltyWeights(p=0.5)
-        with pytest.raises(ValueError):
-            PenaltyWeights(alpha=-1.0)
 
 
 class TestTargetMatrix:
@@ -153,7 +127,7 @@ class TestTargetMatrix:
 
     def test_matrix_spec_passthrough(self):
         rng = np.random.default_rng(2)
-        e, _ = random_matrix_mixing(rng, 3)
+        e = random_matrix_mixing(rng, 3)
         sim = random_similarity(rng, 3)
         assert np.array_equal(target_matrix(sim, e), e)
 
@@ -262,64 +236,9 @@ class TestGmcel:
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
-        e, _ = random_matrix_mixing(rng, 4)
+        e = random_matrix_mixing(rng, 4)
         logits = rng.normal(0, 2, 4)
         assert logit_fd_error(logits, 2, None, e) <= 1e-6
-
-
-class TestSoftLosses:
-    def test_sg_soft_zero_penalties(self):
-        rng = np.random.default_rng(0)
-        sim = random_similarity(rng, 4)
-        eps = rng.uniform(0.1, 0.4, 4)
-        probs = np.array([random_probs(rng, 4) for _ in range(6)])
-        labels = rng.integers(4, size=6)
-        value, grad, _ = soft_loss(probs, labels, eps, PenaltyWeights(), sim=sim)
-        base = sum(loss_of(p, y, sim, eps)[0] for p, y in zip(probs, labels))
-        assert abs(value - base) <= 1e-12
-        fixed = batch_loss(probs, labels, target_matrix(sim, eps)[labels])
-        assert np.array_equal(grad, fixed[1]) and fixed[2] is None
-
-    def test_sg_soft_literal_oracle(self):
-        sim = uniform_similarity(3)
-        eps = np.array([0.2, 0.2, 0.2])
-        probs = np.array([[0.5, 0.3, 0.2]])
-        labels = np.array([1])
-        w = PenaltyWeights(alpha=1.0, beta=1.0, gamma=1.0, p=2.0)
-        value, _, grad_eps = soft_loss(probs, labels, eps, w, sim=sim)
-        p1 = np.array([0.2 * 0.5, 0.8, 0.2 * 0.5])
-        expected = -float(np.dot(p1, np.log(probs[0])))
-        for i in range(3):
-            pi = eps[i] * sim.a[i].copy()
-            pi[i] = 1 - eps[i]
-            expected += 1.0 * (np.sum(np.abs(pi)) - 1) ** 2
-        expected += float(np.sum((eps - 0.5) ** 2)) + float(np.sum(eps ** 2))
-        assert abs(value - expected) <= 1e-10
-        num_eps = central_diff(lambda e: soft_loss(probs, labels, e, w, sim=sim)[0], eps)
-        assert max_rel_error(grad_eps, num_eps) <= 1e-6
-
-    def test_gmcel_soft_zero_penalties(self):
-        rng = np.random.default_rng(1)
-        e, margins = random_matrix_mixing(rng, 4)
-        probs = np.array([random_probs(rng, 4) for _ in range(5)])
-        labels = rng.integers(4, size=5)
-        value, _, _ = soft_loss(probs, labels, e, PenaltyWeights(), margins=margins)
-        base = sum(loss_of(p, y, None, e)[0] for p, y in zip(probs, labels))
-        assert abs(value - base) <= 1e-12
-
-    def test_gmcel_soft_literal_oracle(self):
-        e = np.array([[0.7, 0.3], [0.25, 0.75]])
-        c = np.array([0.1, 0.2])
-        probs = np.array([[0.6, 0.4]])
-        w = PenaltyWeights(alpha=0.5, beta=1.5, gamma=0.7, eta=2.0, p=2.0)
-        value, _, _ = soft_loss(probs, np.array([0]), e, w, margins=c)
-        expected = -float(np.dot(e[0], np.log(probs[0])))
-        expected += 0.5 * sum((e[i].sum() - 1) ** 2 for i in range(2))
-        expected += 1.5 * float(np.sum((e - 1) ** 2)) + 0.7 * float(np.sum(e ** 2))
-        for i in range(2):
-            off = e[i].sum() - e[i, i]
-            expected += 2.0 * ((2 - 1) * (e[i, i] - c[i]) - off) ** 2
-        assert abs(value - expected) <= 1e-10
 
 
 class TestReductionChain:
@@ -341,7 +260,7 @@ class TestReductionChain:
 
 
 def logit_gradient(logits, target_row):
-    _, grad, _ = batch_loss(softmax(logits)[None, :], np.array([0]), target_row[None, :])
+    _, grad = batch_loss(softmax(logits)[None, :], target_row[None, :])
     return grad[0]
 
 
@@ -372,7 +291,7 @@ class TestLogitGradient:
         assert max_rel_error(g, num) <= 1e-7
 
     def test_unnormalised_target_matches_fd(self):
-        # a trained mixture row need not sum to 1; softmax - target is then wrong
+        # for a target row that does not sum to 1, softmax - target is wrong
         rng = np.random.default_rng(3)
         logits = rng.normal(0, 2, size=6)
         target = rng.uniform(0.05, 0.6, size=6)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import DataFormatError, TrainingDivergedError
 from mcel.gradcheck import random_similarity
-from mcel.losses import PROB_CLAMP, PenaltyWeights, batch_loss, target_matrix
+from mcel.lda import SimilarityMatrix
+from mcel.losses import PROB_CLAMP, batch_loss, softmax, target_matrix
 from mcel.net import (
     MlpModel,
     TrainConfig,
@@ -113,7 +114,7 @@ def variant_targets(k, ys, variant, rng):
     elif variant == "gmcel":
         h = rng.dirichlet(np.ones(k), size=k)  # any row-stochastic mixture matrix
     else:
-        # a trained soft mixture matrix: rows that do not sum to 1
+        # a mixture matrix whose rows do not sum to 1
         h = rng.uniform(0.05, 0.95, (k, k))
     return h[ys]
 
@@ -131,7 +132,7 @@ class TestBackprop:
         ys = rng.integers(3, size=4)
         targets = variant_targets(3, ys, variant, rng)
         probs, acts = forward_batch(model, x)
-        grads_w, grads_b = backprop(model, acts, batch_loss(probs, ys, targets)[1])
+        grads_w, grads_b = backprop(model, acts, batch_loss(probs, targets)[1])
         analytic = np.concatenate(
             [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
         )
@@ -219,8 +220,6 @@ class TestTrainer:
         perm_labels = perm[data.labels]
         data_p = LabeledDataset(data.features, perm_labels, 3)
         a_p = sim.a[np.ix_(np.argsort(perm), np.argsort(perm))]
-        from mcel.lda import SimilarityMatrix
-
         sim_p = SimilarityMatrix(3, a_p)
 
         def run(dataset, similarity, permute_head):
@@ -244,19 +243,21 @@ class TestTrainer:
         assert base_acc == perm_acc
 
     def test_soft_epsilons_stay_in_range(self):
+        # the epsilons keep their start; the similarity moves and stays valid
         data = self.make_data(k=3, per_class=30, spread=1.2)
         sim = random_similarity(np.random.default_rng(10), 3)
         model = init_model((2, 6, 3), seed=10)
         cfg = TrainConfig(
             learning_rate=0.05, epochs=5, batch_size=10, seed=10,
             variant="sg-mcel-soft", epsilon=0.2,
-            penalties=PenaltyWeights(alpha=1.0, beta=0.1, gamma=0.1),
         )
         trainer = Trainer(model, cfg, sim)
         for _ in range(5):
             trainer.train_epoch(data)
-        eps = trainer.mixing_params
-        assert np.all(eps > 0.0) and np.all(eps < 0.5)
+        assert np.array_equal(trainer.mixing_params, np.full(3, 0.2))
+        off = trainer.sim.a[~np.eye(3, dtype=bool)]
+        assert np.all(off > 0.0) and np.all(off < 1.0)
+        assert not np.array_equal(trainer.sim.a, sim.a)
 
     def test_soft_matrix_stays_in_range(self):
         data = self.make_data(k=3, per_class=30, spread=1.2)
@@ -265,35 +266,60 @@ class TestTrainer:
         cfg = TrainConfig(
             learning_rate=0.05, epochs=4, batch_size=10, seed=11,
             variant="gmcel-soft", epsilon=0.2,
-            penalties=PenaltyWeights(alpha=1.0, beta=0.1, gamma=0.1, eta=0.5),
         )
         trainer = Trainer(model, cfg, sim)
         for _ in range(4):
             trainer.train_epoch(data)
         e = trainer.mixing_params
         assert np.all(e > 0.0) and np.all(e < 1.0)
+        assert np.array_equal(e, target_matrix(trainer.sim, np.full(3, 0.2)))
 
     def test_soft_step_follows_kernel(self):
-        # one full batch without momentum: the reported loss is the kernel's
-        # value, penalties included, and the epsilons take its gradient step
+        # one full batch per epoch: each epoch's reported loss is the kernel's
+        # value on the similarity the previous epoch left
         data = self.make_data(k=3, per_class=10, spread=1.2)
         sim = random_similarity(np.random.default_rng(12), 3)
         model = init_model((2, 6, 3), seed=12)
         eps = np.array([0.1, 0.2, 0.3])
-        w = PenaltyWeights(alpha=0.5, beta=0.2, gamma=0.3)
-        probs, _ = forward_batch(model, data.features)
-        targets = target_matrix(sim, eps)[data.labels]
-        value, _, grad = batch_loss(probs, data.labels, targets, w, eps, sim)
         cfg = TrainConfig(
-            learning_rate=0.01, momentum=0.0, weight_decay=0.0, epochs=1,
+            learning_rate=0.01, momentum=0.0, weight_decay=0.0, epochs=2,
             batch_size=data.n, seed=12, variant="sg-mcel-soft", epsilons=tuple(eps),
-            penalties=w,
         )
         trainer = Trainer(model, cfg, sim)
-        metrics = trainer.train_epoch(data)
-        assert metrics["mean_loss"] == pytest.approx(value / data.n, rel=1e-12)
-        step = trainer.mixing_params - (eps - 0.01 * grad / data.n)
-        assert np.max(np.abs(step)) <= 1e-15
+        for _ in range(2):
+            probs, _ = forward_batch(model, data.features)
+            value, _ = batch_loss(probs, target_matrix(trainer.sim, eps)[data.labels])
+            metrics = trainer.train_epoch(data)
+            assert metrics["mean_loss"] == pytest.approx(value / data.n, rel=1e-12)
+        assert not np.array_equal(trainer.sim.a, sim.a)
+
+    def test_similarity_update_follows_correct_predictions(self):
+        # logits are the features and the learning rate is 0, so the epoch's
+        # predictions are softmax(features)
+        features = np.array([
+            [2.0, 0.5, -1.0, 0.0],  # class 0, correct
+            [1.0, -0.5, 0.3, 0.8],  # class 0, correct
+            [0.0, 3.0, 0.0, 0.0],  # class 0, wrong
+            [2.0, 1.0, 0.0, 0.0],  # class 1, wrong: no correct sample
+            [1.0, 0.0, 0.0, 0.0],  # class 1, wrong
+            [0.0, -800.0, 5.0, 0.0],  # class 2, correct, p[1] underflows to 0
+            [0.1, 0.2, 0.3, 1.5],  # class 3, correct
+        ])
+        labels = np.array([0, 0, 0, 1, 1, 2, 3])
+        data = LabeledDataset(features, labels, 4)
+        sim = random_similarity(np.random.default_rng(13), 4)
+        cfg = TrainConfig(learning_rate=0.0, batch_size=3, seed=13,
+                          variant="gmcel-soft", epsilon=0.2)
+        trainer = Trainer(logit_model(4), cfg, sim)
+        trainer.train_epoch(data)
+        expected = sim.a.copy()
+        for y, rows in ((0, [0, 1]), (3, [6])):
+            mean = softmax(features[rows]).mean(axis=0)
+            mean[y] = 0.0
+            expected[y] = mean / mean.sum()
+        assert np.allclose(trainer.sim.a, expected, rtol=1e-12, atol=0.0)
+        assert np.array_equal(trainer.sim.a[[1, 2]], sim.a[[1, 2]])
+        assert np.array_equal(trainer.mixing_params, target_matrix(trainer.sim, np.full(4, 0.2)))
 
 
 def logit_model(k):
