@@ -22,7 +22,12 @@ class DataFormatError(McelError, ValueError):
 
 
 class TrainingDivergedError(McelError):
-    """Loss became non-finite during training."""
+    """The loss or a parameter became non-finite during training.
+
+    `batch` is the index within the epoch of the batch whose loss was not
+    finite. The parameters are checked once, after the epoch's last batch;
+    when that check fails, `batch` is the index of the last batch.
+    """
 
     def __init__(self, epoch, batch, message=None):
         self.epoch = epoch

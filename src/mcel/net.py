@@ -90,14 +90,14 @@ def forward_batch(model, x):
     """Forward pass for an n x d batch; returns (probs, activations).
 
     activations[0] is the input, the rest are post-ReLU hidden outputs.
+    The input is not scanned for non-finite values: LabeledDataset rejects
+    them when the dataset is built.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
         raise DimensionError(
             f"input must be n x {model.layer_sizes[0]}, got {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
     acts = [x]
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
@@ -123,21 +123,32 @@ def backprop(model, acts, grad_logits):
     return grads_w, grads_b
 
 
-def _target_rows(sim, mixing_params, ys):
-    """Per-sample target rows for the current mixing parameters."""
-    return target_matrix(sim, mixing_params)[ys]
+def _target_rows(h, ys):
+    """Per-sample target rows: the rows of the target matrix H for labels ys."""
+    return h[ys]
 
 
 class Trainer:
-    """Owns one model plus the optimizer state for a full training run."""
+    """Owns one model plus the optimizer state for a full training run.
+
+    The model's weights (first) and biases are packed into one flat
+    parameter vector, and model.weights/model.biases become views into it,
+    so the momentum step runs over every parameter at once. Use
+    model.copy() for a snapshot that training does not change.
+    """
 
     def __init__(self, model, cfg, sim=None):
         self.model = model
         self.cfg = cfg
         self.sim = sim
         self.epoch = 0
-        self._vel_w = [np.zeros_like(w) for w in model.weights]
-        self._vel_b = [np.zeros_like(b) for b in model.biases]
+        layers = model.weights + model.biases
+        self._params = np.concatenate([p.ravel() for p in layers])
+        self._num_weights = sum(w.size for w in model.weights)
+        views = np.split(self._params, np.cumsum([p.size for p in layers])[:-1])
+        model.weights = [v.reshape(w.shape) for v, w in zip(views, model.weights)]
+        model.biases = views[len(model.weights):]
+        self._vel = np.zeros_like(self._params)
         self._mixing_params = initial_mixing(
             cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons
         )
@@ -150,25 +161,32 @@ class Trainer:
         return self.cfg.learning_rate / (1.0 + self.cfg.lr_decay * self.epoch)
 
     def train_epoch(self, data):
-        """One seeded-shuffled pass; returns mean loss and train accuracy."""
+        """One seeded-shuffled pass; returns mean loss and train accuracy.
+
+        The loss is checked on every batch and the parameters once, after
+        the last batch: a non-finite parameter makes the next batch's loss
+        non-finite, and the final check catches one that the loss missed.
+        """
         cfg = self.cfg
         rng = np.random.default_rng((cfg.seed, self.epoch))
         order = rng.permutation(data.n)
+        xs = data.features[order]
+        ys_all = data.labels[order]
+        h = target_matrix(self.sim, self._mixing_params)  # only _step_mixing changes it
         lr = self.learning_rate()
+        params, vel, nw = self._params, self._vel, self._num_weights
         total_loss = 0.0
         correct = 0
         k = self.model.num_classes
         # soft variants: summed softmax rows of the correct predictions, by class
         sums = np.zeros(k * k) if cfg.variant.endswith("-soft") else None
-        for start in range(0, data.n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            x = data.features[idx]
-            ys = data.labels[idx]
-            probs, acts = forward_batch(self.model, x)
-            targets = _target_rows(self.sim, self._mixing_params, ys)
+        for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
+            ys = ys_all[start:start + cfg.batch_size]
+            probs, acts = forward_batch(self.model, xs[start:start + cfg.batch_size])
+            targets = _target_rows(h, ys)
             batch_value, grad_logits = batch_loss(probs, targets)
             if not np.isfinite(batch_value):
-                raise TrainingDivergedError(self.epoch, start // cfg.batch_size)
+                raise TrainingDivergedError(self.epoch, batch)
             total_loss += batch_value
             hit = np.argmax(probs, axis=1) == ys
             correct += int(np.sum(hit))
@@ -177,17 +195,13 @@ class Trainer:
                 sums += np.bincount(cells, weights=probs[hit].ravel(), minlength=k * k)
 
             grads_w, grads_b = backprop(self.model, acts, grad_logits)
-            scale = 1.0 / idx.shape[0]
-            for layer in range(len(self.model.weights)):
-                g = grads_w[layer] * scale + cfg.weight_decay * self.model.weights[layer]
-                self._vel_w[layer] = cfg.momentum * self._vel_w[layer] - lr * g
-                self.model.weights[layer] += self._vel_w[layer]
-                gb = grads_b[layer] * scale
-                self._vel_b[layer] = cfg.momentum * self._vel_b[layer] - lr * gb
-                self.model.biases[layer] += self._vel_b[layer]
-
-            if not self.model.check_finite():
-                raise TrainingDivergedError(self.epoch, start // cfg.batch_size)
+            g = np.concatenate([gw.ravel() for gw in grads_w] + grads_b) * (1.0 / ys.shape[0])
+            g[:nw] += cfg.weight_decay * params[:nw]  # no decay on the biases
+            vel *= cfg.momentum
+            vel -= lr * g
+            params += vel
+        if not self.model.check_finite():
+            raise TrainingDivergedError(self.epoch, batch)
         if sums is not None:
             self._step_mixing(sums.reshape(k, k))
         self.epoch += 1

@@ -1,5 +1,6 @@
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import DataFormatError, TrainingDivergedError
 from mcel.gradcheck import random_similarity
 from mcel.lda import SimilarityMatrix
-from mcel.losses import PROB_CLAMP, batch_loss, softmax, target_matrix
+from mcel.losses import PROB_CLAMP, batch_loss, initial_mixing, softmax, target_matrix
 from mcel.net import (
     MlpModel,
     TrainConfig,
@@ -77,9 +78,10 @@ class TestForward:
         assert np.max(np.abs(probs[0] - expd / expd.sum())) <= 1e-12
 
     def test_non_finite_rejected(self):
-        model = init_model((2, 3), seed=0)
-        with pytest.raises(ValueError):
-            forward_batch(model, np.array([np.nan, 1.0])[None, :])
+        # forward_batch does not scan its input: the dataset rejects it
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                LabeledDataset(np.array([[bad, 1.0], [0.0, 2.0]]), np.array([0, 1]), 2)
 
 
 def flatten_params(model):
@@ -213,6 +215,71 @@ class TestTrainer:
             for _ in range(3):
                 Trainer(model, cfg).train_epoch(data)
 
+    def test_inf_weight_diverges_at_first_batch(self):
+        data = self.make_data()
+        model = init_model((2, 4, 2), seed=0)
+        trainer = Trainer(model, TrainConfig(batch_size=8, seed=0))
+        model.weights[-1][0, 0] = np.inf  # writes through to the trainer's parameters
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+            trainer.train_epoch(data)
+        assert (err.value.epoch, err.value.batch) == (0, 0)  # the loss check
+
+    def test_overflowing_step_caught_at_epoch_end(self):
+        # one batch per epoch: its loss is finite, the step after it is not
+        data = self.make_data()
+        model = init_model((2, 4, 2), seed=0)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=data.n, seed=0)
+        trainer = Trainer(model, cfg)
+        trainer.train_epoch(data)
+        trainer.cfg = replace(cfg, learning_rate=1e308, weight_decay=1e10)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+            trainer.train_epoch(data)
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert not model.check_finite()
+
+    def test_epoch_end_check_names_the_last_batch(self):
+        # a -inf hidden bias is a dead ReLU unit: it gets no gradient and no
+        # decay, every loss stays finite, and only the end-of-epoch check sees it
+        data = self.make_data()
+        model = init_model((2, 4, 2), seed=0)
+        trainer = Trainer(model, TrainConfig(batch_size=8, seed=0))
+        model.biases[0][0] = -np.inf
+        with pytest.raises(TrainingDivergedError) as err:
+            trainer.train_epoch(data)
+        assert (err.value.epoch, err.value.batch) == (0, (data.n - 1) // 8)
+
+    @pytest.mark.parametrize("variant", ["ce", "mcel", "sg-mcel", "gmcel"])
+    def test_step_matches_reference_loop(self, variant):
+        data = self.make_data(k=3, per_class=25, spread=1.5)  # n = 75, batch 8
+        sim = random_similarity(np.random.default_rng(14), 3)
+        cfg = TrainConfig(
+            learning_rate=0.1, momentum=0.9, weight_decay=1e-2, batch_size=8,
+            lr_decay=0.5, seed=14, variant=variant, epsilon=0.2,
+            epsilons=(0.1, 0.25, 0.4) if variant == "sg-mcel" else None,
+        )
+        model = init_model((2, 6, 5, 3), seed=14)
+        expected = model.copy()
+        expected_metrics = reference_epochs(expected, cfg, sim, data, 3)
+        trainer = Trainer(model, cfg, sim)
+        assert [trainer.train_epoch(data) for _ in range(3)] == expected_metrics
+        assert np.array_equal(flatten_params(model), flatten_params(expected))
+
+    def test_snapshot_survives_training(self, tmp_path):
+        data = self.make_data(k=3)
+        model = init_model((2, 6, 3), seed=2)
+        trainer = Trainer(model, TrainConfig(learning_rate=0.05, batch_size=8, seed=2))
+        trainer.train_epoch(data)
+        snapshot = model.copy()
+        at_snapshot = flatten_params(model)
+        trainer.train_epoch(data)
+        assert np.array_equal(flatten_params(snapshot), at_snapshot)
+        assert not np.array_equal(flatten_params(model), at_snapshot)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert loaded.layer_sizes == model.layer_sizes
+        assert np.array_equal(flatten_params(loaded), flatten_params(model))
+
     def test_relabel_equivariance(self):
         data = self.make_data(k=3, per_class=40, spread=1.0)
         sim = random_similarity(np.random.default_rng(8), 3)
@@ -320,6 +387,38 @@ class TestTrainer:
         assert np.allclose(trainer.sim.a, expected, rtol=1e-12, atol=0.0)
         assert np.array_equal(trainer.sim.a[[1, 2]], sim.a[[1, 2]])
         assert np.array_equal(trainer.mixing_params, target_matrix(trainer.sim, np.full(4, 0.2)))
+
+
+def reference_epochs(model, cfg, sim, data, epochs):
+    """Train `model` in place with a plain per-layer loop: fancy-indexed
+    batches, H built for every batch, SGD+momentum with weight decay on the
+    weights. Returns each epoch's metrics."""
+    mixing = initial_mixing(cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    metrics = []
+    for epoch in range(epochs):
+        order = np.random.default_rng((cfg.seed, epoch)).permutation(data.n)
+        lr = cfg.learning_rate / (1.0 + cfg.lr_decay * epoch)
+        total, correct = 0.0, 0
+        for start in range(0, data.n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            ys = data.labels[idx]
+            probs, acts = forward_batch(model, data.features[idx])
+            value, grad_logits = batch_loss(probs, target_matrix(sim, mixing)[ys])
+            total += value
+            correct += int(np.sum(np.argmax(probs, axis=1) == ys))
+            grads_w, grads_b = backprop(model, acts, grad_logits)
+            scale = 1.0 / idx.shape[0]
+            for layer in range(len(model.weights)):
+                g = grads_w[layer] * scale + cfg.weight_decay * model.weights[layer]
+                vel_w[layer] = cfg.momentum * vel_w[layer] - lr * g
+                model.weights[layer] += vel_w[layer]
+                gb = grads_b[layer] * scale
+                vel_b[layer] = cfg.momentum * vel_b[layer] - lr * gb
+                model.biases[layer] += vel_b[layer]
+        metrics.append({"mean_loss": total / data.n, "accuracy": correct / data.n})
+    return metrics
 
 
 def logit_model(k):
