@@ -127,19 +127,18 @@ def _csv_rows(reader, path, label_column):
             raise DataFormatError(
                 f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
             )
-        feats = []
-        for col, cell in enumerate(row):
-            if col == label_idx:
-                continue
-            try:
-                feats.append(float(cell))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: non-numeric value {cell!r} "
-                    f"in column {header[col]!r}"
-                ) from None
-        rows.append(feats)
-        raw_labels.append(row[label_idx])
+        raw_labels.append(row.pop(label_idx))
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError:
+            for name, cell in zip(feature_names, row):  # find the cell to name
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: non-numeric value {cell!r} "
+                        f"in column {name!r}"
+                    ) from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return feature_names, rows, raw_labels

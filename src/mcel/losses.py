@@ -82,14 +82,19 @@ def batch_loss(probs, targets):
       grad_logits = probs * rowsum(targets) - targets, exact through the
                     softmax also when a target row does not sum to 1
     """
-    value = -float(np.sum(targets * np.log(np.maximum(probs, PROB_CLAMP))))
-    return value, probs * targets.sum(axis=1)[:, None] - targets
+    terms = np.maximum(probs, PROB_CLAMP)  # a copy: neither argument is written
+    np.log(terms, out=terms)
+    terms *= targets
+    grad = probs * np.add.reduce(targets, axis=1)[:, None]
+    grad -= targets
+    return -float(np.add.reduce(terms, axis=None)), grad
 
 
 def softmax(logits):
     """Max-shifted softmax; safe for large logits."""
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
+    return shifted
 

@@ -8,6 +8,7 @@ re-estimate their similarity matrix from the correct predictions of each
 epoch.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -41,10 +42,7 @@ class MlpModel:
         )
 
     def check_finite(self):
-        for w in self.weights + self.biases:
-            if not np.all(np.isfinite(w)):
-                return False
-        return True
+        return all(np.isfinite(p).all() for p in self.weights + self.biases)
 
 
 @dataclass
@@ -101,31 +99,36 @@ def forward_batch(model, x):
     acts = [x]
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ w.T + b, 0.0)
+        h = h @ w.T  # a fresh array, so the bias and the ReLU go in place
+        h += b
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
-    logits = h @ model.weights[-1].T + model.biases[-1]
+    logits = h @ model.weights[-1].T
+    logits += model.biases[-1]
     return softmax(logits), acts
 
 
-def backprop(model, acts, grad_logits):
+def backprop(model, acts, grad_logits, out=None):
     """Parameter gradients given d(loss)/d(logits) for a batch.
 
-    Gradients are sums over the batch (no averaging here).
+    Gradients are sums over the batch (no averaging here). out, a pair of
+    per-layer (grads_w, grads_b) arrays, is filled in place of fresh ones.
     """
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    n = len(model.weights)
+    grads_w, grads_b = out if out is not None else ([None] * n, [None] * n)
     delta = grad_logits
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = delta.T @ acts[layer]
-        grads_b[layer] = delta.sum(axis=0)
+    for layer in range(n - 1, -1, -1):
+        grads_w[layer] = np.matmul(delta.T, acts[layer], out=grads_w[layer])
+        grads_b[layer] = np.add.reduce(delta, axis=0, out=grads_b[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer]) * (acts[layer] > 0.0)
+            delta = delta @ model.weights[layer]
+            delta *= acts[layer] > 0.0
     return grads_w, grads_b
 
 
 def _target_rows(h, ys):
     """Per-sample target rows: the rows of the target matrix H for labels ys."""
-    return h[ys]
+    return h.take(ys, axis=0)
 
 
 class Trainer:
@@ -133,7 +136,8 @@ class Trainer:
 
     The model's weights (first) and biases are packed into one flat
     parameter vector, and model.weights/model.biases become views into it,
-    so the momentum step runs over every parameter at once. Use
+    so the momentum step runs over every parameter at once. backprop fills
+    a flat gradient vector of the same layout through its views. Use
     model.copy() for a snapshot that training does not change.
     """
 
@@ -145,9 +149,15 @@ class Trainer:
         layers = model.weights + model.biases
         self._params = np.concatenate([p.ravel() for p in layers])
         self._num_weights = sum(w.size for w in model.weights)
-        views = np.split(self._params, np.cumsum([p.size for p in layers])[:-1])
-        model.weights = [v.reshape(w.shape) for v, w in zip(views, model.weights)]
-        model.biases = views[len(model.weights):]
+        bounds = np.cumsum([p.size for p in layers])[:-1]
+
+        def views(flat):  # (weights, biases) shaped views into a flat vector
+            v = [part.reshape(p.shape) for part, p in zip(np.split(flat, bounds), layers)]
+            return v[:len(model.weights)], v[len(model.weights):]
+
+        model.weights, model.biases = views(self._params)
+        self._grad = np.empty_like(self._params)
+        self._grads = views(self._grad)
         self._vel = np.zeros_like(self._params)
         self._mixing_params = initial_mixing(
             cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons
@@ -174,31 +184,34 @@ class Trainer:
         ys_all = data.labels[order]
         h = target_matrix(self.sim, self._mixing_params)  # only _step_mixing changes it
         lr = self.learning_rate()
-        params, vel, nw = self._params, self._vel, self._num_weights
+        params, vel, g = self._params, self._vel, self._grad
+        g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
+        wd, momentum, size = cfg.weight_decay, cfg.momentum, cfg.batch_size
         total_loss = 0.0
-        correct = 0
+        preds = np.empty(data.n, dtype=np.intp)  # counted against ys_all after the loop
         k = self.model.num_classes
         # soft variants: summed softmax rows of the correct predictions, by class
         sums = np.zeros(k * k) if cfg.variant.endswith("-soft") else None
-        for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
-            ys = ys_all[start:start + cfg.batch_size]
-            probs, acts = forward_batch(self.model, xs[start:start + cfg.batch_size])
+        for batch, start in enumerate(range(0, data.n, size)):
+            ys = ys_all[start:start + size]
+            probs, acts = forward_batch(self.model, xs[start:start + size])
             targets = _target_rows(h, ys)
             batch_value, grad_logits = batch_loss(probs, targets)
-            if not np.isfinite(batch_value):
+            if not math.isfinite(batch_value):
                 raise TrainingDivergedError(self.epoch, batch)
             total_loss += batch_value
-            hit = np.argmax(probs, axis=1) == ys
-            correct += int(np.sum(hit))
+            pred = probs.argmax(axis=1, out=preds[start:start + size])
             if sums is not None:
+                hit = pred == ys
                 cells = (ys[hit][:, None] * k + np.arange(k)).ravel()
                 sums += np.bincount(cells, weights=probs[hit].ravel(), minlength=k * k)
 
-            grads_w, grads_b = backprop(self.model, acts, grad_logits)
-            g = np.concatenate([gw.ravel() for gw in grads_w] + grads_b) * (1.0 / ys.shape[0])
-            g[:nw] += cfg.weight_decay * params[:nw]  # no decay on the biases
-            vel *= cfg.momentum
-            vel -= lr * g
+            backprop(self.model, acts, grad_logits, out=self._grads)
+            g *= 1.0 / ys.shape[0]
+            g_w += wd * p_w
+            vel *= momentum
+            g *= lr
+            vel -= g
             params += vel
         if not self.model.check_finite():
             raise TrainingDivergedError(self.epoch, batch)
@@ -207,7 +220,7 @@ class Trainer:
         self.epoch += 1
         return {
             "mean_loss": total_loss / data.n,
-            "accuracy": correct / data.n,
+            "accuracy": np.count_nonzero(preds == ys_all) / data.n,
         }
 
     def _step_mixing(self, sums):
@@ -247,8 +260,7 @@ def evaluate(model, data, topk=5):
     top1 = float(np.mean(pred == data.labels))
     in_topk = np.any(ranked[:, :kprime] == data.labels[:, None], axis=1)
     topk_acc = float(np.mean(in_topk))
-    confusion = np.zeros((k, k), dtype=int)
-    np.add.at(confusion, (data.labels, pred), 1)
+    confusion = np.bincount(data.labels * k + pred, minlength=k * k).reshape(k, k)
     return top1, topk_acc, confusion
 
 

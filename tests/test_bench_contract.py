@@ -1,0 +1,50 @@
+"""The benchmark's tracer (bench/tracer.py) wraps program functions by
+name and counts training batches from the spans of net.forward_batch.
+These tests keep a refactor from renaming a traced function away or
+folding it into the training loop, which would empty a per-layer metric
+without an error. They read bench/ and change nothing in it."""
+
+import math
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracer  # noqa: E402
+
+from mcel import net  # noqa: E402
+from mcel.data import gen_blobs  # noqa: E402
+from mcel.gradcheck import random_similarity  # noqa: E402
+
+
+def test_every_traced_name_resolves():
+    missing = [name for name, (owner, attr) in tracer.TRACED.items()
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("variant", ["ce", "sg-mcel-soft"])
+def test_one_epoch_traces_every_batch(variant):
+    data = gen_blobs(3, 25, 2, seed=0)  # n = 75
+    size = 8
+    sim = random_similarity(np.random.default_rng(0), 3)
+    cfg = net.TrainConfig(batch_size=size, variant=variant)
+    trainer = net.Trainer(net.init_model((2, 6, 3), seed=0), cfg, sim)
+    original = net.forward_batch
+    with tracer.Tracer() as t:
+        trainer.train_epoch(data)
+    assert net.forward_batch is original  # the tracer put it back
+
+    counts = Counter(span[0] for span in t.spans)
+    batches = math.ceil(data.n / size)
+    assert counts["net.train_epoch"] == 1
+    for name in ("net.forward_batch", "net.target_rows", "net.backprop"):
+        assert counts[name] == batches, name
+    assert counts["net.check_finite"] == 1
+    assert counts["net.step_mixing"] == (variant == "sg-mcel-soft")
+    # net.batches counts only the forward passes inside train_epoch
+    parents = {t.spans[p][0] for name, _, _, p in t.spans if name == "net.forward_batch"}
+    assert parents == {"net.train_epoch"}

@@ -53,6 +53,17 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="line 2.*'y'"):
             load_csv(path, "label")
 
+    def test_non_numeric_cell_after_a_middle_label(self, tmp_path):
+        path = tmp_path / "mid.csv"
+        path.write_text("x,label,y,z\n1,a,2,3\n4,b,5,6\n")
+        data, mapping = load_csv(path, "label")
+        assert np.array_equal(data.features, [[1, 2, 3], [4, 5, 6]])
+        assert mapping == {"a": 0, "b": 1} and data.feature_names == ("x", "y", "z")
+        path.write_text("x,label,y,z\n1,a,2,3\n4,b,5,6\n7,c,8,oops\n")
+        want = r"mid.csv: line 4: non-numeric value 'oops' in column 'z'$"
+        with pytest.raises(DataFormatError, match=want):
+            load_csv(path, "label")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

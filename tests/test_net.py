@@ -155,6 +155,38 @@ class TestBackprop:
         assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5
 
 
+class TestArgumentsUnchanged:
+    """The batch path works in place on its own temporaries only: the
+    trainer reads probs after batch_loss and acts after forward_batch."""
+
+    def test_batch_path_leaves_its_arguments_alone(self):
+        rng = np.random.default_rng(21)
+        model = init_model((3, 5, 4, 3), seed=21)
+        params = flatten_params(model)
+        x = rng.normal(size=(6, 3))
+        logits = rng.normal(size=(6, 3)) * 50.0
+        targets = variant_targets(3, rng.integers(3, size=6), "unnormalised", rng)
+        inputs = [x, logits, targets]
+        before = [a.copy() for a in inputs]
+
+        softmax(logits)
+        probs, acts = forward_batch(model, x)
+        kept = [probs.copy()] + [a.copy() for a in acts]
+        _, grad_logits = batch_loss(probs, targets)
+        grad_before = grad_logits.copy()
+        fresh = backprop(model, acts, grad_logits)
+        out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
+        filled = backprop(model, acts, grad_logits, out=out)
+
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        assert all(np.array_equal(a, b) for a, b in zip([probs] + acts, kept))
+        assert np.array_equal(grad_logits, grad_before)
+        assert np.array_equal(flatten_params(model), params)
+        # out is filled, not replaced, and holds the fresh arrays' values
+        assert all(f is o for f, o in zip(filled[0] + filled[1], out[0] + out[1]))
+        assert all(np.array_equal(f, o) for f, o in zip(fresh[0] + fresh[1], out[0] + out[1]))
+
+
 class TestTrainer:
     def make_data(self, k=2, per_class=30, seed=0, spread=0.5):
         centers = np.array([[i * 6.0, 0.0] for i in range(k)])
@@ -465,6 +497,20 @@ class TestEvaluate:
         top1, _, confusion = evaluate(logit_model(3), data, topk=1)
         assert top1 == 0.0  # tie between 0 and 1 resolves to class 0
         assert confusion[1, 0] == 1
+
+    def test_confusion_matches_add_at_reference(self):
+        k = 5
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(40, k))
+        feats[:, 2] -= 100.0  # class 2 has samples but gets no prediction
+        labels = rng.integers(k, size=40)
+        assert np.any(labels == 2)
+        _, _, confusion = evaluate(logit_model(k), LabeledDataset(feats, labels, k))
+        expected = np.zeros((k, k), dtype=int)
+        np.add.at(expected, (labels, np.argmax(feats, axis=1)), 1)
+        assert confusion.dtype == expected.dtype
+        assert np.array_equal(confusion, expected)
+        assert not confusion[:, 2].any()
 
 
 class TestCheckpoint:
