@@ -127,6 +127,14 @@ def load_config(path=None):
         raise UsageError(
             f"unknown loss variant {cfg['loss']['variant']!r}; pick one of {VARIANTS}"
         )
+    topk, standardize = cfg["train"]["topk"], cfg["split"]["standardize"]
+    if int(topk) < 1:
+        raise UsageError(f"config file {path}: [train] topk must be >= 1, got {topk}")
+    if standardize.lower() not in parser.BOOLEAN_STATES:
+        raise UsageError(
+            f"config file {path}: [split] standardize must be one of "
+            f"{', '.join(parser.BOOLEAN_STATES)}; got {standardize!r}"
+        )
     return cfg
 
 
@@ -150,7 +158,7 @@ def build_train_config(cfg, seed=0):
 def prepare_splits(dataset, cfg, seed):
     fractions = _float_list(cfg["split"]["fractions"])
     train, val, test = datamod.split(dataset, fractions, seed)
-    if cfg["split"].get("standardize", "true").lower() in ("1", "true", "yes"):
+    if configparser.ConfigParser.BOOLEAN_STATES[cfg["split"]["standardize"].lower()]:
         train, val, test, _, _ = datamod.standardize(train, val, test)
     return train, val, test
 

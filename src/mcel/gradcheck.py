@@ -9,7 +9,7 @@ command.
 import numpy as np
 
 from .lda import SimilarityMatrix
-from .losses import VARIANTS, batch_loss, initial_mixing, softmax, target_matrix
+from .losses import VARIANTS, batch_loss, build_targets, softmax
 
 FD_STEP = 1e-6
 REL_TOL = 1e-5
@@ -51,8 +51,7 @@ def random_targets(variant, rng, k):
     random epsilon, or random per-class epsilons for the sg variants."""
     sim = random_similarity(rng, k)
     epsilons = rng.uniform(0.05, 0.45, size=k) if variant.startswith("sg-") else None
-    params = initial_mixing(variant, k, sim, float(rng.uniform(0.05, 0.45)), epsilons)
-    return target_matrix(sim, params)
+    return build_targets(variant, k, sim, float(rng.uniform(0.05, 0.45)), epsilons)
 
 
 def check_variant(variant, k, trials, seed, corrupt=0.0, batch_size=4):

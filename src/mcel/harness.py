@@ -9,7 +9,7 @@ reruns with identical seeds are byte-identical.
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -29,20 +29,7 @@ def similarity_checksum(sim):
 
 
 def config_echo(cfg, hidden_sizes, topk):
-    return {
-        "learning_rate": cfg.learning_rate,
-        "momentum": cfg.momentum,
-        "weight_decay": cfg.weight_decay,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "lr_decay": cfg.lr_decay,
-        "seed": cfg.seed,
-        "variant": cfg.variant,
-        "epsilon": cfg.epsilon,
-        "epsilons": None if cfg.epsilons is None else [float(e) for e in cfg.epsilons],
-        "hidden_sizes": list(hidden_sizes),
-        "topk": topk,
-    }
+    return {**asdict(cfg), "hidden_sizes": list(hidden_sizes), "topk": topk}
 
 
 @dataclass
@@ -87,7 +74,10 @@ def run_training(train, val, test, cfg, hidden_sizes, sim=None, topk=5,
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
     if cfg.variant.endswith("-soft"):
-        report["learned_mixing"] = trainer.mixing_params.tolist()
+        # gmcel-soft's final H; sg-mcel-soft's epsilons, which do not move
+        eps = cfg.epsilons if cfg.epsilons is not None else (cfg.epsilon,) * train.k
+        report["learned_mixing"] = (trainer.targets.tolist() if cfg.variant == "gmcel-soft"
+                                    else [float(e) for e in eps])
         report["learned_similarity"] = trainer.sim.a.tolist()
     return RunResult(report, best_model, time.monotonic() - started)
 
@@ -152,11 +142,15 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
     Returns comparison rows plus the per-run noise masks (train-split row
     indices that were flipped).
     """
-    rows = []
-    masks = {}
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"noise fraction {fraction} outside [0, 1]")
+    for eps in epsilon_candidates:
+        if not 0.0 <= eps < 0.5:
+            raise ValueError(f"epsilon candidate {eps} outside [0, 0.5)")
+    rows = []
+    masks = {}
+    for fraction in fractions:
         for seed in seeds:
             train, val, test = datamod.split(dataset, split_fractions, seed)
             spec = datamod.NoiseSpec(pairs, fraction, seed)

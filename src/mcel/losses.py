@@ -5,15 +5,14 @@ one-hot label y with class-similarity mass:
   * ce            - H = I
   * mcel          - one mixing weight epsilon, H[y] = eps * A[y] + (1 - eps) at y
   * sg-mcel       - one mixing weight per class
-  * gmcel         - a full mixture matrix E, H = E = target_matrix(A, eps)
+  * gmcel         - the H of mcel, named for the paper's mixture-matrix loss
   * *-soft        - sg-mcel and gmcel on a similarity A that the trainer
                     re-estimates from the model's correct predictions
                     after every epoch
 
-initial_mixing gives a variant's mixing state on a similarity matrix,
-target_matrix builds H from it, and batch_loss returns a batch's loss with
-its exact gradient for the logits. The trainer steps on batch_loss and
-gradcheck verifies it.
+build_targets gives a variant's H on a similarity matrix, and batch_loss
+returns a batch's loss with its exact gradient for the logits. The trainer
+steps on batch_loss and gradcheck verifies it.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
@@ -27,30 +26,22 @@ PROB_CLAMP = 1e-12
 VARIANTS = ("ce", "mcel", "sg-mcel", "gmcel", "sg-mcel-soft", "gmcel-soft")
 
 
-def target_matrix(sim, params):
-    """Target matrix H: row y is the training target of label y.
-
-    params is the mixing state a trainer holds. A vector of per-class
-    epsilons gives H[y] = eps_y * A[y] with 1 - eps_y on the diagonal; a
-    k x k mixture matrix E is H itself.
-    """
-    if params.ndim == 2:
-        return params
-    k = params.shape[0]
-    if sim.k != k:
-        raise DimensionError(f"need {sim.k} epsilons, got {k}")
-    h = params[:, None] * sim.a
-    h[np.arange(k), np.arange(k)] = 1.0 - params
+def target_matrix(sim, eps):
+    """Target matrix H: row y is eps_y * A[y] with 1 - eps_y on the diagonal."""
+    k = sim.k
+    if eps.shape != (k,):
+        raise DimensionError(f"need {k} epsilons, got {eps.size}")
+    h = eps[:, None] * sim.a
+    h[np.arange(k), np.arange(k)] = 1.0 - eps
     return h
 
 
-def initial_mixing(variant, k, sim, epsilon, epsilons=None):
-    """The mixing state of a `variant` run on the similarity matrix sim.
+def build_targets(variant, k, sim, epsilon, epsilons=None):
+    """Target matrix H of a `variant` run on the similarity matrix sim.
 
-    ce trains on E = I. mcel, sg-mcel and sg-mcel-soft hold k per-class
-    epsilons in [0, 0.5): every one is epsilon, unless the sg variants get
-    their own epsilons. gmcel and gmcel-soft hold the mixture matrix E of
-    the simple loss, E = target_matrix(sim, epsilon).
+    ce trains on H = I. Every other variant trains on target_matrix(sim,
+    eps), where eps holds k per-class epsilons in [0, 0.5): every one is
+    epsilon, unless the sg variants get their own epsilons.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}; pick one of {VARIANTS}")
@@ -69,14 +60,14 @@ def initial_mixing(variant, k, sim, epsilon, epsilons=None):
         raise DimensionError(f"need {k} epsilons, got {eps.size}")
     if not np.all((eps >= 0.0) & (eps < 0.5)):
         raise ValueError("every epsilon must be in [0, 0.5)")
-    return target_matrix(sim, eps) if variant.startswith("gmcel") else eps
+    return target_matrix(sim, eps)
 
 
 def batch_loss(probs, targets):
     """Summed mixed cross-entropy of one batch and its exact logit gradient.
 
-    probs is n x k softmax output and targets = target_matrix(sim,
-    params)[labels]. Returns (value, grad_logits):
+    probs is n x k softmax output and targets = H[labels], the rows of a
+    target matrix H. Returns (value, grad_logits):
 
       value       = -sum(targets * log clamp(probs))
       grad_logits = probs * rowsum(targets) - targets, exact through the

@@ -2,10 +2,10 @@
 SGD+Momentum training.
 
 Hidden layers are ReLU; the output layer is a max-shifted softmax. The
-trainer runs any loss variant from its losses.initial_mixing state: the
-fixed variants just change the target rows, the *-soft variants also
-re-estimate their similarity matrix from the correct predictions of each
-epoch.
+trainer runs any loss variant on its target matrix H from
+losses.build_targets: the fixed variants just change the target rows, the
+*-soft variants also re-estimate their similarity matrix from the correct
+predictions of each epoch and rebuild H on it.
 """
 
 import math
@@ -18,7 +18,7 @@ import numpy as np
 from .data import read_exact
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
 from .lda import SimilarityMatrix
-from .losses import batch_loss, initial_mixing, softmax, target_matrix
+from .losses import batch_loss, build_targets, softmax
 
 CHECKPOINT_MAGIC = b"MCEL"
 CHECKPOINT_VERSION = 1
@@ -159,13 +159,9 @@ class Trainer:
         self._grad = np.empty_like(self._params)
         self._grads = views(self._grad)
         self._vel = np.zeros_like(self._params)
-        self._mixing_params = initial_mixing(
-            cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons
-        )
-
-    @property
-    def mixing_params(self):
-        return self._mixing_params.copy()
+        # the target matrix H; only _step_mixing rebuilds it
+        self.targets = build_targets(cfg.variant, model.num_classes, sim,
+                                     cfg.epsilon, cfg.epsilons)
 
     def learning_rate(self):
         return self.cfg.learning_rate / (1.0 + self.cfg.lr_decay * self.epoch)
@@ -182,7 +178,7 @@ class Trainer:
         order = rng.permutation(data.n)
         xs = data.features[order]
         ys_all = data.labels[order]
-        h = target_matrix(self.sim, self._mixing_params)  # only _step_mixing changes it
+        h = self.targets
         lr = self.learning_rate()
         params, vel, g = self._params, self._vel, self._grad
         g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
@@ -230,8 +226,8 @@ class Trainer:
         class y that the model classified correctly. Row y of A becomes the
         off-diagonal part of sums[y] normalised to sum to 1; a row keeps its
         previous value if an off-diagonal entry is not > 0, which includes a
-        class with no correct sample. The epsilons do not move; a mixture
-        matrix E is rebuilt on the new A.
+        class with no correct sample. The epsilons do not move; the target
+        matrix H is rebuilt on the new A.
         """
         k = sums.shape[0]
         diag = np.eye(k, dtype=bool)
@@ -241,7 +237,7 @@ class Trainer:
         a[ok] = off[ok] / off[ok].sum(axis=1, keepdims=True)
         self.sim = SimilarityMatrix(k, a)
         cfg = self.cfg
-        self._mixing_params = initial_mixing(cfg.variant, k, self.sim, cfg.epsilon, cfg.epsilons)
+        self.targets = build_targets(cfg.variant, k, self.sim, cfg.epsilon, cfg.epsilons)
 
 
 def evaluate(model, data, topk=5):

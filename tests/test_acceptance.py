@@ -19,7 +19,7 @@ from mcel.lda import (
     LdaModel, SimilarityMatrix, build_similarity_matrix, fit_lda, scatter_matrices,
     uniform_similarity,
 )
-from mcel.losses import batch_loss, initial_mixing, softmax, target_matrix
+from mcel.losses import batch_loss, build_targets, softmax, target_matrix
 from mcel.net import TrainConfig, backprop, forward_batch, init_model
 
 
@@ -40,10 +40,10 @@ def test_reduction_suite():
             sim = random_similarity(rng, k)
             eps = float(rng.uniform(0.05, 0.45))
             eps_vec = np.full(k, eps)
-            e = initial_mixing("gmcel", k, sim, eps)
+            e = build_targets("gmcel", k, sim, eps)
 
-            def loss(params):
-                return batch_loss(probs, target_matrix(sim, params)[y])
+            def loss(h):
+                return batch_loss(probs, h[y])
 
             # the simple loss written out: (1-eps) * one-hot + eps * A[y]
             w = eps * sim.a[y[0]]
@@ -51,11 +51,11 @@ def test_reduction_suite():
             base_value = -float(np.dot(w, np.log(probs[0])))
             base_grad = probs * w.sum() - w
 
-            zero_eps = loss(np.zeros(k))
+            zero_eps = loss(target_matrix(sim, np.zeros(k)))
             worst = max(worst, abs(zero_eps[0] - -float(np.log(probs[0, y[0]]))))
 
-            for params in (eps_vec, e):
-                value, grad = loss(params)
+            for h in (target_matrix(sim, eps_vec), e):
+                value, grad = loss(h)
                 worst = max(worst, abs(value - base_value),
                             float(np.max(np.abs(grad - base_grad))))
     elapsed = time.monotonic() - started
@@ -221,13 +221,13 @@ def test_end_to_end_training():
     k = 3
     sim3 = random_similarity(np.random.default_rng(5), k)
     eps_vec = np.array([0.1, 0.25, 0.4])
-    mix3 = initial_mixing("gmcel", k, sim3, 0.3)
+    mix3 = build_targets("gmcel", k, sim3, 0.3)
     rows3 = np.random.default_rng(6).uniform(0.05, 0.95, (k, k))
     variants = {
         "ce": lambda ys: np.eye(k)[ys],
         "simple": lambda ys: target_matrix(sim3, np.full(k, 0.2))[ys],
         "per-class": lambda ys: target_matrix(sim3, eps_vec)[ys],
-        "matrix": lambda ys: target_matrix(sim3, mix3)[ys],
+        "matrix": lambda ys: mix3[ys],
         "unnormalised": lambda ys: rows3[ys],  # rows that do not sum to 1
     }
     grad_errs = {name: _param_gradient_error(fn) for name, fn in variants.items()}

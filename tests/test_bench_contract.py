@@ -2,7 +2,12 @@
 name and counts training batches from the spans of net.forward_batch.
 These tests keep a refactor from renaming a traced function away or
 folding it into the training loop, which would empty a per-layer metric
-without an error. They read bench/ and change nothing in it."""
+without an error. The benchmark's output checks (bench/checks.py) read
+fields of the program's reports; a test here runs the same checks on a
+fresh report, so a change to the report fails here first. The tests read
+bench/ and change nothing in it."""
+
+import json
 
 import math
 import sys
@@ -13,11 +18,14 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import checks  # noqa: E402
 import tracer  # noqa: E402
 
 from mcel import net  # noqa: E402
+from mcel.cli import main  # noqa: E402
 from mcel.data import gen_blobs  # noqa: E402
 from mcel.gradcheck import random_similarity  # noqa: E402
+from mcel.lda import SimilarityMatrix  # noqa: E402
 
 
 def test_every_traced_name_resolves():
@@ -48,3 +56,20 @@ def test_one_epoch_traces_every_batch(variant):
     # net.batches counts only the forward passes inside train_epoch
     parents = {t.spans[p][0] for name, _, _, p in t.spans if name == "net.forward_batch"}
     assert parents == {"net.train_epoch"}
+
+
+def test_soft_report_fields_the_train_soft_checks_read(tmp_path):
+    # bench/run.py soft_outputs: learned_mixing holds the k configured
+    # epsilons, learned_similarity the final A, and epochs.jsonl the epochs
+    config = tmp_path / "soft.ini"
+    config.write_text("[train]\nepochs = 3\n[loss]\nvariant = sg-mcel-soft\nepsilon = 0.2\n")
+    out = tmp_path / "out"
+    assert main(["train", "--blobs", "4,60,2,1.0", "--config", str(config),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    k = 4
+    checks.check_learned_epsilons(report["learned_mixing"], k)
+    assert report["learned_mixing"] == [0.2] * k
+    assert all(type(e) is float for e in report["learned_mixing"])
+    SimilarityMatrix(k, np.array(report["learned_similarity"]))
+    checks.check_epochs((out / "epochs.jsonl").read_text(), report, 3)

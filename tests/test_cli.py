@@ -6,13 +6,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mcel
 from mcel.cli import VARIANTS, main
 from mcel.data import gen_blobs, split
 from mcel.harness import run_grid_search, similarity_from_dataset
 from mcel.lda import load_similarity
-from mcel.net import TrainConfig
+from mcel.net import TrainConfig, Trainer
 
 
 SRC = str(Path(mcel.__file__).resolve().parents[1])
@@ -160,6 +161,20 @@ class TestTrainCommand:
         report = json.loads((train_report(tmp_path, "s", str(path)) / "report.json").read_text())
         assert report["learned_mixing"] == [0.1, 0.2, 0.3]
 
+    def test_gmcel_variants_train_as_their_vector_twins(self, tmp_path):
+        # gmcel builds the H of mcel, and gmcel-soft that of sg-mcel-soft, so
+        # each pair trains the same model; only the reported mixing differs
+        def outputs(variant):
+            config = tmp_path / f"{variant}.ini"
+            config.write_text(CONFIG.format(variant=variant, epsilon=0.2))
+            out = train_report(tmp_path, variant, str(config))
+            report = json.loads((out / "report.json").read_text())
+            files = [(out / name).read_bytes() for name in ("model.ckpt", "epochs.jsonl")]
+            return files, report.get("learned_similarity")
+
+        for matrix, vector in (("gmcel", "mcel"), ("gmcel-soft", "sg-mcel-soft")):
+            assert outputs(matrix) == outputs(vector), matrix
+
     def test_missing_similarity_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "mcel", 0.2)
         code = run_cli(
@@ -247,6 +262,60 @@ class TestBadValues:
         )
         self.assert_clean_usage_error(proc)
         assert "per-class epsilons" in proc.stderr
+
+
+    def assert_usage_error_in_process(self, capsys, *argv):
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        return err
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("trained before the bad value was rejected")
+        monkeypatch.setattr(Trainer, "train_epoch", fail)
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "noise-exp"])
+    @pytest.mark.parametrize("topk", ["0", "-1"])
+    def test_topk_below_one(self, tmp_path, capsys, no_training, command, topk):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[train]\ntopk = {topk}\n")
+        err = self.assert_usage_error_in_process(
+            capsys, command, "--blobs", "4,30,2,1.0", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        assert f"topk must be >= 1, got {topk}" in err
+
+    def test_standardize_takes_configparser_booleans(self, tmp_path, capsys):
+        def checkpoint(value):
+            path = tmp_path / "std.ini"
+            path.write_text(f"[train]\nepochs = 2\n[split]\nstandardize = {value}\n")
+            out = tmp_path / value
+            assert run_cli("train", "--blobs", "3,30,2,0.8", "--data-seed", "1",
+                           "--config", str(path), "--out", str(out)) == 0
+            return (out / "model.ckpt").read_bytes()
+
+        on, off = checkpoint("true"), checkpoint("false")
+        assert on != off
+        assert [checkpoint(v) for v in ("on", "Yes", "1")] == [on] * 3
+        assert [checkpoint(v) for v in ("off", "No", "0")] == [off] * 3
+        for value in ("ture", "maybe", "2"):
+            path = tmp_path / "bad.ini"
+            path.write_text(f"[split]\nstandardize = {value}\n")
+            err = self.assert_usage_error_in_process(
+                capsys, "train", "--blobs", "3,30,2,0.8", "--config", str(path),
+                "--out", str(tmp_path / "x"),
+            )
+            assert "[split] standardize" in err and repr(value) in err
+
+    def test_epsilon_candidates_checked_before_training(self, tmp_path, capsys, no_training):
+        err = self.assert_usage_error_in_process(
+            capsys, "noise-exp", "--blobs", "4,30,2,1.0", "--epsilon-candidates", "0.2,0.7",
+            "--out", str(tmp_path / "x"),
+        )
+        assert "epsilon candidate 0.7 outside [0, 0.5)" in err
 
 
 class TestRuntimeExitCodes:

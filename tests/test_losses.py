@@ -7,7 +7,7 @@ from mcel.lda import SimilarityMatrix, uniform_similarity
 from mcel.losses import (
     VARIANTS,
     batch_loss,
-    initial_mixing,
+    build_targets,
     softmax,
     target_matrix,
 )
@@ -17,8 +17,8 @@ def two_class_sim():
     return SimilarityMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def random_matrix_mixing(rng, k):
-    """A random row-stochastic mixture matrix E with a dominant diagonal."""
+def random_stochastic_targets(rng, k):
+    """A random row-stochastic target matrix H with a dominant diagonal."""
     diag = rng.uniform(0.5, 0.8, size=k)
     e = np.empty((k, k))
     for i in range(k):
@@ -28,26 +28,21 @@ def random_matrix_mixing(rng, k):
     return e
 
 
-def simple_matrix(sim, eps):
-    """The gmcel mixture matrix of the simple loss at eps."""
-    return initial_mixing("gmcel", sim.k, sim, eps)
-
-
 def random_probs(rng, k, floor=1e-3):
     p = rng.random(k) + floor * k
     p = p / p.sum()
     return np.maximum(p, floor) / np.maximum(p, floor).sum()
 
 
-def loss_of(probs, y, sim, params):
-    """Value and probs-row logit gradient of one sample under fixed mixing."""
-    value, grad = batch_loss(np.asarray(probs)[None, :], target_matrix(sim, params)[[y]])
+def loss_of(probs, y, h):
+    """Value and probs-row logit gradient of one sample on target matrix h."""
+    value, grad = batch_loss(np.asarray(probs)[None, :], h[[y]])
     return value, grad[0]
 
 
-def logit_fd_error(logits, y, sim, params):
+def logit_fd_error(logits, y, h):
     """FD relative error of the kernel's logit gradient for one sample."""
-    targets = target_matrix(sim, params)[[y]]
+    targets = h[[y]]
     _, grad = batch_loss(softmax(logits)[None, :], targets)
     num = central_diff(lambda lg: batch_loss(softmax(lg)[None, :], targets)[0], logits)
     return max_rel_error(grad[0], num)
@@ -58,45 +53,44 @@ class TestMixingSpecs:
         sim = two_class_sim()
         for variant in VARIANTS[1:]:
             with pytest.raises(ValueError):
-                initial_mixing(variant, 2, sim, 0.5)
+                build_targets(variant, 2, sim, 0.5)
             with pytest.raises(ValueError):
-                initial_mixing(variant, 2, sim, -0.01)
+                build_targets(variant, 2, sim, -0.01)
             with pytest.raises(ValueError):
-                initial_mixing(variant, 2, sim, float("nan"))
-            initial_mixing(variant, 2, sim, 0.0)  # cross-entropy limit is admitted
+                build_targets(variant, 2, sim, float("nan"))
+            build_targets(variant, 2, sim, 0.0)  # cross-entropy limit is admitted
 
     def test_per_class_range(self):
         for variant in ("sg-mcel", "sg-mcel-soft"):
             with pytest.raises(ValueError):
-                initial_mixing(variant, 2, two_class_sim(), 0.2, [0.1, 0.5])
+                build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.5])
             with pytest.raises(ValueError):
-                initial_mixing(variant, 2, two_class_sim(), 0.2, [0.1, float("nan")])
+                build_targets(variant, 2, two_class_sim(), 0.2, [0.1, float("nan")])
             with pytest.raises(DimensionError):
-                initial_mixing(variant, 2, two_class_sim(), 0.2, [0.1, 0.1, 0.1])
+                build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.1, 0.1])
 
     def test_per_class_only_for_sg_variants(self):
         for variant in ("ce", "mcel", "gmcel", "gmcel-soft"):
             with pytest.raises(ValueError, match="per-class"):
-                initial_mixing(variant, 2, two_class_sim(), 0.2, [0.1, 0.2])
+                build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.2])
 
     def test_variant_states(self):
+        # every variant's H: I for ce, the simple loss's H for the rest
         sim = random_similarity(np.random.default_rng(3), 4)
-        assert np.array_equal(initial_mixing("ce", 4, None, 0.2), np.eye(4))
-        for variant in ("mcel", "sg-mcel", "sg-mcel-soft"):
-            assert np.array_equal(initial_mixing(variant, 4, sim, 0.2), np.full(4, 0.2))
-        params = initial_mixing("sg-mcel", 4, sim, 0.2, (0.1, 0.2, 0.3, 0.4))
-        assert np.array_equal(params, [0.1, 0.2, 0.3, 0.4])
-        for variant in ("gmcel", "gmcel-soft"):
-            e = initial_mixing(variant, 4, sim, 0.2)
-            assert np.array_equal(e, target_matrix(sim, np.full(4, 0.2)))
+        assert np.array_equal(build_targets("ce", 4, None, 0.2), np.eye(4))
+        simple = target_matrix(sim, np.full(4, 0.2))
+        for variant in VARIANTS[1:]:
+            assert np.array_equal(build_targets(variant, 4, sim, 0.2), simple)
+        h = build_targets("sg-mcel", 4, sim, 0.2, (0.1, 0.2, 0.3, 0.4))
+        assert np.array_equal(h, target_matrix(sim, np.array([0.1, 0.2, 0.3, 0.4])))
 
     def test_similarity_required_and_sized(self):
         with pytest.raises(ValueError, match="similarity"):
-            initial_mixing("mcel", 2, None, 0.2)
+            build_targets("mcel", 2, None, 0.2)
         with pytest.raises(DimensionError):
-            initial_mixing("gmcel", 3, two_class_sim(), 0.2)
+            build_targets("gmcel", 3, two_class_sim(), 0.2)
         with pytest.raises(ValueError, match="unknown"):
-            initial_mixing("focal", 2, two_class_sim(), 0.2)
+            build_targets("focal", 2, two_class_sim(), 0.2)
 
 
 class TestTargetMatrix:
@@ -125,25 +119,25 @@ class TestTargetMatrix:
                 h = target_matrix(sim, eps)
                 assert np.allclose(h.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_matrix_spec_passthrough(self):
-        rng = np.random.default_rng(2)
-        e = random_matrix_mixing(rng, 3)
-        sim = random_similarity(rng, 3)
-        assert np.array_equal(target_matrix(sim, e), e)
+    def test_mixture_matrix_rejected(self):
+        # a k x k matrix is not read as a target matrix: only per-class epsilons are
+        sim = random_similarity(np.random.default_rng(2), 3)
+        with pytest.raises(DimensionError, match="need 3 epsilons, got 9"):
+            target_matrix(sim, np.full((3, 3), 0.2))
 
 
 class TestMcelLoss:
     def test_perfect_prediction(self):
         probs = np.array([1.0 - 2e-9, 1e-9, 1e-9])
         sim = random_similarity(np.random.default_rng(0), 3)
-        value, _ = loss_of(probs, 0, sim, np.zeros(3))
+        value, _ = loss_of(probs, 0, target_matrix(sim, np.zeros(3)))
         assert value == pytest.approx(0.0, abs=1e-8)
 
     def test_reduces_to_cross_entropy(self):
         rng = np.random.default_rng(1)
         sim = random_similarity(rng, 4)
         probs = random_probs(rng, 4)
-        value, _ = loss_of(probs, 2, sim, np.zeros(4))
+        value, _ = loss_of(probs, 2, target_matrix(sim, np.zeros(4)))
         assert abs(value - (-np.log(probs[2]))) <= 1e-15
 
     def test_hand_instance_with_oracle(self):
@@ -151,13 +145,13 @@ class TestMcelLoss:
         sim = SimilarityMatrix(3, a)
         probs = np.array([0.7, 0.2, 0.1])
         eps = 0.3
-        value, _ = loss_of(probs, 0, sim, np.full(3, eps))
+        value, _ = loss_of(probs, 0, target_matrix(sim, np.full(3, eps)))
         expected = 0.0
         for i in range(3):
             w = (1 - eps) * (i == 0) + eps * a[0, i]
             expected -= w * np.log(probs[i])
         assert abs(value - expected) <= 1e-12
-        assert logit_fd_error(np.log(probs), 0, sim, np.full(3, eps)) <= 1e-6
+        assert logit_fd_error(np.log(probs), 0, target_matrix(sim, np.full(3, eps))) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(3))
     def test_affine_in_epsilon(self, seed):
@@ -165,7 +159,8 @@ class TestMcelLoss:
         sim = random_similarity(rng, 5)
         probs = random_probs(rng, 5)
         y = int(rng.integers(5))
-        v0, v1, v2 = (loss_of(probs, y, sim, np.full(5, e))[0] for e in (0.1, 0.2, 0.3))
+        v0, v1, v2 = (loss_of(probs, y, target_matrix(sim, np.full(5, e)))[0]
+                      for e in (0.1, 0.2, 0.3))
         assert abs(v2 - 2 * v1 + v0) <= 1e-12
 
     def test_permutation_invariance(self):
@@ -178,8 +173,8 @@ class TestMcelLoss:
         inv = np.argsort(perm)
         a_p = sim.a[np.ix_(inv, inv)]
         sim_p = SimilarityMatrix(k, a_p / a_p.sum(axis=1, keepdims=True))
-        value, _ = loss_of(probs, y, sim, np.full(k, 0.3))
-        value_p, _ = loss_of(probs[inv], perm[y], sim_p, np.full(k, 0.3))
+        value, _ = loss_of(probs, y, target_matrix(sim, np.full(k, 0.3)))
+        value_p, _ = loss_of(probs[inv], perm[y], target_matrix(sim_p, np.full(k, 0.3)))
         assert abs(value - value_p) <= 1e-12
 
 
@@ -189,7 +184,7 @@ class TestSgMcel:
         sim = random_similarity(rng, 5)
         probs = random_probs(rng, 5)
         for y in range(5):
-            value, grad = loss_of(probs, y, sim, np.full(5, 0.3))
+            value, grad = loss_of(probs, y, target_matrix(sim, np.full(5, 0.3)))
             # the simple loss written out: (1-eps) * one-hot + eps * A[y]
             w = 0.3 * sim.a[y]
             w[y] = 0.7
@@ -200,7 +195,7 @@ class TestSgMcel:
         rng = np.random.default_rng(1)
         sim = random_similarity(rng, 3)
         probs = random_probs(rng, 3)
-        value, _ = loss_of(probs, 1, sim, np.zeros(3))
+        value, _ = loss_of(probs, 1, target_matrix(sim, np.zeros(3)))
         assert abs(value - (-np.log(probs[1]))) <= 1e-15
 
     def test_gradient_matches_fd(self):
@@ -208,7 +203,7 @@ class TestSgMcel:
         sim = random_similarity(rng, 5)
         logits = rng.normal(0, 2, 5)
         eps = rng.uniform(0.05, 0.45, 5)
-        assert logit_fd_error(logits, 3, sim, eps) <= 1e-6
+        assert logit_fd_error(logits, 3, target_matrix(sim, eps)) <= 1e-6
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
@@ -220,25 +215,25 @@ class TestGmcel:
         k = 3
         rng = np.random.default_rng(0)
         probs = random_probs(rng, k)
-        value, _ = loss_of(probs, 1, None, np.eye(k))
+        value, _ = loss_of(probs, 1, np.eye(k))
         assert abs(value - (-np.log(probs[1]))) <= 1e-15
 
     def test_simple_construction_equivalence(self):
         rng = np.random.default_rng(1)
         sim = random_similarity(rng, 4)
         eps = 0.25
-        e = simple_matrix(sim, eps)
+        e = build_targets("gmcel", 4, sim, eps)
         probs = random_probs(rng, 4)
         for y in range(4):
-            a, _ = loss_of(probs, y, sim, e)
-            b, _ = loss_of(probs, y, sim, np.full(4, eps))
+            a, _ = loss_of(probs, y, e)
+            b, _ = loss_of(probs, y, target_matrix(sim, np.full(4, eps)))
             assert abs(a - b) <= 1e-15
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
-        e = random_matrix_mixing(rng, 4)
+        e = random_stochastic_targets(rng, 4)
         logits = rng.normal(0, 2, 4)
-        assert logit_fd_error(logits, 2, None, e) <= 1e-6
+        assert logit_fd_error(logits, 2, e) <= 1e-6
 
 
 class TestReductionChain:
@@ -250,13 +245,13 @@ class TestReductionChain:
             probs = random_probs(rng, k)
             y = int(rng.integers(k))
             eps = float(rng.uniform(0.01, 0.49))
-            base, _ = loss_of(probs, y, sim, simple_matrix(sim, eps))
+            base, _ = loss_of(probs, y, build_targets("gmcel", k, sim, eps))
             per_class = rng.uniform(0.01, 0.49, k)
             per_class[y] = eps
-            assert abs(loss_of(probs, y, sim, per_class)[0] - base) <= 1e-12
-            assert abs(loss_of(probs, y, sim, np.full(k, eps))[0] - base) <= 1e-12
+            assert abs(loss_of(probs, y, target_matrix(sim, per_class))[0] - base) <= 1e-12
+            assert abs(loss_of(probs, y, target_matrix(sim, np.full(k, eps)))[0] - base) <= 1e-12
             ce = -np.log(probs[y])
-            assert abs(loss_of(probs, y, sim, np.zeros(k))[0] - ce) <= 1e-12
+            assert abs(loss_of(probs, y, target_matrix(sim, np.zeros(k)))[0] - ce) <= 1e-12
 
 
 def logit_gradient(logits, target_row):

@@ -12,7 +12,7 @@ from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import DataFormatError, TrainingDivergedError
 from mcel.gradcheck import random_similarity
 from mcel.lda import SimilarityMatrix
-from mcel.losses import PROB_CLAMP, batch_loss, initial_mixing, softmax, target_matrix
+from mcel.losses import PROB_CLAMP, batch_loss, build_targets, softmax, target_matrix
 from mcel.net import (
     MlpModel,
     TrainConfig,
@@ -353,7 +353,7 @@ class TestTrainer:
         trainer = Trainer(model, cfg, sim)
         for _ in range(5):
             trainer.train_epoch(data)
-        assert np.array_equal(trainer.mixing_params, np.full(3, 0.2))
+        assert np.array_equal(trainer.targets, target_matrix(trainer.sim, np.full(3, 0.2)))
         off = trainer.sim.a[~np.eye(3, dtype=bool)]
         assert np.all(off > 0.0) and np.all(off < 1.0)
         assert not np.array_equal(trainer.sim.a, sim.a)
@@ -369,9 +369,9 @@ class TestTrainer:
         trainer = Trainer(model, cfg, sim)
         for _ in range(4):
             trainer.train_epoch(data)
-        e = trainer.mixing_params
-        assert np.all(e > 0.0) and np.all(e < 1.0)
-        assert np.array_equal(e, target_matrix(trainer.sim, np.full(3, 0.2)))
+        h = trainer.targets
+        assert np.all(h > 0.0) and np.all(h < 1.0)
+        assert np.array_equal(h, target_matrix(trainer.sim, np.full(3, 0.2)))
 
     def test_soft_step_follows_kernel(self):
         # one full batch per epoch: each epoch's reported loss is the kernel's
@@ -418,14 +418,14 @@ class TestTrainer:
             expected[y] = mean / mean.sum()
         assert np.allclose(trainer.sim.a, expected, rtol=1e-12, atol=0.0)
         assert np.array_equal(trainer.sim.a[[1, 2]], sim.a[[1, 2]])
-        assert np.array_equal(trainer.mixing_params, target_matrix(trainer.sim, np.full(4, 0.2)))
+        assert np.array_equal(trainer.targets, target_matrix(trainer.sim, np.full(4, 0.2)))
 
 
 def reference_epochs(model, cfg, sim, data, epochs):
     """Train `model` in place with a plain per-layer loop: fancy-indexed
-    batches, H built for every batch, SGD+momentum with weight decay on the
-    weights. Returns each epoch's metrics."""
-    mixing = initial_mixing(cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons)
+    batches, the target rows gathered for every batch, SGD+momentum with
+    weight decay on the weights. Returns each epoch's metrics."""
+    h = build_targets(cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons)
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     metrics = []
@@ -437,7 +437,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
             idx = order[start:start + cfg.batch_size]
             ys = data.labels[idx]
             probs, acts = forward_batch(model, data.features[idx])
-            value, grad_logits = batch_loss(probs, target_matrix(sim, mixing)[ys])
+            value, grad_logits = batch_loss(probs, h[ys])
             total += value
             correct += int(np.sum(np.argmax(probs, axis=1) == ys))
             grads_w, grads_b = backprop(model, acts, grad_logits)
