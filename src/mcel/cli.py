@@ -100,9 +100,20 @@ DEFAULT_CONFIG = {
 }
 # keys a config file may set beyond those with a default
 OPTIONAL_KEYS = {"loss": ("epsilons",)}
+# how load_config parses each numeric key, and what the value must be
+NUMERIC_KEYS = {
+    "train": {"learning_rate": float, "momentum": float, "weight_decay": float,
+              "epochs": int, "batch_size": int, "lr_decay": float, "hidden": _int_list,
+              "topk": int},
+    "loss": {"epsilon": float, "epsilons": _float_list},
+    "split": {"fractions": _float_list},
+}
+WANTED = {float: "a number", int: "an integer", _float_list: "a list of numbers",
+          _int_list: "a list of integers"}
 
 
 def load_config(path=None):
+    """The [train], [loss] and [split] sections, numbers parsed and standardize a bool."""
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULT_CONFIG)
     if path is not None:
@@ -118,47 +129,45 @@ def load_config(path=None):
         for key in parser[section]:
             if key not in known:
                 raise UsageError(f"config file {path}: unknown key {key!r} in [{section}]")
-    cfg = {
-        "train": dict(parser["train"]),
-        "loss": dict(parser["loss"]),
-        "split": dict(parser["split"]),
-    }
+    cfg = {section: dict(parser[section]) for section in DEFAULT_CONFIG}
+    for section, parsers in NUMERIC_KEYS.items():
+        for key, parse in parsers.items():
+            if key in cfg[section]:
+                value = cfg[section][key]
+                try:
+                    cfg[section][key] = parse(value)
+                except ValueError:
+                    raise UsageError(f"config file {path}: [{section}] {key} = {value!r} "
+                                     f"is not {WANTED[parse]}") from None
     if cfg["loss"]["variant"] not in VARIANTS:
         raise UsageError(
             f"unknown loss variant {cfg['loss']['variant']!r}; pick one of {VARIANTS}"
         )
     topk, standardize = cfg["train"]["topk"], cfg["split"]["standardize"]
-    if int(topk) < 1:
+    if topk < 1:
         raise UsageError(f"config file {path}: [train] topk must be >= 1, got {topk}")
     if standardize.lower() not in parser.BOOLEAN_STATES:
         raise UsageError(
             f"config file {path}: [split] standardize must be one of "
             f"{', '.join(parser.BOOLEAN_STATES)}; got {standardize!r}"
         )
+    cfg["split"]["standardize"] = parser.BOOLEAN_STATES[standardize.lower()]
     return cfg
 
 
 def build_train_config(cfg, seed=0):
-    t = cfg["train"]
     loss = cfg["loss"]
+    steps = ("learning_rate", "momentum", "weight_decay", "epochs", "batch_size", "lr_decay")
     return TrainConfig(
-        learning_rate=float(t["learning_rate"]),
-        momentum=float(t["momentum"]),
-        weight_decay=float(t["weight_decay"]),
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        lr_decay=float(t["lr_decay"]),
-        seed=seed,
-        variant=loss["variant"],
-        epsilon=float(loss["epsilon"]),
-        epsilons=tuple(_float_list(loss["epsilons"])) if "epsilons" in loss else None,
+        **{key: cfg["train"][key] for key in steps}, seed=seed, variant=loss["variant"],
+        epsilon=loss["epsilon"],
+        epsilons=tuple(loss["epsilons"]) if "epsilons" in loss else None,
     )
 
 
 def prepare_splits(dataset, cfg, seed):
-    fractions = _float_list(cfg["split"]["fractions"])
-    train, val, test = datamod.split(dataset, fractions, seed)
-    if configparser.ConfigParser.BOOLEAN_STATES[cfg["split"]["standardize"].lower()]:
+    train, val, test = datamod.split(dataset, cfg["split"]["fractions"], seed)
+    if cfg["split"]["standardize"]:
         train, val, test, _, _ = datamod.standardize(train, val, test)
     return train, val, test
 
@@ -197,9 +206,8 @@ def cmd_similarity(args):
     with open(out / "similarity_heatmap.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "a_ij"])
-        for i in range(sim.k):
-            for j in range(sim.k):
-                writer.writerow([i, j, repr(float(sim.a[i, j]))])
+        classes = range(sim.k)
+        writer.writerows([i, j, repr(float(sim.a[i, j]))] for i in classes for j in classes)
     print(f"similarity matrix for k={sim.k} written to {sim_path}")
     print(f"asymmetry max|A-A^T| = {sim.asymmetry():.6g}")
     print(f"checksum = {similarity_checksum(sim)}")
@@ -213,8 +221,6 @@ def cmd_train(args):
     train, val, test = prepare_splits(dataset, cfg, args.seed)
     sim = obtain_similarity(args, cfg, train)
     tc = build_train_config(cfg, args.seed)
-    hidden = _int_list(cfg["train"]["hidden"])
-    topk = int(cfg["train"]["topk"])
 
     epochs_path = out / "epochs.jsonl"
     with open(epochs_path, "w") as stream:
@@ -222,7 +228,8 @@ def cmd_train(args):
             stream.write(json.dumps(record, sort_keys=True) + "\n")
             stream.flush()
 
-        result = run_training(train, val, test, tc, hidden, sim, topk, on_epoch)
+        result = run_training(train, val, test, tc, cfg["train"]["hidden"], sim,
+                              cfg["train"]["topk"], on_epoch)
     (out / "report.json").write_text(dumps_report(result.report))
     save_checkpoint(result.model, out / "model.ckpt")
     _write_meta(out, result.wall_seconds)
@@ -238,8 +245,7 @@ def cmd_gridsearch(args):
     cfg = load_config(args.config)
     dataset = load_dataset(args)
     out = _outdir(args)
-    hidden = _int_list(cfg["train"]["hidden"])
-    topk = int(cfg["train"]["topk"])
+    hidden, topk = cfg["train"]["hidden"], cfg["train"]["topk"]
     base = build_train_config(cfg)
     epsilons = args.epsilons if args.epsilons else list(DEFAULT_GRID)
     seeds = args.seeds if args.seeds else [0]
@@ -255,10 +261,8 @@ def cmd_gridsearch(args):
     with open(out / "grid_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epsilon", "mean_val_acc", "std_val_acc"])
-        for row in result["grid"]:
-            writer.writerow(
-                [row["epsilon"], repr(row["mean_val_acc"]), repr(row["std_val_acc"])]
-            )
+        writer.writerows([row["epsilon"], repr(row["mean_val_acc"]), repr(row["std_val_acc"])]
+                         for row in result["grid"])
     _write_meta(out, time.monotonic() - started)
     print(f"grid {epsilons} -> selected epsilon = {result['selected_epsilon']}")
     return EXIT_OK
@@ -280,29 +284,24 @@ def cmd_noise_exp(args):
     cfg = load_config(args.config)
     dataset = load_dataset(args)
     out = _outdir(args)
-    hidden = _int_list(cfg["train"]["hidden"])
-    topk = int(cfg["train"]["topk"])
+    hidden, topk = cfg["train"]["hidden"], cfg["train"]["topk"]
     base = build_train_config(cfg)
     pairs = _parse_pairs(args.pairs) if args.pairs else _default_pairs(dataset.k)
     fractions = args.fractions if args.fractions else [0.3]
     seeds = args.seeds if args.seeds else [0]
     candidates = args.epsilon_candidates if args.epsilon_candidates else [0.2]
-    split_fracs = _float_list(cfg["split"]["fractions"])
 
     started = time.monotonic()
     result = run_noise_experiment(
         dataset, pairs, fractions, seeds, base, hidden,
-        epsilon_candidates=candidates, split_fractions=split_fracs,
+        epsilon_candidates=candidates, split_fractions=cfg["split"]["fractions"],
         topk=topk, lda_components=args.lda_components,
     )
     with open(out / "noise.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fraction", "seed", "variant", "epsilon", "test_top1"])
-        for row in result["rows"]:
-            writer.writerow(
-                [row["fraction"], row["seed"], row["variant"], row["epsilon"],
-                 repr(row["test_top1"])]
-            )
+        writer.writerows([row["fraction"], row["seed"], row["variant"], row["epsilon"],
+                          repr(row["test_top1"])] for row in result["rows"])
     for (fraction, seed), idx in result["masks"].items():
         mask_path = out / f"noise_mask_f{fraction}_s{seed}.txt"
         mask_path.write_text("".join(f"{int(i)}\n" for i in idx))

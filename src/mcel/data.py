@@ -9,6 +9,7 @@ import csv
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,54 @@ def load_csv(path, label_column):
 
     Feature columns parse as finite float64. String labels map to indices
     in first-appearance order; the mapping is returned alongside the
-    dataset.
+    dataset. numpy's C reader parses the rows; a file it might read otherwise
+    than the csv module goes through the csv module, which words every error.
     """
+    try:
+        feature_names, features, raw_labels = _loadtxt_rows(path, label_column)
+    except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+        feature_names, features, raw_labels = _csv_module_rows(path, label_column)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise DataFormatError(
+            f"{path}: line {row + 2}: non-finite value {float(features[row, col])!r} "
+            f"in column {feature_names[col]!r}"
+        )
+    mapping = {}
+    labels = [mapping.setdefault(lab, len(mapping)) for lab in raw_labels]
+    return LabeledDataset(features, np.array(labels), len(mapping), feature_names), mapping
+
+
+def _loadtxt_rows(path, label_column):
+    """Feature names, features and raw labels through np.loadtxt; a ValueError, or
+    a UserWarning for no rows, wherever it might read otherwise than the csv module."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+        label_idx = header.index(label_column)  # a ValueError if there is none
+
+        def lines():
+            # loadtxt skips an empty line (the csv module reads a 0-cell row)
+            # and strips \x1c-\x1f around a number (float does not)
+            for line in fh:
+                if (line in ("\n", "\r\n", "\r") or "\x1c" in line or "\x1d" in line
+                        or "\x1e" in line or "\x1f" in line):
+                    raise ValueError("a line loadtxt and the csv module read apart")
+                yield line
+
+        dtype = [(f"f{i}", object if i == label_idx else float) for i in range(len(header))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            table = np.loadtxt(lines(), dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1)
+    columns = [table[f"f{i}"] for i in range(len(header))]
+    raw_labels = columns.pop(label_idx).tolist()
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    return feature_names, np.stack(columns, axis=1), raw_labels
+
+
+def _csv_module_rows(path, label_column):
+    """Feature names, features and raw labels through the csv module."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             feature_names, rows, raw_labels = _csv_rows(csv.reader(fh), path, label_column)
@@ -97,17 +144,7 @@ def load_csv(path, label_column):
                         f"{path}: line {lineno}, byte {exc.start + 1}: not UTF-8"
                     ) from None
         raise
-    features = np.array(rows, dtype=float)
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        row, col = bad[0]
-        raise DataFormatError(
-            f"{path}: line {row + 2}: non-finite value {float(features[row, col])!r} "
-            f"in column {feature_names[col]!r}"
-        )
-    mapping = {}
-    labels = [mapping.setdefault(lab, len(mapping)) for lab in raw_labels]
-    return LabeledDataset(features, np.array(labels), len(mapping), feature_names), mapping
+    return feature_names, np.array(rows, dtype=float), raw_labels
 
 
 def _csv_rows(reader, path, label_column):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as datamod
 from . import lda as ldamod
-from .net import Trainer, evaluate, init_model
+from .net import Trainer, evaluate, init_model, top1
 
 DEFAULT_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45)
 
@@ -49,7 +49,7 @@ def run_training(train, val, test, cfg, hidden_sizes, sim=None, topk=5,
     best = {"epoch": -1, "val_acc": -1.0, "snapshot": None}
     for epoch in range(cfg.epochs):
         metrics = trainer.train_epoch(train)
-        val_top1, _, _ = evaluate(model, val, topk)
+        val_top1 = top1(model, val)[0]
         record = {
             "epoch": epoch,
             "train_loss": metrics["mean_loss"],

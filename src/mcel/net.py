@@ -240,24 +240,27 @@ class Trainer:
         self.targets = build_targets(cfg.variant, k, self.sim, cfg.epsilon, cfg.epsilons)
 
 
+def top1(model, data):
+    """Top-1 accuracy, predictions and probabilities; ties go to the smaller class index."""
+    probs, _ = forward_batch(model, data.features)
+    pred = probs.argmax(axis=1)
+    return float(np.mean(pred == data.labels)), pred, probs
+
+
 def evaluate(model, data, topk=5):
     """Top-1/top-k accuracy plus the confusion matrix.
 
     Top-k ties break toward the smaller class index.
     """
-    if data.n < 1:
-        raise ValueError("dataset is empty")
+    top1_acc, pred, probs = top1(model, data)
     k = model.num_classes
     kprime = min(topk, k)
-    probs, _ = forward_batch(model, data.features)
     # stable argsort on -probs: equal probabilities keep ascending class order
     ranked = np.argsort(-probs, axis=1, kind="stable")
-    pred = ranked[:, 0]
-    top1 = float(np.mean(pred == data.labels))
     in_topk = np.any(ranked[:, :kprime] == data.labels[:, None], axis=1)
     topk_acc = float(np.mean(in_topk))
     confusion = np.bincount(data.labels * k + pred, minlength=k * k).reshape(k, k)
-    return top1, topk_acc, confusion
+    return top1_acc, topk_acc, confusion
 
 
 def save_checkpoint(model, path):

@@ -228,8 +228,7 @@ class TestBadValues:
             "--out", str(tmp_path / "x"),
         )
         self.assert_clean_usage_error(proc)
-        assert "abc" in proc.stderr
-
+        assert f"config file {path}: [train] epochs = 'abc' is not an integer" in proc.stderr
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -287,6 +286,25 @@ class TestBadValues:
             "--out", str(tmp_path / "x"),
         )
         assert f"topk must be >= 1, got {topk}" in err
+
+    @pytest.mark.parametrize("section,key,value,wanted", [
+        ("train", "topk", "x", "an integer"),
+        ("train", "epochs", "2.5", "an integer"),
+        ("train", "learning_rate", "fast", "a number"),
+        ("train", "hidden", "16,x", "a list of integers"),
+        ("loss", "epsilon", "big", "a number"),
+        ("loss", "epsilons", "0.1,one", "a list of numbers"),
+        ("split", "fractions", "0.7,0.15,a", "a list of numbers"),
+    ])
+    def test_non_numeric_value_names_its_key(self, tmp_path, capsys, no_training,
+                                              section, key, value, wanted):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        err = self.assert_usage_error_in_process(
+            capsys, "train", "--blobs", "4,30,2,1.0", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        assert err == f"error: config file {path}: [{section}] {key} = {value!r} is not {wanted}\n"
 
     def test_standardize_takes_configparser_booleans(self, tmp_path, capsys):
         def checkpoint(value):

@@ -1,13 +1,16 @@
 import csv
 import struct
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcel import data as datamod
 from mcel.data import (
     LabeledDataset,
     NoiseSpec,
@@ -174,7 +177,8 @@ IDX_IMAGES = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(range(0, 240, 20))
 IDX_LABELS = struct.pack(">II", 0x801, 3) + bytes([0, 2, 1])
 CSV_TEXT = b"x,y,label\n1.5,-2,cat\n3,4e-3,dog\n0.25,7,cat\n"
 # tokens a mutation may write: bad numbers, CSV syntax and bytes that are not UTF-8
-TOKENS = [b"nan", b"inf", b"-inf", b"1e999", b",", b"\n", b'"', b"\x00", b"\xff", b"\xc3"]
+TOKENS = [b"nan", b"inf", b"-inf", b"1e999", b",", b"\n", b'"', b"\x00", b"\xff", b"\xc3",
+          b"\r", b"\r\n", b" ", b"_", b'""', b"\n\n", b"\x1c", b"#"]
 
 
 def load_idx_or_reject(images, labels):
@@ -188,13 +192,31 @@ def load_idx_or_reject(images, labels):
     assert np.all(data.class_counts() > 0)
 
 
-def load_csv_or_reject(raw):
+def csv_outcome(path):
+    """A clean load's feature bytes, labels, mapping and names, or the error message."""
     try:
-        data, mapping = read_bytes_as(lambda p: load_csv(p, "label"), raw)
-    except DataFormatError:
-        return
+        data, mapping = load_csv(path, "label")
+    except DataFormatError as exc:
+        return str(exc)
     assert np.all(np.isfinite(data.features))
     assert len(data.feature_names) == data.dim and data.k == len(mapping)
+    return (data.features.tobytes(), data.features.shape, data.labels.tolist(), mapping,
+            data.feature_names)
+
+
+def load_csv_or_reject(raw):
+    """load_csv's outcome on the bytes, which must equal the outcome with
+    numpy's reader refused, so that the csv module reads the file."""
+    def both_ways(path):
+        fast = csv_outcome(path)
+        with mock.patch.object(datamod, "_loadtxt_rows", side_effect=ValueError):
+            return fast, csv_outcome(path)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast, slow = read_bytes_as(both_ways, raw)
+    assert fast == slow and caught == []  # the reader warns of nothing
+    return fast
 
 
 class TestReaderProperties:
@@ -252,6 +274,29 @@ class TestReaderProperties:
     )
     def test_csv_mutations(self, edits):
         load_csv_or_reject(apply_edits(CSV_TEXT, edits))
+
+    def test_numpy_reads_a_clean_file(self):
+        quoted = b'x,"y",label\r\n"1.5",-2,"c""a#t"\r\n3,4e-3,"dog,\n too"\r\n'
+        for raw in (CSV_TEXT, quoted):
+            with mock.patch.object(datamod, "_csv_module_rows", side_effect=AssertionError):
+                fast = read_bytes_as(csv_outcome, raw)
+            assert fast == load_csv_or_reject(raw)
+        assert fast[3] == {'c"a#t': 0, "dog,\n too": 1}
+
+    def test_csv_module_cases(self, capsys):
+        head, row = b"x,y,label\n", b"1,2,a\n"
+        for raw, lineno in ((head + row + b"\n" + row, 3), (head + row + b"\r\n", 3),
+                            (head + row + row + b"\r", 4)):
+            assert load_csv_or_reject(raw).endswith(f"line {lineno}: expected 3 cells, got 0")
+        assert np.frombuffer(load_csv_or_reject(head + b"1_0,2,a\n")[0])[0] == 10.0
+        assert load_csv_or_reject(head + b"1\x1c,2,a\n").endswith(
+            "line 2: non-numeric value '1\\x1c' in column 'x'")
+        # the earliest fault wins over a bad byte beyond the decoder's read-ahead
+        long_row = b"1,2," + b"a" * 10_000 + b"\n"
+        assert load_csv_or_reject(head + b"1,a\n" + long_row + b"1,\xff,a\n").endswith(
+            "line 2: expected 3 cells, got 2")
+        assert load_csv_or_reject(head).endswith(": no data rows")
+        assert capsys.readouterr().err == ""
 
 
 class TestGenBlobs:

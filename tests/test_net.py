@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import DataFormatError, TrainingDivergedError
 from mcel.gradcheck import random_similarity
+from mcel.harness import run_training
 from mcel.lda import SimilarityMatrix
 from mcel.losses import PROB_CLAMP, batch_loss, build_targets, softmax, target_matrix
 from mcel.net import (
@@ -497,6 +498,16 @@ class TestEvaluate:
         top1, _, confusion = evaluate(logit_model(3), data, topk=1)
         assert top1 == 0.0  # tie between 0 and 1 resolves to class 0
         assert confusion[1, 0] == 1
+
+    def test_per_epoch_val_acc_is_evaluates_top1_on_ties(self):
+        # zero features and zero biases give every class the same probability
+        k = 3
+        val = LabeledDataset(np.zeros((7, 2)), np.array([0, 1, 2, 0, 1, 0, 2]), k)
+        cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8)
+        result = run_training(gen_blobs(k, 10, 2, seed=0), val, val, cfg, (4,))
+        top1, _, _ = evaluate(result.model, val)
+        assert top1 == 3 / 7  # every tie goes to class 0
+        assert [r["val_acc"] for r in result.report["epochs"]] == [top1, top1]
 
     def test_confusion_matches_add_at_reference(self):
         k = 5
