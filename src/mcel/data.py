@@ -88,7 +88,7 @@ def load_csv(path, label_column):
     """
     try:
         feature_names, features, raw_labels = _loadtxt_rows(path, label_column)
-    except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+    except (ValueError, UserWarning, csv.Error):  # UnicodeDecodeError is a ValueError
         feature_names, features, raw_labels = _csv_module_rows(path, label_column)
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
@@ -133,7 +133,10 @@ def _csv_module_rows(path, label_column):
     """Feature names, features and raw labels through the csv module."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            feature_names, rows, raw_labels = _csv_rows(csv.reader(fh), path, label_column)
+            reader = csv.reader(fh)
+            feature_names, rows, raw_labels = _csv_rows(reader, path, label_column)
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         with open(path, "rb") as fh:  # the decoder reads ahead, so find the line again
             for lineno, line in enumerate(fh, start=1):

@@ -1,9 +1,9 @@
 """Finite-difference verification of the batch loss kernel.
 
 For every CLI loss variant, central differences with h = 1e-6 check the
-logit gradient that losses.batch_loss returns. The trainer steps on the
-same function. Used both by the test suite and the `mcel gradcheck` CLI
-command.
+logit gradient that losses.batch_loss returns; it is the trainer's
+logit_grad and batch_values on one batch. Used both by the test suite and
+the `mcel gradcheck` CLI command.
 """
 
 import numpy as np

@@ -10,9 +10,10 @@ one-hot label y with class-similarity mass:
                     re-estimates from the model's correct predictions
                     after every epoch
 
-build_targets gives a variant's H on a similarity matrix, and batch_loss
-returns a batch's loss with its exact gradient for the logits. The trainer
-steps on batch_loss and gradcheck verifies it.
+build_targets gives a variant's H on a similarity matrix. The trainer steps
+on logit_grad, a batch's exact logit gradient, and sums each epoch's loss
+with batch_values; batch_loss is the two on one batch, and gradcheck
+verifies it.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
@@ -63,28 +64,40 @@ def build_targets(variant, k, sim, epsilon, epsilons=None):
     return target_matrix(sim, eps)
 
 
-def batch_loss(probs, targets):
-    """Summed mixed cross-entropy of one batch and its exact logit gradient.
+def logit_grad(probs, targets, row_sums=None):
+    """probs * rowsum(targets) - targets, the exact logit gradient of the
+    summed loss also when a target row does not sum to 1. row_sums is the
+    n x 1 column rowsum(targets), if precomputed."""
+    if row_sums is None:
+        row_sums = np.add.reduce(targets, axis=1, keepdims=True)
+    grad = probs * row_sums
+    grad -= targets
+    return grad
 
-    probs is n x k softmax output and targets = H[labels], the rows of a
-    target matrix H. Returns (value, grad_logits):
 
-      value       = -sum(targets * log clamp(probs))
-      grad_logits = probs * rowsum(targets) - targets, exact through the
-                    softmax also when a target row does not sum to 1
-    """
+def batch_values(probs, targets, size):
+    """-sum(targets * log clamp(probs)) of each batch of `size` consecutive
+    rows (the last may be shorter); probs is n x k softmax output and
+    targets = H[labels], the rows of a target matrix H."""
     terms = np.maximum(probs, PROB_CLAMP)  # a copy: neither argument is written
     np.log(terms, out=terms)
     terms *= targets
-    grad = probs * np.add.reduce(targets, axis=1)[:, None]
-    grad -= targets
-    return -float(np.add.reduce(terms, axis=None)), grad
+    full = len(terms) // size * size  # each batch is summed as one contiguous run
+    sums = np.add.reduce(terms[:full].reshape(-1, size * terms.shape[1]), axis=1)
+    if full < len(terms):
+        sums = np.append(sums, np.add.reduce(terms[full:], axis=None))
+    return np.negative(sums, out=sums)
 
 
-def softmax(logits):
-    """Max-shifted softmax; safe for large logits."""
+def batch_loss(probs, targets):
+    """(loss, logit gradient) of one batch: batch_values and logit_grad."""
+    return float(batch_values(probs, targets, len(probs))[0]), logit_grad(probs, targets)
+
+
+def softmax(logits, out=None):
+    """Max-shifted softmax, safe for large logits; out is filled if given."""
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    shifted = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
     shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
     return shifted

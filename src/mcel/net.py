@@ -18,7 +18,7 @@ import numpy as np
 from .data import read_exact
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
 from .lda import SimilarityMatrix
-from .losses import batch_loss, build_targets, softmax
+from .losses import batch_values, build_targets, logit_grad, softmax
 
 CHECKPOINT_MAGIC = b"MCEL"
 CHECKPOINT_VERSION = 1
@@ -84,12 +84,12 @@ def init_model(layer_sizes, seed=0):
     return MlpModel(sizes, weights, biases)
 
 
-def forward_batch(model, x):
+def forward_batch(model, x, out=None):
     """Forward pass for an n x d batch; returns (probs, activations).
 
     activations[0] is the input, the rest are post-ReLU hidden outputs.
     The input is not scanned for non-finite values: LabeledDataset rejects
-    them when the dataset is built.
+    them when the dataset is built. out receives the probabilities if given.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
@@ -105,7 +105,7 @@ def forward_batch(model, x):
         acts.append(h)
     logits = h @ model.weights[-1].T
     logits += model.biases[-1]
-    return softmax(logits), acts
+    return softmax(logits, out=out), acts
 
 
 def backprop(model, acts, grad_logits, out=None):
@@ -126,9 +126,10 @@ def backprop(model, acts, grad_logits, out=None):
     return grads_w, grads_b
 
 
-def _target_rows(h, ys):
-    """Per-sample target rows: the rows of the target matrix H for labels ys."""
-    return h.take(ys, axis=0)
+def _target_rows(h, ys, out=None):
+    """Per-sample target rows: the rows of the target matrix H for labels ys.
+    "clip" fills out directly ("raise" buffers); the row sums took ys unclipped."""
+    return h.take(ys, axis=0, out=out, mode="clip")
 
 
 class Trainer:
@@ -166,57 +167,60 @@ class Trainer:
     def learning_rate(self):
         return self.cfg.learning_rate / (1.0 + self.cfg.lr_decay * self.epoch)
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence is raised
     def train_epoch(self, data):
         """One seeded-shuffled pass; returns mean loss and train accuracy.
 
-        The loss is checked on every batch and the parameters once, after
-        the last batch: a non-finite parameter makes the next batch's loss
-        non-finite, and the final check catches one that the loss missed.
+        A batch only steps: its probabilities and target rows go into epoch
+        buffers, from which the epoch's end takes every batch's loss, the
+        accuracy and the soft variants' class sums. The first non-finite
+        batch loss, then a non-finite parameter (named at the last batch),
+        raises TrainingDivergedError; a batch's loss depends only on the
+        batches before it, so the pair is the one a per-batch check names.
         """
         cfg = self.cfg
         rng = np.random.default_rng((cfg.seed, self.epoch))
         order = rng.permutation(data.n)
-        xs = data.features[order]
+        xs = data.features.take(order, axis=0)  # faster than fancy indexing
         ys_all = data.labels[order]
         h = self.targets
+        k = self.model.num_classes
+        probs, targets = np.empty((2, data.n, k))  # the epoch's buffers
+        row_sums = np.add.reduce(h, axis=1).take(ys_all)[:, None]
         lr = self.learning_rate()
         params, vel, g = self._params, self._vel, self._grad
         g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
         wd, momentum, size = cfg.weight_decay, cfg.momentum, cfg.batch_size
-        total_loss = 0.0
-        preds = np.empty(data.n, dtype=np.intp)  # counted against ys_all after the loop
-        k = self.model.num_classes
-        # soft variants: summed softmax rows of the correct predictions, by class
-        sums = np.zeros(k * k) if cfg.variant.endswith("-soft") else None
-        for batch, start in enumerate(range(0, data.n, size)):
-            ys = ys_all[start:start + size]
-            probs, acts = forward_batch(self.model, xs[start:start + size])
-            targets = _target_rows(h, ys)
-            batch_value, grad_logits = batch_loss(probs, targets)
-            if not math.isfinite(batch_value):
-                raise TrainingDivergedError(self.epoch, batch)
-            total_loss += batch_value
-            pred = probs.argmax(axis=1, out=preds[start:start + size])
-            if sums is not None:
-                hit = pred == ys
-                cells = (ys[hit][:, None] * k + np.arange(k)).ravel()
-                sums += np.bincount(cells, weights=probs[hit].ravel(), minlength=k * k)
-
+        for start in range(0, data.n, size):
+            stop = start + size
+            batch_probs, acts = forward_batch(self.model, xs[start:stop], out=probs[start:stop])
+            batch_targets = _target_rows(h, ys_all[start:stop], out=targets[start:stop])
+            grad_logits = logit_grad(batch_probs, batch_targets, row_sums[start:stop])
             backprop(self.model, acts, grad_logits, out=self._grads)
-            g *= 1.0 / ys.shape[0]
+            g *= 1.0 / len(grad_logits)
             g_w += wd * p_w
             vel *= momentum
             g *= lr
             vel -= g
             params += vel
+        total_loss = 0.0
+        for batch, value in enumerate(batch_values(probs, targets, size).tolist()):
+            if not math.isfinite(value):
+                raise TrainingDivergedError(self.epoch, batch)
+            total_loss += value
         if not self.model.check_finite():
             raise TrainingDivergedError(self.epoch, batch)
-        if sums is not None:
-            self._step_mixing(sums.reshape(k, k))
+        hit = probs.argmax(axis=1) == ys_all
+        if cfg.variant.endswith("-soft"):
+            # class sums of each batch's correct softmax rows, added batch after batch
+            cell = (np.arange(data.n)[hit] // size * k + ys_all[hit]) * k
+            per_batch = np.bincount((cell[:, None] + np.arange(k)).ravel(),
+                                    weights=probs[hit].ravel(), minlength=(batch + 1) * k * k)
+            self._step_mixing(np.add.reduce(per_batch.reshape(-1, k * k), axis=0).reshape(k, k))
         self.epoch += 1
         return {
             "mean_loss": total_loss / data.n,
-            "accuracy": np.count_nonzero(preds == ys_all) / data.n,
+            "accuracy": np.count_nonzero(hit) / data.n,
         }
 
     def _step_mixing(self, sums):

@@ -351,6 +351,38 @@ class TestRuntimeExitCodes:
         assert proc.stderr.startswith("error: ") and "truncated" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def assert_clean_data_error(self, proc):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_diverged_training_prints_one_line(self, tmp_path):
+        # no RuntimeWarning from the overflowing epoch ahead of the error
+        path = tmp_path / "diverge.ini"
+        path.write_text("[train]\nlearning_rate = 1e10\nbatch_size = 8\n")
+        proc = run_python(
+            "-m", "mcel.cli", "train", "--blobs", "4,100,2,1.0", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_data_error(proc)
+        assert proc.stderr.startswith("error: training diverged at epoch 0, batch ")
+
+    @pytest.mark.parametrize("text,line", [
+        # the empty line sends the body to the csv module
+        ("x,label\n1," + "a" * 140_000 + "\n\n2,b\n", 2),
+        ("x" * 140_000 + ",label\n1,a\n2,b\n", 1),
+    ], ids=["body", "header"])
+    def test_cell_over_the_csv_field_limit_is_a_data_error(self, tmp_path, text, line):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        proc = run_python(
+            "-m", "mcel.cli", "similarity", "--data-csv", str(path), "--label-col", "label",
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_data_error(proc)
+        assert f"{path}: line {line}: field larger than field limit" in proc.stderr
+
     def test_corrupted_gradcheck_exits_3(self):
         proc = run_python("-m", "mcel.cli", "gradcheck", "--trials", "3", "--corrupt")
         assert proc.returncode == 3

@@ -281,21 +281,40 @@ class TestTrainer:
             trainer.train_epoch(data)
         assert (err.value.epoch, err.value.batch) == (0, (data.n - 1) // 8)
 
-    @pytest.mark.parametrize("variant", ["ce", "mcel", "sg-mcel", "gmcel"])
+    @pytest.mark.parametrize("variant",
+                             ["ce", "mcel", "sg-mcel", "gmcel", "sg-mcel-soft", "gmcel-soft"])
     def test_step_matches_reference_loop(self, variant):
         data = self.make_data(k=3, per_class=25, spread=1.5)  # n = 75, batch 8
         sim = random_similarity(np.random.default_rng(14), 3)
         cfg = TrainConfig(
             learning_rate=0.1, momentum=0.9, weight_decay=1e-2, batch_size=8,
             lr_decay=0.5, seed=14, variant=variant, epsilon=0.2,
-            epsilons=(0.1, 0.25, 0.4) if variant == "sg-mcel" else None,
+            epsilons=(0.1, 0.25, 0.4) if variant.startswith("sg-") else None,
         )
         model = init_model((2, 6, 5, 3), seed=14)
         expected = model.copy()
-        expected_metrics = reference_epochs(expected, cfg, sim, data, 3)
+        expected_metrics, expected_sim = reference_epochs(expected, cfg, sim, data, 3)
         trainer = Trainer(model, cfg, sim)
         assert [trainer.train_epoch(data) for _ in range(3)] == expected_metrics
         assert np.array_equal(flatten_params(model), flatten_params(expected))
+        assert np.array_equal(trainer.sim.a, expected_sim.a)
+        assert np.array_equal(trainer.sim.a, sim.a) == (not variant.endswith("-soft"))
+
+    def test_mid_epoch_divergence_names_the_first_bad_batch(self):
+        # the trainer finishes the epoch before it raises; the reference
+        # stops at its first non-finite batch loss
+        data = self.make_data(k=3, per_class=25, spread=1.5)  # n = 75: batches 0-9
+        sim = random_similarity(np.random.default_rng(15), 3)
+        cfg = TrainConfig(learning_rate=1e50, batch_size=8, seed=15, variant="mcel")
+        model = init_model((2, 6, 3), seed=15)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as expected:
+                reference_epochs(model.copy(), cfg, sim, data, 1)
+            with pytest.raises(TrainingDivergedError) as err:
+                Trainer(model, cfg, sim).train_epoch(data)
+        pair = (err.value.epoch, err.value.batch)
+        assert pair == (expected.value.epoch, expected.value.batch)
+        assert pair == (0, 4)  # neither the first nor the last batch
 
     def test_snapshot_survives_training(self, tmp_path):
         data = self.make_data(k=3)
@@ -425,22 +444,32 @@ class TestTrainer:
 def reference_epochs(model, cfg, sim, data, epochs):
     """Train `model` in place with a plain per-layer loop: fancy-indexed
     batches, the target rows gathered for every batch, SGD+momentum with
-    weight decay on the weights. Returns each epoch's metrics."""
-    h = build_targets(cfg.variant, model.num_classes, sim, cfg.epsilon, cfg.epsilons)
+    weight decay on the weights. A soft variant sums each batch's
+    correctly predicted softmax rows by class and moves A after the epoch.
+    Raises TrainingDivergedError at the first non-finite batch loss.
+    Returns each epoch's metrics and the final similarity matrix."""
+    k = model.num_classes
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     metrics = []
     for epoch in range(epochs):
+        h = build_targets(cfg.variant, k, sim, cfg.epsilon, cfg.epsilons)
         order = np.random.default_rng((cfg.seed, epoch)).permutation(data.n)
         lr = cfg.learning_rate / (1.0 + cfg.lr_decay * epoch)
         total, correct = 0.0, 0
-        for start in range(0, data.n, cfg.batch_size):
+        sums = np.zeros(k * k)
+        for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             ys = data.labels[idx]
             probs, acts = forward_batch(model, data.features[idx])
             value, grad_logits = batch_loss(probs, h[ys])
+            if not np.isfinite(value):
+                raise TrainingDivergedError(epoch, batch)
             total += value
-            correct += int(np.sum(np.argmax(probs, axis=1) == ys))
+            hit = np.argmax(probs, axis=1) == ys
+            correct += int(np.sum(hit))
+            cells = (ys[hit][:, None] * k + np.arange(k)).ravel()
+            sums += np.bincount(cells, weights=probs[hit].ravel(), minlength=k * k)
             grads_w, grads_b = backprop(model, acts, grad_logits)
             scale = 1.0 / idx.shape[0]
             for layer in range(len(model.weights)):
@@ -451,7 +480,17 @@ def reference_epochs(model, cfg, sim, data, epochs):
                 vel_b[layer] = cfg.momentum * vel_b[layer] - lr * gb
                 model.biases[layer] += vel_b[layer]
         metrics.append({"mean_loss": total / data.n, "accuracy": correct / data.n})
-    return metrics
+        if cfg.variant.endswith("-soft"):
+            # README: row y of A becomes the off-diagonal part of sums[y],
+            # normalised, unless an off-diagonal entry is not > 0
+            a = sim.a.copy()
+            for y, row in enumerate(sums.reshape(k, k)):
+                off = row.copy()
+                off[y] = 0.0
+                if np.all(np.delete(off, y) > 0.0):
+                    a[y] = off / off.sum()
+            sim = SimilarityMatrix(k, a)
+    return metrics, sim
 
 
 def logit_model(k):
