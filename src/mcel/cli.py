@@ -141,7 +141,7 @@ def load_config(path=None):
                                      f"is not {WANTED[parse]}") from None
     if cfg["loss"]["variant"] not in VARIANTS:
         raise UsageError(
-            f"unknown loss variant {cfg['loss']['variant']!r}; pick one of {VARIANTS}"
+            f"unknown loss variant {cfg['loss']['variant']!r}; pick one of {tuple(VARIANTS)}"
         )
     topk, standardize = cfg["train"]["topk"], cfg["split"]["standardize"]
     if topk < 1:
@@ -178,7 +178,7 @@ def obtain_similarity(args, cfg, train):
         if not path.exists():
             raise UsageError(f"similarity file {path} does not exist")
         return ldamod.load_similarity(path)
-    if cfg["loss"]["variant"] == "ce":
+    if not VARIANTS[cfg["loss"]["variant"]].similarity:
         return None
     return similarity_from_dataset(
         train, num_components=getattr(args, "lda_components", None),
@@ -313,6 +313,9 @@ def cmd_noise_exp(args):
 
 
 def cmd_gradcheck(args):
+    for flag, value, least in (("--k", args.k, 2), ("--trials", args.trials, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     corrupt = 1e-3 if args.corrupt else 0.0
     results = run_all(args.k, args.trials, args.seed, corrupt)
     failed = False

@@ -279,39 +279,26 @@ def inject_pairwise_noise(data, spec):
 def split(data, fractions, seed=0):
     """Seeded shuffle then contiguous slicing into train/val/test.
 
-    A fraction of exactly 0 yields an empty slot (returned as None); any
-    other slot receiving zero samples is an error. Every class must appear
-    in the train part.
+    A part receiving zero samples is an error. Every class must appear in
+    the train part.
     """
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3 or any(f < 0 for f in fractions):
         raise ValueError("fractions must be three non-negative numbers")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(data.n)
     n_train = int(round(fractions[0] * data.n))
     n_val = int(round(fractions[1] * data.n))
-    bounds = [0, n_train, n_train + n_val, data.n]
-    parts = []
-    for i in range(3):
-        idx = order[bounds[i]:bounds[i + 1]]
+    parts = np.split(np.random.default_rng(seed).permutation(data.n), [n_train, n_train + n_val])
+    for i, idx in enumerate(parts):
         if idx.size == 0:
-            if fractions[i] == 0.0:
-                parts.append(None)
-                continue
             raise ValueError(f"split part {i} received zero samples")
-        parts.append(
-            LabeledDataset(data.features[idx], data.labels[idx], data.k, data.feature_names)
-        )
-    train = parts[0]
-    if train is None:
-        raise ValueError("train split cannot be empty")
-    present = np.bincount(train.labels, minlength=data.k)
+    present = np.bincount(data.labels[parts[0]], minlength=data.k)
     missing = np.flatnonzero(present == 0)
     if missing.size:
         raise ValueError(f"class {int(missing[0])} has no samples in the train split")
-    return tuple(parts)
+    return tuple(LabeledDataset(data.features[idx], data.labels[idx], data.k, data.feature_names)
+                 for idx in parts)
 
 
 def standardize(train, *others):
@@ -325,8 +312,6 @@ def standardize(train, *others):
     std = np.where(std == 0.0, 1.0, std)
 
     def apply(ds):
-        if ds is None:
-            return None
         return LabeledDataset(
             (ds.features - mean) / std, ds.labels, ds.k, ds.feature_names
         )

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import data as datamod
 from . import lda as ldamod
+from .losses import VARIANTS
 from .net import Trainer, evaluate, init_model, top1
 
 DEFAULT_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45)
@@ -73,10 +74,11 @@ def run_training(train, val, test, cfg, hidden_sizes, sim=None, topk=5,
         "topk": min(topk, train.k),
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
-    if cfg.variant.endswith("-soft"):
-        # gmcel-soft's final H; sg-mcel-soft's epsilons, which do not move
+    mixing = VARIANTS[cfg.variant].learned_mixing
+    if mixing is not None:
+        # the final H, or the epsilons, which do not move
         eps = cfg.epsilons if cfg.epsilons is not None else (cfg.epsilon,) * train.k
-        report["learned_mixing"] = (trainer.targets.tolist() if cfg.variant == "gmcel-soft"
+        report["learned_mixing"] = (trainer.targets.tolist() if mixing == "targets"
                                     else [float(e) for e in eps])
         report["learned_similarity"] = trainer.sim.a.tolist()
     return RunResult(report, best_model, time.monotonic() - started)
@@ -88,14 +90,13 @@ def similarity_from_dataset(train, num_components=None, ridge=None):
 
 
 def _simple_config(base_cfg, seed, eps):
-    """The simple loss at eps; epsilon 0 is plain CE."""
-    return replace(base_cfg, seed=seed, variant="mcel" if eps > 0.0 else "ce",
-                   epsilon=eps, epsilons=None)
+    """mcel at eps; at epsilon 0 its H is exactly I, so it trains as ce."""
+    return replace(base_cfg, seed=seed, variant="mcel", epsilon=eps, epsilons=None)
 
 
 def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
                     seeds=(0,), topk=5):
-    """One training run per (epsilon, seed); epsilon 0 runs plain CE.
+    """One mcel training run per (epsilon, seed).
 
     make_splits(seed) must return (train, val, test, sim); it is called
     once per seed, and only one seed's splits are alive at a time. Runs are
@@ -109,10 +110,8 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
     for j, seed in enumerate(seeds):
         train, val, test, sim = make_splits(seed)
         for i, eps in enumerate(epsilons):
-            result = run_training(
-                train, val, test, _simple_config(base_cfg, seed, eps), hidden_sizes,
-                sim if eps > 0.0 else None, topk,
-            )
+            result = run_training(train, val, test, _simple_config(base_cfg, seed, eps),
+                                  hidden_sizes, sim, topk)
             runs[i, j] = {"epsilon": eps, "seed": seed,
                           "val_acc": result.report["best_val_acc"],
                           "test_top1": result.report["test_top1"]}
@@ -159,7 +158,7 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
             sim = similarity_from_dataset(noisy_train, lda_components)
 
             ce_cfg = _simple_config(base_cfg, seed, 0.0)
-            ce_run = run_training(noisy_train, val, test, ce_cfg, hidden_sizes, None, topk)
+            ce_run = run_training(noisy_train, val, test, ce_cfg, hidden_sizes, sim, topk)
             rows.append(
                 {"fraction": fraction, "seed": seed, "variant": "ce",
                  "epsilon": 0.0, "test_top1": ce_run.report["test_top1"]}

@@ -1,14 +1,8 @@
 """The mixed cross-entropy loss family: one batch kernel for every variant.
 
 Every variant trains against a target matrix H whose row y blends the
-one-hot label y with class-similarity mass:
-  * ce            - H = I
-  * mcel          - one mixing weight epsilon, H[y] = eps * A[y] + (1 - eps) at y
-  * sg-mcel       - one mixing weight per class
-  * gmcel         - the H of mcel, named for the paper's mixture-matrix loss
-  * *-soft        - sg-mcel and gmcel on a similarity A that the trainer
-                    re-estimates from the model's correct predictions
-                    after every epoch
+one-hot label y with class-similarity mass: H = I for ce, and
+target_matrix(A, eps) for the rest. VARIANTS says what each name means.
 
 build_targets gives a variant's H on a similarity matrix. The trainer steps
 on logit_grad, a batch's exact logit gradient, and sums each epoch's loss
@@ -19,12 +13,27 @@ Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .errors import DimensionError
 
 PROB_CLAMP = 1e-12
-VARIANTS = ("ce", "mcel", "sg-mcel", "gmcel", "sg-mcel-soft", "gmcel-soft")
+
+# What each variant name means: whether it trains on a similarity A (ce
+# does not), takes per-class epsilons, re-estimates A after each epoch, and
+# what a run reports as learned_mixing. gmcel is mcel under the paper's
+# mixture-matrix name; gmcel-soft trains as sg-mcel-soft at one epsilon.
+Variant = namedtuple("Variant", "similarity per_class moves learned_mixing")
+VARIANTS = {
+    "ce": Variant(False, False, False, None),
+    "mcel": Variant(True, False, False, None),
+    "sg-mcel": Variant(True, True, False, None),
+    "gmcel": Variant(True, False, False, None),
+    "sg-mcel-soft": Variant(True, True, True, "epsilons"),
+    "gmcel-soft": Variant(True, False, True, "targets"),  # the final H
+}
 
 
 def target_matrix(sim, eps):
@@ -42,13 +51,14 @@ def build_targets(variant, k, sim, epsilon, epsilons=None):
 
     ce trains on H = I. Every other variant trains on target_matrix(sim,
     eps), where eps holds k per-class epsilons in [0, 0.5): every one is
-    epsilon, unless the sg variants get their own epsilons.
+    epsilon, unless a per_class variant gets its own epsilons.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"unknown loss variant {variant!r}; pick one of {VARIANTS}")
-    if epsilons is not None and not variant.startswith("sg-"):
-        raise ValueError(f"per-class epsilons need sg-mcel or sg-mcel-soft, not {variant!r}")
-    if variant == "ce":
+        raise ValueError(f"unknown loss variant {variant!r}; pick one of {tuple(VARIANTS)}")
+    if epsilons is not None and not VARIANTS[variant].per_class:
+        per_class = " or ".join(name for name, v in VARIANTS.items() if v.per_class)
+        raise ValueError(f"per-class epsilons need {per_class}, not {variant!r}")
+    if not VARIANTS[variant].similarity:
         return np.eye(k)
     if sim is None:
         raise ValueError(f"loss variant {variant!r} needs a similarity matrix")

@@ -18,7 +18,7 @@ import numpy as np
 from .data import read_exact
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
 from .lda import SimilarityMatrix
-from .losses import batch_values, build_targets, logit_grad, softmax
+from .losses import VARIANTS, batch_values, build_targets, logit_grad, softmax
 
 CHECKPOINT_MAGIC = b"MCEL"
 CHECKPOINT_VERSION = 1
@@ -211,7 +211,7 @@ class Trainer:
         if not self.model.check_finite():
             raise TrainingDivergedError(self.epoch, batch)
         hit = probs.argmax(axis=1) == ys_all
-        if cfg.variant.endswith("-soft"):
+        if VARIANTS[cfg.variant].moves:
             # class sums of each batch's correct softmax rows, added batch after batch
             cell = (np.arange(data.n)[hit] // size * k + ys_all[hit]) * k
             per_batch = np.bincount((cell[:, None] + np.arange(k)).ravel(),

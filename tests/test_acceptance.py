@@ -19,7 +19,7 @@ from mcel.lda import (
     LdaModel, SimilarityMatrix, build_similarity_matrix, fit_lda, scatter_matrices,
     uniform_similarity,
 )
-from mcel.losses import batch_loss, build_targets, softmax, target_matrix
+from mcel.losses import VARIANTS, batch_loss, build_targets, softmax, target_matrix
 from mcel.net import TrainConfig, backprop, forward_batch, init_model
 
 
@@ -256,9 +256,10 @@ def test_soft_variants_learn_a_similarity(tmp_path):
     started = time.monotonic()
     details = []
     ok = True
+    soft = [name for name, facts in VARIANTS.items() if facts.moves]
     for blobs in ("4,500,2,1.0", "10,300,8,2.5"):
         top1 = {}
-        for variant in ("ce", "sg-mcel-soft", "gmcel-soft"):
+        for variant in ("ce", *soft):
             cfg = tmp_path / f"{variant}.ini"
             cfg.write_text(f"[loss]\nvariant = {variant}\nepsilon = 0.2\n")
             top1[variant] = []
@@ -268,21 +269,22 @@ def test_soft_variants_learn_a_similarity(tmp_path):
                              "--seed", str(seed), "--out", str(out)]) == 0
                 run = json.loads((out / "report.json").read_text())
                 top1[variant].append(run["test_top1"])
-                if variant == "ce":
+                if not VARIANTS[variant].moves:
                     continue
                 a = np.array(run["learned_similarity"])
                 k = a.shape[0]
                 final = SimilarityMatrix(k, a)
                 off = a[~np.eye(k, dtype=bool)]
                 eps = np.full(k, 0.2)
-                mixing = eps if variant == "sg-mcel-soft" else target_matrix(final, eps)
+                mixing = {"epsilons": eps, "targets": target_matrix(final, eps)}[
+                    VARIANTS[variant].learned_mixing]
                 ok = ok and (
                     similarity_checksum(final) != run["similarity_checksum"]
                     and bool(np.all((off > 0.0) & (off < 1.0)))
                     and np.array_equal(run["learned_mixing"], mixing)
                 )
         ce = float(np.mean(top1["ce"]))
-        for variant in ("sg-mcel-soft", "gmcel-soft"):
+        for variant in soft:
             mean = float(np.mean(top1[variant]))
             ok = ok and abs(mean - ce) <= 0.02
             details.append(f"{blobs} {variant} {mean:.4f} vs ce {ce:.4f}")

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import mcel
-from mcel.cli import VARIANTS, main
+from mcel.cli import main
 from mcel.data import gen_blobs, split
 from mcel.harness import run_grid_search, similarity_from_dataset
 from mcel.lda import load_similarity
+from mcel.losses import VARIANTS, build_targets
 from mcel.net import TrainConfig, Trainer
 
 
@@ -112,14 +113,6 @@ class TestTrainCommand:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "epochs.jsonl").read_bytes() == (b / "epochs.jsonl").read_bytes()
 
-    def test_epsilon_zero_matches_plain_ce(self, tmp_path):
-        ce_out = train_report(tmp_path, "ce", write_config(tmp_path, "ce"))
-        ce = json.loads((ce_out / "report.json").read_text())
-        mcel_out = train_report(tmp_path, "m0", write_config(tmp_path, "mcel", 0.0))
-        m0 = json.loads((mcel_out / "report.json").read_text())
-        for key in ("epochs", "best_epoch", "best_val_acc", "test_top1", "test_topk"):
-            assert ce[key] == m0[key]
-
     def test_soft_run_reports_learned_epsilons(self, tmp_path):
         # the epsilons keep their start; the similarity is re-estimated
         out = train_report(tmp_path, "soft", write_config(tmp_path, "sg-mcel-soft", 0.2))
@@ -160,6 +153,21 @@ class TestTrainCommand:
         )
         report = json.loads((train_report(tmp_path, "s", str(path)) / "report.json").read_text())
         assert report["learned_mixing"] == [0.1, 0.2, 0.3]
+
+    def test_epsilon_zero_matches_plain_ce(self, tmp_path):
+        # mcel at epsilon 0 builds exactly the H of ce (I), so both train the
+        # same model: equal parameters, epoch metrics and report results
+        ce_out = train_report(tmp_path, "ce", write_config(tmp_path, "ce"))
+        ce = json.loads((ce_out / "report.json").read_text())
+        mcel_out = train_report(tmp_path, "m0", write_config(tmp_path, "mcel", 0.0))
+        m0 = json.loads((mcel_out / "report.json").read_text())
+        for key in ("epochs", "best_epoch", "best_val_acc", "test_top1", "test_topk"):
+            assert ce[key] == m0[key]
+        for name in ("model.ckpt", "epochs.jsonl"):
+            assert (ce_out / name).read_bytes() == (mcel_out / name).read_bytes()
+        sim = similarity_from_dataset(gen_blobs(3, 80, 2, spread=0.8, seed=0))
+        h = build_targets("mcel", 3, sim, 0.0)
+        assert np.array_equal(h, build_targets("ce", 3, None, 0.0))
 
     def test_gmcel_variants_train_as_their_vector_twins(self, tmp_path):
         # gmcel builds the H of mcel, and gmcel-soft that of sg-mcel-soft, so
@@ -261,6 +269,18 @@ class TestBadValues:
         )
         self.assert_clean_usage_error(proc)
         assert "per-class epsilons" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "noise-exp"])
+    @pytest.mark.parametrize("fractions,part", [("0.85,0.15,0", 2), ("0.85,0,0.15", 1)])
+    def test_zero_split_fraction(self, tmp_path, command, fractions, part):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[train]\nepochs = 2\n[split]\nfractions = {fractions}\n")
+        proc = run_python(
+            "-m", "mcel.cli", command, "--blobs", "4,30,2,1.0", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_usage_error(proc)
+        assert f"split part {part} received zero samples" in proc.stderr
 
 
     def assert_usage_error_in_process(self, capsys, *argv):
@@ -495,3 +515,15 @@ class TestGradcheckCommand:
 
     def test_corrupted_gradient_detected(self):
         assert run_cli("gradcheck", "--trials", "3", "--corrupt") == 3
+
+    @pytest.mark.parametrize("flag,value,least", [
+        ("--k", "1", 2), ("--k", "0", 2), ("--trials", "0", 1), ("--trials", "-2", 1),
+    ])
+    def test_arguments_that_check_nothing(self, capsys, monkeypatch, flag, value, least):
+        def fail(*args):
+            raise AssertionError("checked a gradient before the bad value was rejected")
+        monkeypatch.setattr("mcel.cli.run_all", fail)
+        assert run_cli("gradcheck", flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= {least}, got {value}\n"

@@ -364,10 +364,12 @@ class TestNoise:
 
 class TestSplit:
     def test_all_train(self):
+        # every part needs samples, so a fraction of 0 is rejected
         data = gen_blobs(3, 10, 2, seed=0)
-        train, val, test = split(data, (1.0, 0.0, 0.0), seed=0)
-        assert train.n == data.n
-        assert val is None and test is None
+        for fractions, part in (((1.0, 0.0, 0.0), 1), ((0.85, 0.15, 0.0), 2),
+                                ((0.85, 0.0, 0.15), 1)):
+            with pytest.raises(ValueError, match=f"split part {part} received zero samples"):
+                split(data, fractions, seed=0)
 
     def test_deterministic(self):
         data = gen_blobs(3, 50, 2, seed=0)

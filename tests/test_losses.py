@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mcel
 from mcel.errors import DimensionError
 from mcel.gradcheck import central_diff, max_rel_error, random_similarity
 from mcel.lda import SimilarityMatrix, uniform_similarity
@@ -11,6 +15,11 @@ from mcel.losses import (
     softmax,
     target_matrix,
 )
+
+
+def variants(fact, value=True):
+    """The VARIANTS names whose `fact` is `value`."""
+    return [name for name, facts in VARIANTS.items() if getattr(facts, fact) == value]
 
 
 def two_class_sim():
@@ -51,7 +60,7 @@ def logit_fd_error(logits, y, h):
 class TestMixingSpecs:
     def test_epsilon_range(self):
         sim = two_class_sim()
-        for variant in VARIANTS[1:]:
+        for variant in variants("similarity"):
             with pytest.raises(ValueError):
                 build_targets(variant, 2, sim, 0.5)
             with pytest.raises(ValueError):
@@ -61,7 +70,7 @@ class TestMixingSpecs:
             build_targets(variant, 2, sim, 0.0)  # cross-entropy limit is admitted
 
     def test_per_class_range(self):
-        for variant in ("sg-mcel", "sg-mcel-soft"):
+        for variant in variants("per_class"):
             with pytest.raises(ValueError):
                 build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.5])
             with pytest.raises(ValueError):
@@ -70,16 +79,17 @@ class TestMixingSpecs:
                 build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.1, 0.1])
 
     def test_per_class_only_for_sg_variants(self):
-        for variant in ("ce", "mcel", "gmcel", "gmcel-soft"):
+        for variant in variants("per_class", False):
             with pytest.raises(ValueError, match="per-class"):
                 build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.2])
 
     def test_variant_states(self):
         # every variant's H: I for ce, the simple loss's H for the rest
         sim = random_similarity(np.random.default_rng(3), 4)
-        assert np.array_equal(build_targets("ce", 4, None, 0.2), np.eye(4))
+        for variant in variants("similarity", False):
+            assert np.array_equal(build_targets(variant, 4, None, 0.2), np.eye(4))
         simple = target_matrix(sim, np.full(4, 0.2))
-        for variant in VARIANTS[1:]:
+        for variant in variants("similarity"):
             assert np.array_equal(build_targets(variant, 4, sim, 0.2), simple)
         h = build_targets("sg-mcel", 4, sim, 0.2, (0.1, 0.2, 0.3, 0.4))
         assert np.array_equal(h, target_matrix(sim, np.array([0.1, 0.2, 0.3, 0.4])))
@@ -91,6 +101,16 @@ class TestMixingSpecs:
             build_targets("gmcel", 3, two_class_sim(), 0.2)
         with pytest.raises(ValueError, match="unknown"):
             build_targets("focal", 2, two_class_sim(), 0.2)
+
+    def test_only_losses_tests_variant_names(self):
+        # what a variant name means is read from VARIANTS, never from the name
+        pattern = re.compile(r'variant("\])?( ==|\.startswith|\.endswith)|else "ce"')
+        hits = [
+            f"{path.name}:{lineno}: {line.strip()}"
+            for path in sorted(Path(mcel.__file__).parent.glob("*.py")) if path.name != "losses.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)
+        ]
+        assert hits == []
 
 
 class TestTargetMatrix:

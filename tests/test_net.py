@@ -13,7 +13,7 @@ from mcel.errors import DataFormatError, TrainingDivergedError
 from mcel.gradcheck import random_similarity
 from mcel.harness import run_training
 from mcel.lda import SimilarityMatrix
-from mcel.losses import PROB_CLAMP, batch_loss, build_targets, softmax, target_matrix
+from mcel.losses import PROB_CLAMP, VARIANTS, batch_loss, build_targets, softmax, target_matrix
 from mcel.net import (
     MlpModel,
     TrainConfig,
@@ -281,15 +281,14 @@ class TestTrainer:
             trainer.train_epoch(data)
         assert (err.value.epoch, err.value.batch) == (0, (data.n - 1) // 8)
 
-    @pytest.mark.parametrize("variant",
-                             ["ce", "mcel", "sg-mcel", "gmcel", "sg-mcel-soft", "gmcel-soft"])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_step_matches_reference_loop(self, variant):
         data = self.make_data(k=3, per_class=25, spread=1.5)  # n = 75, batch 8
         sim = random_similarity(np.random.default_rng(14), 3)
         cfg = TrainConfig(
             learning_rate=0.1, momentum=0.9, weight_decay=1e-2, batch_size=8,
             lr_decay=0.5, seed=14, variant=variant, epsilon=0.2,
-            epsilons=(0.1, 0.25, 0.4) if variant.startswith("sg-") else None,
+            epsilons=(0.1, 0.25, 0.4) if VARIANTS[variant].per_class else None,
         )
         model = init_model((2, 6, 5, 3), seed=14)
         expected = model.copy()
@@ -298,7 +297,7 @@ class TestTrainer:
         assert [trainer.train_epoch(data) for _ in range(3)] == expected_metrics
         assert np.array_equal(flatten_params(model), flatten_params(expected))
         assert np.array_equal(trainer.sim.a, expected_sim.a)
-        assert np.array_equal(trainer.sim.a, sim.a) == (not variant.endswith("-soft"))
+        assert np.array_equal(trainer.sim.a, sim.a) == (not VARIANTS[variant].moves)
 
     def test_mid_epoch_divergence_names_the_first_bad_batch(self):
         # the trainer finishes the epoch before it raises; the reference
@@ -480,7 +479,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
                 vel_b[layer] = cfg.momentum * vel_b[layer] - lr * gb
                 model.biases[layer] += vel_b[layer]
         metrics.append({"mean_loss": total / data.n, "accuracy": correct / data.n})
-        if cfg.variant.endswith("-soft"):
+        if VARIANTS[cfg.variant].moves:
             # README: row y of A becomes the off-diagonal part of sums[y],
             # normalised, unless an off-diagonal entry is not > 0
             a = sim.a.copy()
