@@ -70,52 +70,53 @@ def load_dataset(args):
         return dataset
     if args.data_idx is not None:
         return datamod.load_idx(args.data_idx[0], args.data_idx[1])
-    parts = args.blobs.split(",")
-    if len(parts) != 4:
-        raise UsageError("--blobs wants K,PER_CLASS,DIM,SPREAD")
-    k, per_class, dim = int(parts[0]), int(parts[1]), int(parts[2])
-    spread = float(parts[3])
+    try:
+        k, per_class, dim, spread = args.blobs.split(",")
+        k, per_class, dim, spread = int(k), int(per_class), int(dim), float(spread)
+    except ValueError:
+        raise UsageError(f"--blobs wants K,PER_CLASS,DIM,SPREAD, got {args.blobs!r}") from None
     return datamod.gen_blobs(k, per_class, dim, spread=spread, seed=args.data_seed)
 
 
-DEFAULT_CONFIG = {
+def _boolean(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+# section -> key -> (default, parse); a key without a default may be left out
+CONFIG_KEYS = {
     "train": {
-        "learning_rate": "0.1",
-        "momentum": "0.1",
-        "weight_decay": "0.001",
-        "epochs": "100",
-        "batch_size": "32",
-        "lr_decay": "0.0",
-        "hidden": "16",
-        "topk": "5",
+        "learning_rate": ("0.1", float),
+        "momentum": ("0.1", float),
+        "weight_decay": ("0.001", float),
+        "epochs": ("100", int),
+        "batch_size": ("32", int),
+        "lr_decay": ("0.0", float),
+        "hidden": ("16", _int_list),
+        "topk": ("5", int),
     },
     "loss": {
-        "variant": "ce",
-        "epsilon": "0.2",
+        "variant": ("ce", str),
+        "epsilon": ("0.2", float),
+        "epsilons": (None, _float_list),
     },
     "split": {
-        "fractions": "0.7,0.15,0.15",
-        "standardize": "true",
+        "fractions": ("0.7,0.15,0.15", _float_list),
+        "standardize": ("true", _boolean),
     },
 }
-# keys a config file may set beyond those with a default
-OPTIONAL_KEYS = {"loss": ("epsilons",)}
-# how load_config parses each numeric key, and what the value must be
-NUMERIC_KEYS = {
-    "train": {"learning_rate": float, "momentum": float, "weight_decay": float,
-              "epochs": int, "batch_size": int, "lr_decay": float, "hidden": _int_list,
-              "topk": int},
-    "loss": {"epsilon": float, "epsilons": _float_list},
-    "split": {"fractions": _float_list},
-}
 WANTED = {float: "a number", int: "an integer", _float_list: "a list of numbers",
-          _int_list: "a list of integers"}
+          _int_list: "a list of integers",
+          _boolean: f"one of {', '.join(configparser.ConfigParser.BOOLEAN_STATES)}"}
 
 
 def load_config(path=None):
-    """The [train], [loss] and [split] sections, numbers parsed and standardize a bool."""
+    """The [train], [loss] and [split] sections, each value parsed."""
     parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULT_CONFIG)
+    parser.read_dict({section: {key: default for key, (default, _) in keys.items() if default}
+                      for section, keys in CONFIG_KEYS.items()})
     if path is not None:
         try:
             read = parser.read(path)
@@ -125,33 +126,25 @@ def load_config(path=None):
             raise UsageError(f"config file {path} not found")
     # [DEFAULT] first: configparser copies its keys into every section
     for section in (parser.default_section, *parser.sections()):
-        known = (*DEFAULT_CONFIG.get(section, ()), *OPTIONAL_KEYS.get(section, ()))
         for key in parser[section]:
-            if key not in known:
+            if key not in CONFIG_KEYS.get(section, ()):
                 raise UsageError(f"config file {path}: unknown key {key!r} in [{section}]")
-    cfg = {section: dict(parser[section]) for section in DEFAULT_CONFIG}
-    for section, parsers in NUMERIC_KEYS.items():
-        for key, parse in parsers.items():
-            if key in cfg[section]:
-                value = cfg[section][key]
-                try:
-                    cfg[section][key] = parse(value)
-                except ValueError:
-                    raise UsageError(f"config file {path}: [{section}] {key} = {value!r} "
-                                     f"is not {WANTED[parse]}") from None
+    cfg = {section: {} for section in CONFIG_KEYS}
+    for section, values in cfg.items():
+        for key, value in parser[section].items():
+            parse = CONFIG_KEYS[section][key][1]
+            try:
+                values[key] = parse(value)
+            except ValueError:
+                raise UsageError(f"config file {path}: [{section}] {key} = {value!r} "
+                                 f"is not {WANTED[parse]}") from None
     if cfg["loss"]["variant"] not in VARIANTS:
         raise UsageError(
             f"unknown loss variant {cfg['loss']['variant']!r}; pick one of {tuple(VARIANTS)}"
         )
-    topk, standardize = cfg["train"]["topk"], cfg["split"]["standardize"]
+    topk = cfg["train"]["topk"]
     if topk < 1:
         raise UsageError(f"config file {path}: [train] topk must be >= 1, got {topk}")
-    if standardize.lower() not in parser.BOOLEAN_STATES:
-        raise UsageError(
-            f"config file {path}: [split] standardize must be one of "
-            f"{', '.join(parser.BOOLEAN_STATES)}; got {standardize!r}"
-        )
-    cfg["split"]["standardize"] = parser.BOOLEAN_STATES[standardize.lower()]
     return cfg
 
 
@@ -217,10 +210,13 @@ def cmd_similarity(args):
 def cmd_train(args):
     cfg = load_config(args.config)
     dataset = load_dataset(args)
+    tc = build_train_config(cfg, args.seed)
+    if tc.epsilons is not None and len(tc.epsilons) != dataset.k:
+        raise UsageError(f"config file {args.config}: [loss] epsilons has "
+                         f"{len(tc.epsilons)} values, the data has {dataset.k} classes")
     out = _outdir(args)
     train, val, test = prepare_splits(dataset, cfg, args.seed)
     sim = obtain_similarity(args, cfg, train)
-    tc = build_train_config(cfg, args.seed)
 
     epochs_path = out / "epochs.jsonl"
     with open(epochs_path, "w") as stream:
@@ -273,11 +269,13 @@ def _default_pairs(k):
 
 
 def _parse_pairs(text):
-    pairs = []
-    for part in text.split(","):
-        a, _, b = part.partition(":")
-        pairs.append((int(a), int(b)))
-    return tuple(pairs)
+    try:
+        pairs = tuple(tuple(int(v) for v in part.split(":")) for part in text.split(","))
+        if all(len(pair) == 2 for pair in pairs):
+            return pairs
+    except ValueError:
+        pass
+    raise UsageError(f"--pairs wants A:B,C:D, got {text!r}")
 
 
 def cmd_noise_exp(args):

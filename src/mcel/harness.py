@@ -89,46 +89,50 @@ def similarity_from_dataset(train, num_components=None, ridge=None):
     return ldamod.build_similarity_matrix(model)
 
 
-def _simple_config(base_cfg, seed, eps):
-    """mcel at eps; at epsilon 0 its H is exactly I, so it trains as ce."""
-    return replace(base_cfg, seed=seed, variant="mcel", epsilon=eps, epsilons=None)
+def check_epsilons(epsilons, what):
+    for eps in epsilons:
+        if not 0.0 <= eps < 0.5:
+            raise ValueError(f"{what} {eps} outside [0, 0.5)")
+
+
+def sweep(train, val, test, sim, base_cfg, seed, epsilons, hidden_sizes, topk):
+    """mcel trained once per distinct epsilon: {epsilon: (best_val_acc, test_top1)}.
+
+    At epsilon 0 H is exactly I, so that run trains as ce.
+    """
+    results = {}
+    for eps in epsilons:
+        if eps not in results:
+            cfg = replace(base_cfg, seed=seed, variant="mcel", epsilon=eps, epsilons=None)
+            report = run_training(train, val, test, cfg, hidden_sizes, sim, topk).report
+            results[eps] = (report["best_val_acc"], report["test_top1"])
+    return results
+
+
+def select(accuracy):
+    """The epsilon of highest accuracy; ties go to the smaller epsilon."""
+    return max(accuracy, key=lambda eps: (accuracy[eps], -eps))
 
 
 def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
                     seeds=(0,), topk=5):
-    """One mcel training run per (epsilon, seed).
+    """One mcel training run per (distinct epsilon, seed).
 
     make_splits(seed) must return (train, val, test, sim); it is called
-    once per seed, and only one seed's splits are alive at a time. Runs are
-    reported epsilon-major. Selection is the highest mean best-validation
-    accuracy, ties toward smaller epsilon.
+    once per seed, and only one seed's splits are alive at a time. Runs and
+    the curve have one row per listed epsilon, epsilon-major. Selection is
+    the highest mean best-validation accuracy.
     """
-    for eps in epsilons:
-        if not 0.0 <= eps < 0.5:
-            raise ValueError(f"grid epsilon {eps} outside [0, 0.5)")
-    runs = {}
-    for j, seed in enumerate(seeds):
-        train, val, test, sim = make_splits(seed)
-        for i, eps in enumerate(epsilons):
-            result = run_training(train, val, test, _simple_config(base_cfg, seed, eps),
-                                  hidden_sizes, sim, topk)
-            runs[i, j] = {"epsilon": eps, "seed": seed,
-                          "val_acc": result.report["best_val_acc"],
-                          "test_top1": result.report["test_top1"]}
-        del train, val, test, sim
-    rows = [runs[i, j] for i in range(len(epsilons)) for j in range(len(seeds))]
-    curve = []
-    for i, eps in enumerate(epsilons):
-        accs = [runs[i, j]["val_acc"] for j in range(len(seeds))]
-        curve.append(
-            {
-                "epsilon": eps,
-                "mean_val_acc": float(np.mean(accs)),
-                "std_val_acc": float(np.std(accs)),
-            }
-        )
-    best = max(curve, key=lambda c: (c["mean_val_acc"], -c["epsilon"]))
-    return {"grid": curve, "runs": rows, "selected_epsilon": best["epsilon"]}
+    check_epsilons(epsilons, "grid epsilon")
+    per_seed = [sweep(*make_splits(seed), base_cfg, seed, epsilons, hidden_sizes, topk)
+                for seed in seeds]
+    rows = [{"epsilon": eps, "seed": seed, "val_acc": runs[eps][0], "test_top1": runs[eps][1]}
+            for eps in epsilons for seed, runs in zip(seeds, per_seed)]
+    accs = {eps: [runs[eps][0] for runs in per_seed] for eps in epsilons}
+    curve = [{"epsilon": eps, "mean_val_acc": float(np.mean(accs[eps])),
+              "std_val_acc": float(np.std(accs[eps]))} for eps in epsilons]
+    selected = select({row["epsilon"]: row["mean_val_acc"] for row in curve})
+    return {"grid": curve, "runs": rows, "selected_epsilon": selected}
 
 
 def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_sizes,
@@ -136,17 +140,16 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
                          topk=5, lda_components=None):
     """CE vs MCEL at each noise fraction; noise touches the train split only.
 
-    For each seed the MCEL epsilon comes from the candidate list by clean
-    validation accuracy (evaluated on the untouched validation split).
+    Each (fraction, seed) cell sweeps epsilon 0 and the candidates: the ce
+    row is the epsilon-0 run, and the mcel row is the candidate selected by
+    clean validation accuracy (on the untouched validation split).
     Returns comparison rows plus the per-run noise masks (train-split row
     indices that were flipped).
     """
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"noise fraction {fraction} outside [0, 1]")
-    for eps in epsilon_candidates:
-        if not 0.0 <= eps < 0.5:
-            raise ValueError(f"epsilon candidate {eps} outside [0, 0.5)")
+    check_epsilons(epsilon_candidates, "epsilon candidate")
     rows = []
     masks = {}
     for fraction in fractions:
@@ -156,24 +159,10 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
             noisy_train, mask = datamod.inject_pairwise_noise(train, spec)
             masks[(fraction, seed)] = np.flatnonzero(mask)
             sim = similarity_from_dataset(noisy_train, lda_components)
-
-            ce_cfg = _simple_config(base_cfg, seed, 0.0)
-            ce_run = run_training(noisy_train, val, test, ce_cfg, hidden_sizes, sim, topk)
-            rows.append(
-                {"fraction": fraction, "seed": seed, "variant": "ce",
-                 "epsilon": 0.0, "test_top1": ce_run.report["test_top1"]}
-            )
-
-            best = None
-            for eps in epsilon_candidates:
-                cfg = _simple_config(base_cfg, seed, eps)
-                run = run_training(noisy_train, val, test, cfg, hidden_sizes, sim, topk)
-                key = (run.report["best_val_acc"], -eps)
-                if best is None or key > best[0]:
-                    best = (key, eps, run)
-            _, eps, run = best
-            rows.append(
-                {"fraction": fraction, "seed": seed, "variant": "mcel",
-                 "epsilon": eps, "test_top1": run.report["test_top1"]}
-            )
+            runs = sweep(noisy_train, val, test, sim, base_cfg, seed,
+                         (0.0, *epsilon_candidates), hidden_sizes, topk)
+            eps = select({e: runs[e][0] for e in epsilon_candidates})
+            cell = {"fraction": fraction, "seed": seed}
+            rows.append({**cell, "variant": "ce", "epsilon": 0.0, "test_top1": runs[0.0][1]})
+            rows.append({**cell, "variant": "mcel", "epsilon": eps, "test_top1": runs[eps][1]})
     return {"rows": rows, "masks": masks}

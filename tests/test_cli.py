@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import mcel
+from mcel import harness
 from mcel.cli import main
 from mcel.data import gen_blobs, split
-from mcel.harness import run_grid_search, similarity_from_dataset
+from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
 from mcel.lda import load_similarity
 from mcel.losses import VARIANTS, build_targets
 from mcel.net import TrainConfig, Trainer
@@ -348,6 +349,44 @@ class TestBadValues:
             )
             assert "[split] standardize" in err and repr(value) in err
 
+    @pytest.fixture
+    def no_lda(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fit the LDA before the bad value was rejected")
+        monkeypatch.setattr("mcel.cli.similarity_from_dataset", fail)
+
+    @pytest.mark.parametrize("config,message", [
+        ("[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2\n",
+         "[loss] epsilons has 2 values, the data has 4 classes"),
+        ("[train]\nbatch_size = 0\n[loss]\nvariant = mcel\n",
+         "epochs and batch_size must be >= 1"),
+    ], ids=["epsilons-count", "batch-size"])
+    def test_train_config_errors_come_before_the_lda_fit(self, tmp_path, capsys, no_lda,
+                                                          config, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(config)
+        err = self.assert_usage_error_in_process(
+            capsys, "train", "--blobs", "4,40,2,1.0", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        assert message in err
+
+    @pytest.mark.parametrize("command,flag,value,form", [
+        ("noise-exp", "--pairs", "0", "A:B,C:D"),
+        ("noise-exp", "--pairs", "0:1:2", "A:B,C:D"),
+        ("noise-exp", "--pairs", "a:b", "A:B,C:D"),
+        ("noise-exp", "--pairs", "0:1,", "A:B,C:D"),
+        ("train", "--blobs", "4,x,2,1.0", "K,PER_CLASS,DIM,SPREAD"),
+        ("train", "--blobs", "4,40,2", "K,PER_CLASS,DIM,SPREAD"),
+    ])
+    def test_malformed_flag_names_the_flag(self, tmp_path, capsys, no_training,
+                                           command, flag, value, form):
+        blobs = () if flag == "--blobs" else ("--blobs", "4,30,2,1.0")
+        err = self.assert_usage_error_in_process(
+            capsys, command, *blobs, flag, value, "--out", str(tmp_path / "x"),
+        )
+        assert err == f"error: {flag} wants {form}, got {value!r}\n"
+
     def test_epsilon_candidates_checked_before_training(self, tmp_path, capsys, no_training):
         err = self.assert_usage_error_in_process(
             capsys, "noise-exp", "--blobs", "4,30,2,1.0", "--epsilon-candidates", "0.2,0.7",
@@ -471,6 +510,57 @@ class TestGridSearch:
         assert [(r["epsilon"], r["seed"]) for r in result["runs"]] == [
             (e, s) for e in (0.0, 0.2, 0.4) for s in (5, 6)
         ]
+
+
+@pytest.fixture
+def trainings(monkeypatch):
+    """The epsilon of each harness.run_training call, in call order."""
+    calls = []
+
+    def counted(train, val, test, cfg, *args, **kwargs):
+        calls.append(cfg.epsilon)
+        return run_training(train, val, test, cfg, *args, **kwargs)
+
+    run_training = harness.run_training
+    monkeypatch.setattr(harness, "run_training", counted)
+    return calls
+
+
+class TestSweep:
+    """gridsearch and noise-exp train each distinct epsilon once per seed."""
+
+    def test_grid_trains_a_repeated_epsilon_once(self, trainings):
+        dataset = gen_blobs(3, 40, 2, spread=0.8, seed=1)
+
+        def make_splits(seed):
+            train, val, test = split(dataset, (0.7, 0.15, 0.15), seed)
+            return train, val, test, similarity_from_dataset(train)
+
+        base = TrainConfig(epochs=2, batch_size=16)
+        result = run_grid_search(make_splits, base, (4,), (0.2, 0.0, 0.2), (5, 6), topk=2)
+        assert trainings == [0.2, 0.0] * 2
+        assert [row["epsilon"] for row in result["grid"]] == [0.2, 0.0, 0.2]
+        assert result["grid"][0] == result["grid"][2]
+        assert [(r["epsilon"], r["seed"]) for r in result["runs"]] == [
+            (e, s) for e in (0.2, 0.0, 0.2) for s in (5, 6)
+        ]
+
+    @pytest.mark.parametrize("candidates", [(0.0, 0.2), (0.0,), (0.2, 0.2), (0.2, 0.3, 0.4)])
+    def test_noise_ce_is_the_epsilon_zero_run(self, trainings, candidates):
+        dataset = gen_blobs(4, 40, 2, spread=1.0, seed=0)
+        fractions, seeds = (0.1, 0.3), (0, 1)
+        result = run_noise_experiment(
+            dataset, ((0, 1), (2, 3)), fractions, seeds, TrainConfig(epochs=3, batch_size=16),
+            (4,), epsilon_candidates=candidates, topk=2,
+        )
+        per_cell = len({0.0, *candidates})
+        assert len(trainings) == len(fractions) * len(seeds) * per_cell
+        rows = result["rows"]
+        assert [r["variant"] for r in rows] == ["ce", "mcel"] * len(fractions) * len(seeds)
+        for ce, mcel in zip(rows[::2], rows[1::2]):
+            assert ce["epsilon"] == 0.0 and mcel["epsilon"] in candidates
+            if mcel["epsilon"] == 0.0:
+                assert ce["test_top1"] == mcel["test_top1"]
 
 
 class TestNoiseExperiment:
