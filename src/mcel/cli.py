@@ -85,38 +85,27 @@ def _boolean(text):
         raise ValueError(text) from None
 
 
-# section -> key -> (default, parse); a key without a default may be left out
+# section -> key -> parse. The [train] and [loss] defaults are TrainConfig's;
+# only [split] has its defaults here.
 CONFIG_KEYS = {
     "train": {
-        "learning_rate": ("0.1", float),
-        "momentum": ("0.1", float),
-        "weight_decay": ("0.001", float),
-        "epochs": ("100", int),
-        "batch_size": ("32", int),
-        "lr_decay": ("0.0", float),
-        "hidden": ("16", _int_list),
-        "topk": ("5", int),
+        "learning_rate": float, "momentum": float, "weight_decay": float, "epochs": int,
+        "batch_size": int, "lr_decay": float, "hidden": _int_list, "topk": int,
     },
-    "loss": {
-        "variant": ("ce", str),
-        "epsilon": ("0.2", float),
-        "epsilons": (None, _float_list),
-    },
-    "split": {
-        "fractions": ("0.7,0.15,0.15", _float_list),
-        "standardize": ("true", _boolean),
-    },
+    "loss": {"variant": str, "epsilon": float, "epsilons": _float_list},
+    "split": {"fractions": _float_list, "standardize": _boolean},
 }
+SPLIT_DEFAULTS = {"fractions": "0.7,0.15,0.15", "standardize": "true"}
 WANTED = {float: "a number", int: "an integer", _float_list: "a list of numbers",
           _int_list: "a list of integers",
           _boolean: f"one of {', '.join(configparser.ConfigParser.BOOLEAN_STATES)}"}
 
 
 def load_config(path=None):
-    """The [train], [loss] and [split] sections, each value parsed."""
+    """The [train], [loss] and [split] sections: each value the file sets,
+    parsed, and the [split] defaults."""
     parser = configparser.ConfigParser()
-    parser.read_dict({section: {key: default for key, (default, _) in keys.items() if default}
-                      for section, keys in CONFIG_KEYS.items()})
+    parser.read_dict({"train": {}, "loss": {}, "split": SPLIT_DEFAULTS})
     if path is not None:
         try:
             read = parser.read(path)
@@ -132,30 +121,27 @@ def load_config(path=None):
     cfg = {section: {} for section in CONFIG_KEYS}
     for section, values in cfg.items():
         for key, value in parser[section].items():
-            parse = CONFIG_KEYS[section][key][1]
+            parse = CONFIG_KEYS[section][key]
             try:
                 values[key] = parse(value)
             except ValueError:
                 raise UsageError(f"config file {path}: [{section}] {key} = {value!r} "
                                  f"is not {WANTED[parse]}") from None
-    if cfg["loss"]["variant"] not in VARIANTS:
-        raise UsageError(
-            f"unknown loss variant {cfg['loss']['variant']!r}; pick one of {tuple(VARIANTS)}"
-        )
-    topk = cfg["train"]["topk"]
-    if topk < 1:
-        raise UsageError(f"config file {path}: [train] topk must be >= 1, got {topk}")
     return cfg
 
 
-def build_train_config(cfg, seed=0):
-    loss = cfg["loss"]
-    steps = ("learning_rate", "momentum", "weight_decay", "epochs", "batch_size", "lr_decay")
-    return TrainConfig(
-        **{key: cfg["train"][key] for key in steps}, seed=seed, variant=loss["variant"],
-        epsilon=loss["epsilon"],
-        epsilons=tuple(loss["epsilons"]) if "epsilons" in loss else None,
-    )
+def build_train_config(cfg, path=None, seed=0):
+    """The run's TrainConfig from the [train] and [loss] values the file
+    sets; TrainConfig checks each one and gives the defaults."""
+    values = {**cfg["train"], **cfg["loss"]}
+    if "hidden" in values:
+        values["hidden_sizes"] = tuple(values.pop("hidden"))
+    if "epsilons" in values:
+        values["epsilons"] = tuple(values["epsilons"])
+    try:
+        return TrainConfig(**values, seed=seed)
+    except ValueError as exc:
+        raise UsageError(f"config file {path}: {exc}") from None
 
 
 def prepare_splits(dataset, cfg, seed):
@@ -165,18 +151,15 @@ def prepare_splits(dataset, cfg, seed):
     return train, val, test
 
 
-def obtain_similarity(args, cfg, train):
-    if getattr(args, "similarity", None):
+def obtain_similarity(args, tc, train):
+    if args.similarity:
         path = Path(args.similarity)
         if not path.exists():
             raise UsageError(f"similarity file {path} does not exist")
         return ldamod.load_similarity(path)
-    if not VARIANTS[cfg["loss"]["variant"]].similarity:
+    if not VARIANTS[tc.variant].similarity:
         return None
-    return similarity_from_dataset(
-        train, num_components=getattr(args, "lda_components", None),
-        ridge=getattr(args, "ridge", None),
-    )
+    return similarity_from_dataset(train, args.lda_components, args.ridge)
 
 
 def _outdir(args):
@@ -209,14 +192,14 @@ def cmd_similarity(args):
 
 def cmd_train(args):
     cfg = load_config(args.config)
+    tc = build_train_config(cfg, args.config, args.seed)
     dataset = load_dataset(args)
-    tc = build_train_config(cfg, args.seed)
     if tc.epsilons is not None and len(tc.epsilons) != dataset.k:
         raise UsageError(f"config file {args.config}: [loss] epsilons has "
                          f"{len(tc.epsilons)} values, the data has {dataset.k} classes")
     out = _outdir(args)
     train, val, test = prepare_splits(dataset, cfg, args.seed)
-    sim = obtain_similarity(args, cfg, train)
+    sim = obtain_similarity(args, tc, train)
 
     epochs_path = out / "epochs.jsonl"
     with open(epochs_path, "w") as stream:
@@ -224,8 +207,7 @@ def cmd_train(args):
             stream.write(json.dumps(record, sort_keys=True) + "\n")
             stream.flush()
 
-        result = run_training(train, val, test, tc, cfg["train"]["hidden"], sim,
-                              cfg["train"]["topk"], on_epoch)
+        result = run_training(train, val, test, tc, sim, on_epoch)
     (out / "report.json").write_text(dumps_report(result.report))
     save_checkpoint(result.model, out / "model.ckpt")
     _write_meta(out, result.wall_seconds)
@@ -239,10 +221,9 @@ def cmd_train(args):
 
 def cmd_gridsearch(args):
     cfg = load_config(args.config)
+    base = build_train_config(cfg, args.config)
     dataset = load_dataset(args)
     out = _outdir(args)
-    hidden, topk = cfg["train"]["hidden"], cfg["train"]["topk"]
-    base = build_train_config(cfg)
     epsilons = args.epsilons if args.epsilons else list(DEFAULT_GRID)
     seeds = args.seeds if args.seeds else [0]
 
@@ -252,7 +233,7 @@ def cmd_gridsearch(args):
         return train, val, test, sim
 
     started = time.monotonic()
-    result = run_grid_search(make_splits, base, hidden, epsilons, seeds, topk)
+    result = run_grid_search(make_splits, base, epsilons, seeds)
     (out / "grid.json").write_text(dumps_report(result))
     with open(out / "grid_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -280,10 +261,9 @@ def _parse_pairs(text):
 
 def cmd_noise_exp(args):
     cfg = load_config(args.config)
+    base = build_train_config(cfg, args.config)
     dataset = load_dataset(args)
     out = _outdir(args)
-    hidden, topk = cfg["train"]["hidden"], cfg["train"]["topk"]
-    base = build_train_config(cfg)
     pairs = _parse_pairs(args.pairs) if args.pairs else _default_pairs(dataset.k)
     fractions = args.fractions if args.fractions else [0.3]
     seeds = args.seeds if args.seeds else [0]
@@ -291,9 +271,8 @@ def cmd_noise_exp(args):
 
     started = time.monotonic()
     result = run_noise_experiment(
-        dataset, pairs, fractions, seeds, base, hidden,
-        epsilon_candidates=candidates, split_fractions=cfg["split"]["fractions"],
-        topk=topk, lda_components=args.lda_components,
+        dataset, pairs, fractions, seeds, base, epsilon_candidates=candidates,
+        split_fractions=cfg["split"]["fractions"], lda_components=args.lda_components,
     )
     with open(out / "noise.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -314,8 +293,7 @@ def cmd_gradcheck(args):
     for flag, value, least in (("--k", args.k, 2), ("--trials", args.trials, 1)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
-    corrupt = 1e-3 if args.corrupt else 0.0
-    results = run_all(args.k, args.trials, args.seed, corrupt)
+    results = run_all(args.k, args.trials, args.seed)
     failed = False
     for name, err in results.items():
         status = "ok" if err <= REL_TOL else "FAIL"
@@ -373,7 +351,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as datamod
 from . import lda as ldamod
-from .losses import VARIANTS
+from .losses import VARIANTS, check_epsilons
 from .net import Trainer, evaluate, init_model, top1
 
 DEFAULT_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45)
@@ -29,10 +29,6 @@ def similarity_checksum(sim):
     return hashlib.sha256(ldamod.format_similarity(sim).encode()).hexdigest()
 
 
-def config_echo(cfg, hidden_sizes, topk):
-    return {**asdict(cfg), "hidden_sizes": list(hidden_sizes), "topk": topk}
-
-
 @dataclass
 class RunResult:
     report: dict
@@ -40,11 +36,10 @@ class RunResult:
     wall_seconds: float
 
 
-def run_training(train, val, test, cfg, hidden_sizes, sim=None, topk=5,
-                 epoch_callback=None):
+def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
     """Train, keep the best-validation snapshot, evaluate it on test."""
     started = time.monotonic()
-    model = init_model((train.dim, *hidden_sizes, train.k), cfg.seed)
+    model = init_model((train.dim, *cfg.hidden_sizes, train.k), cfg.seed)
     trainer = Trainer(model, cfg, sim)
     records = []
     best = {"epoch": -1, "val_acc": -1.0, "snapshot": None}
@@ -63,15 +58,15 @@ def run_training(train, val, test, cfg, hidden_sizes, sim=None, topk=5,
         if epoch_callback is not None:
             epoch_callback(record)
     best_model = best["snapshot"]
-    test_top1, test_topk, _ = evaluate(best_model, test, topk)
+    test_top1, test_topk, _ = evaluate(best_model, test, cfg.topk)
     report = {
-        "config": config_echo(cfg, hidden_sizes, topk),
+        "config": asdict(cfg),
         "epochs": records,
         "best_epoch": best["epoch"],
         "best_val_acc": best["val_acc"],
         "test_top1": test_top1,
         "test_topk": test_topk,
-        "topk": min(topk, train.k),
+        "topk": min(cfg.topk, train.k),
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
     mixing = VARIANTS[cfg.variant].learned_mixing
@@ -89,13 +84,7 @@ def similarity_from_dataset(train, num_components=None, ridge=None):
     return ldamod.build_similarity_matrix(model)
 
 
-def check_epsilons(epsilons, what):
-    for eps in epsilons:
-        if not 0.0 <= eps < 0.5:
-            raise ValueError(f"{what} {eps} outside [0, 0.5)")
-
-
-def sweep(train, val, test, sim, base_cfg, seed, epsilons, hidden_sizes, topk):
+def sweep(train, val, test, sim, base_cfg, seed, epsilons):
     """mcel trained once per distinct epsilon: {epsilon: (best_val_acc, test_top1)}.
 
     At epsilon 0 H is exactly I, so that run trains as ce.
@@ -104,7 +93,7 @@ def sweep(train, val, test, sim, base_cfg, seed, epsilons, hidden_sizes, topk):
     for eps in epsilons:
         if eps not in results:
             cfg = replace(base_cfg, seed=seed, variant="mcel", epsilon=eps, epsilons=None)
-            report = run_training(train, val, test, cfg, hidden_sizes, sim, topk).report
+            report = run_training(train, val, test, cfg, sim).report
             results[eps] = (report["best_val_acc"], report["test_top1"])
     return results
 
@@ -114,8 +103,7 @@ def select(accuracy):
     return max(accuracy, key=lambda eps: (accuracy[eps], -eps))
 
 
-def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
-                    seeds=(0,), topk=5):
+def run_grid_search(make_splits, base_cfg, epsilons=DEFAULT_GRID, seeds=(0,)):
     """One mcel training run per (distinct epsilon, seed).
 
     make_splits(seed) must return (train, val, test, sim); it is called
@@ -124,8 +112,7 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
     the highest mean best-validation accuracy.
     """
     check_epsilons(epsilons, "grid epsilon")
-    per_seed = [sweep(*make_splits(seed), base_cfg, seed, epsilons, hidden_sizes, topk)
-                for seed in seeds]
+    per_seed = [sweep(*make_splits(seed), base_cfg, seed, epsilons) for seed in seeds]
     rows = [{"epsilon": eps, "seed": seed, "val_acc": runs[eps][0], "test_top1": runs[eps][1]}
             for eps in epsilons for seed, runs in zip(seeds, per_seed)]
     accs = {eps: [runs[eps][0] for runs in per_seed] for eps in epsilons}
@@ -135,9 +122,9 @@ def run_grid_search(make_splits, base_cfg, hidden_sizes, epsilons=DEFAULT_GRID,
     return {"grid": curve, "runs": rows, "selected_epsilon": selected}
 
 
-def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_sizes,
+def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg,
                          epsilon_candidates=(0.2,), split_fractions=(0.7, 0.15, 0.15),
-                         topk=5, lda_components=None):
+                         lda_components=None):
     """CE vs MCEL at each noise fraction; noise touches the train split only.
 
     Each (fraction, seed) cell sweeps epsilon 0 and the candidates: the ce
@@ -159,8 +146,7 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, hidden_size
             noisy_train, mask = datamod.inject_pairwise_noise(train, spec)
             masks[(fraction, seed)] = np.flatnonzero(mask)
             sim = similarity_from_dataset(noisy_train, lda_components)
-            runs = sweep(noisy_train, val, test, sim, base_cfg, seed,
-                         (0.0, *epsilon_candidates), hidden_sizes, topk)
+            runs = sweep(noisy_train, val, test, sim, base_cfg, seed, (0.0, *epsilon_candidates))
             eps = select({e: runs[e][0] for e in epsilon_candidates})
             cell = {"fraction": fraction, "seed": seed}
             rows.append({**cell, "variant": "ce", "epsilon": 0.0, "test_top1": runs[0.0][1]})

@@ -4,10 +4,11 @@ Every variant trains against a target matrix H whose row y blends the
 one-hot label y with class-similarity mass: H = I for ce, and
 target_matrix(A, eps) for the rest. VARIANTS says what each name means.
 
-build_targets gives a variant's H on a similarity matrix. The trainer steps
-on logit_grad, a batch's exact logit gradient, and sums each epoch's loss
-with batch_values; batch_loss is the two on one batch, and gradcheck
-verifies it.
+check_loss checks a run's loss settings, and check_epsilons is the one
+statement of the [0, 0.5) epsilon range. build_targets gives a variant's H
+on a similarity matrix. The trainer steps on logit_grad, a batch's exact
+logit gradient, and sums each epoch's loss with batch_values; batch_loss
+is the two on one batch, and gradcheck verifies it.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
@@ -46,31 +47,42 @@ def target_matrix(sim, eps):
     return h
 
 
-def build_targets(variant, k, sim, epsilon, epsilons=None):
-    """Target matrix H of a `variant` run on the similarity matrix sim.
+def check_epsilons(epsilons, what):
+    """Every epsilon must lie in [0, 0.5); the error names the first that does not."""
+    for eps in epsilons:
+        if not 0.0 <= eps < 0.5:
+            raise ValueError(f"{what} {eps} outside [0, 0.5)")
 
-    ce trains on H = I. Every other variant trains on target_matrix(sim,
-    eps), where eps holds k per-class epsilons in [0, 0.5): every one is
-    epsilon, unless a per_class variant gets its own epsilons.
-    """
+
+def check_loss(variant, epsilon, epsilons=None):
+    """The loss settings of a run: a known variant, per-class epsilons only
+    on a per_class variant, and every epsilon in range."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}; pick one of {tuple(VARIANTS)}")
     if epsilons is not None and not VARIANTS[variant].per_class:
         per_class = " or ".join(name for name, v in VARIANTS.items() if v.per_class)
         raise ValueError(f"per-class epsilons need {per_class}, not {variant!r}")
+    check_epsilons((epsilon,), "epsilon")
+    if epsilons is not None:
+        check_epsilons(epsilons, "epsilons value")
+
+
+def build_targets(variant, k, sim, epsilon, epsilons=None):
+    """Target matrix H of a `variant` run on the similarity matrix sim.
+
+    ce trains on H = I. Every other variant trains on target_matrix(sim,
+    eps), where eps holds k per-class epsilons: every one is epsilon,
+    unless a per_class variant gets its own epsilons. check_loss checks
+    the settings first.
+    """
+    check_loss(variant, epsilon, epsilons)
     if not VARIANTS[variant].similarity:
         return np.eye(k)
     if sim is None:
         raise ValueError(f"loss variant {variant!r} needs a similarity matrix")
     if sim.k != k:
         raise DimensionError(f"similarity matrix is {sim.k} x {sim.k}, the model has {k} classes")
-    if not 0.0 <= epsilon < 0.5:
-        raise ValueError(f"epsilon must be in [0, 0.5), got {epsilon}")
     eps = np.full(k, float(epsilon)) if epsilons is None else np.array(epsilons, dtype=float)
-    if eps.shape != (k,):
-        raise DimensionError(f"need {k} epsilons, got {eps.size}")
-    if not np.all((eps >= 0.0) & (eps < 0.5)):
-        raise ValueError("every epsilon must be in [0, 0.5)")
     return target_matrix(sim, eps)
 
 

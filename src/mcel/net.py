@@ -8,6 +8,7 @@ losses.build_targets: the fixed variants just change the target rows, the
 predictions of each epoch and rebuild H on it.
 """
 
+import itertools
 import math
 import os
 import struct
@@ -18,7 +19,7 @@ import numpy as np
 from .data import read_exact
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
 from .lda import SimilarityMatrix
-from .losses import VARIANTS, batch_values, build_targets, logit_grad, softmax
+from .losses import VARIANTS, batch_values, build_targets, check_loss, logit_grad, softmax
 
 CHECKPOINT_MAGIC = b"MCEL"
 CHECKPOINT_VERSION = 1
@@ -26,33 +27,45 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class MlpModel:
+    """An MLP whose parameters live in one flat vector, params: the
+    constructor copies the weights (first) and the biases into it and keeps
+    shaped views of it as weights and biases, so one numpy call can step
+    or scan every parameter. Use copy() for a snapshot that training does
+    not change."""
     layer_sizes: tuple
     weights: list  # per layer, shape (out, in)
     biases: list  # per layer, shape (out,)
+
+    def __post_init__(self):
+        layers = [*self.weights, *self.biases]
+        self.params = np.concatenate([p.ravel() for p in layers])
+        ends = itertools.accumulate(p.size for p in layers)
+        views = [self.params[end - p.size:end].reshape(p.shape) for end, p in zip(ends, layers)]
+        self.weights, self.biases = views[:len(self.weights)], views[len(self.weights):]
 
     @property
     def num_classes(self):
         return self.layer_sizes[-1]
 
     def copy(self):
-        return MlpModel(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MlpModel(self.layer_sizes, self.weights, self.biases)
 
     def check_finite(self):
-        return all(np.isfinite(p).all() for p in self.weights + self.biases)
+        return np.isfinite(self.params).all()
 
 
 @dataclass
 class TrainConfig:
+    """Every [train] and [loss] setting of a run and its default; each
+    value is checked when the config is made, before any work."""
     learning_rate: float = 0.1
     momentum: float = 0.1
     weight_decay: float = 1e-3
     epochs: int = 100
     batch_size: int = 32
     lr_decay: float = 0.0
+    hidden_sizes: tuple = (16,)
+    topk: int = 5
     seed: int = 0
     variant: str = "ce"  # one of losses.VARIANTS; *-soft variants move their similarity
     epsilon: float = 0.2
@@ -66,8 +79,13 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0 or self.lr_decay < 0:
             raise ValueError("decay rates must be >= 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size", "topk"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(size < 1 for size in self.hidden_sizes):
+            sizes = ",".join(str(size) for size in self.hidden_sizes)
+            raise ValueError(f"hidden layer sizes must be >= 1, got {sizes}")
+        check_loss(self.variant, self.epsilon, self.epsilons)
 
 
 def init_model(layer_sizes, seed=0):
@@ -135,11 +153,9 @@ def _target_rows(h, ys, out=None):
 class Trainer:
     """Owns one model plus the optimizer state for a full training run.
 
-    The model's weights (first) and biases are packed into one flat
-    parameter vector, and model.weights/model.biases become views into it,
-    so the momentum step runs over every parameter at once. backprop fills
-    a flat gradient vector of the same layout through its views. Use
-    model.copy() for a snapshot that training does not change.
+    The momentum step runs over the model's flat params at once, and
+    backprop fills a flat gradient vector of the same layout through its
+    shaped views.
     """
 
     def __init__(self, model, cfg, sim=None):
@@ -147,19 +163,11 @@ class Trainer:
         self.cfg = cfg
         self.sim = sim
         self.epoch = 0
-        layers = model.weights + model.biases
-        self._params = np.concatenate([p.ravel() for p in layers])
         self._num_weights = sum(w.size for w in model.weights)
-        bounds = np.cumsum([p.size for p in layers])[:-1]
-
-        def views(flat):  # (weights, biases) shaped views into a flat vector
-            v = [part.reshape(p.shape) for part, p in zip(np.split(flat, bounds), layers)]
-            return v[:len(model.weights)], v[len(model.weights):]
-
-        model.weights, model.biases = views(self._params)
-        self._grad = np.empty_like(self._params)
-        self._grads = views(self._grad)
-        self._vel = np.zeros_like(self._params)
+        # the gradient buffer, in the model's layout; backprop overwrites every entry
+        grads = MlpModel(model.layer_sizes, model.weights, model.biases)
+        self._grad, self._grads = grads.params, (grads.weights, grads.biases)
+        self._vel = np.zeros_like(model.params)
         # the target matrix H; only _step_mixing rebuilds it
         self.targets = build_targets(cfg.variant, model.num_classes, sim,
                                      cfg.epsilon, cfg.epsilons)
@@ -188,7 +196,7 @@ class Trainer:
         probs, targets = np.empty((2, data.n, k))  # the epoch's buffers
         row_sums = np.add.reduce(h, axis=1).take(ys_all)[:, None]
         lr = self.learning_rate()
-        params, vel, g = self._params, self._vel, self._grad
+        params, vel, g = self.model.params, self._vel, self._grad
         g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
         wd, momentum, size = cfg.weight_decay, cfg.momentum, cfg.batch_size
         for start in range(0, data.n, size):
@@ -306,8 +314,8 @@ def load_checkpoint(path):
                 )
             nw = rows * cols
             body = read_exact(fh, size, (nw + rows) * 8, path, f"{rows}x{cols} layer")
-            weights.append(np.frombuffer(body, dtype="<f8", count=nw).reshape(rows, cols).copy())
-            biases.append(np.frombuffer(body, dtype="<f8", offset=nw * 8).copy())
+            weights.append(np.frombuffer(body, dtype="<f8", count=nw).reshape(rows, cols))
+            biases.append(np.frombuffer(body, dtype="<f8", offset=nw * 8))
             if not sizes:
                 sizes.append(cols)
             sizes.append(rows)

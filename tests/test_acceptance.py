@@ -212,11 +212,11 @@ def test_end_to_end_training():
     train, val, test, _, _ = standardize(train, val, test)
     sim = similarity_from_dataset(train)
     base = TrainConfig(learning_rate=0.1, momentum=0.1, weight_decay=1e-3,
-                       epochs=200, batch_size=32, seed=0)
-    ce = run_training(train, val, test, base, (16,), None, topk=2)
+                       epochs=200, batch_size=32, topk=2, seed=0)
+    ce = run_training(train, val, test, base)
     from dataclasses import replace
     mixed_cfg = replace(base, variant="mcel", epsilon=0.2)
-    mixed = run_training(train, val, test, mixed_cfg, (16,), sim, topk=2)
+    mixed = run_training(train, val, test, mixed_cfg, sim)
 
     k = 3
     sim3 = random_similarity(np.random.default_rng(5), k)
@@ -309,17 +309,15 @@ def test_noise_robustness():
         centers.append([cx + gap / 2, cy])
     dataset = gen_blobs(6, 200, 2, centers=np.array(centers), spread=0.7, seed=0)
     base = TrainConfig(learning_rate=0.1, momentum=0.1, weight_decay=1e-3,
-                       epochs=120, batch_size=32, seed=0)
+                       epochs=120, batch_size=32, hidden_sizes=(8,), topk=2, seed=0)
     result = run_noise_experiment(
         dataset,
         pairs=((0, 1), (2, 3), (4, 5)),
         fractions=(0.3,),
         seeds=(0, 1, 2, 3, 4),
         base_cfg=base,
-        hidden_sizes=(8,),
         epsilon_candidates=(0.2, 0.3, 0.4),
         split_fractions=(0.5, 0.25, 0.25),
-        topk=2,
     )
     ce = [r["test_top1"] for r in result["rows"] if r["variant"] == "ce"]
     mixed = [r["test_top1"] for r in result["rows"] if r["variant"] == "mcel"]
@@ -342,14 +340,14 @@ def test_determinism():
     """Identical seeds give byte-identical serialized reports."""
     dataset = gen_blobs(3, 80, 2, spread=0.8, seed=2)
     cfg = TrainConfig(learning_rate=0.1, momentum=0.1, weight_decay=1e-3,
-                      epochs=15, batch_size=16, seed=3,
+                      epochs=15, batch_size=16, hidden_sizes=(8,), topk=2, seed=3,
                       variant="mcel", epsilon=0.2)
     payloads = []
     for _ in range(2):
         train, val, test = split(dataset, (0.7, 0.15, 0.15), seed=3)
         train, val, test, _, _ = standardize(train, val, test)
         sim = similarity_from_dataset(train)
-        result = run_training(train, val, test, cfg, (8,), sim, topk=2)
+        result = run_training(train, val, test, cfg, sim)
         payloads.append(dumps_report(result.report).encode())
     ok = payloads[0] == payloads[1]
     report(

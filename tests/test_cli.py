@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +11,23 @@ import pytest
 
 import mcel
 from mcel import harness
-from mcel.cli import main
+from mcel.cli import CONFIG_KEYS, build_train_config, load_config, main
 from mcel.data import gen_blobs, split
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
 from mcel.lda import load_similarity
-from mcel.losses import VARIANTS, build_targets
+from mcel.losses import VARIANTS, batch_loss, build_targets
 from mcel.net import TrainConfig, Trainer
 
 
 SRC = str(Path(mcel.__file__).resolve().parents[1])
+CORRUPT_GRADCHECK = """
+import sys
+from mcel import cli, gradcheck
+batch_loss = gradcheck.batch_loss
+gradcheck.batch_loss = lambda probs, targets: (lambda v, g: (v, g + 1e-3))(
+    *batch_loss(probs, targets))
+sys.exit(cli.main(["gradcheck", "--trials", "3"]))
+"""
 
 
 def run_cli(*argv):
@@ -353,23 +362,43 @@ class TestBadValues:
     def no_lda(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("fit the LDA before the bad value was rejected")
+        # train and gridsearch fit through the cli's name, noise-exp through harness's
         monkeypatch.setattr("mcel.cli.similarity_from_dataset", fail)
+        monkeypatch.setattr("mcel.harness.similarity_from_dataset", fail)
 
-    @pytest.mark.parametrize("config,message", [
-        ("[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2\n",
+    # (id, config, message); gridsearch and noise-exp ignore [loss] epsilons
+    # but still reject an invalid one. The count of epsilons is checked
+    # against the data, by train only.
+    CONFIG_ERRORS = [
+        ("epsilons-count", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2\n",
          "[loss] epsilons has 2 values, the data has 4 classes"),
-        ("[train]\nbatch_size = 0\n[loss]\nvariant = mcel\n",
-         "epochs and batch_size must be >= 1"),
-    ], ids=["epsilons-count", "batch-size"])
+        ("batch-size", "[train]\nbatch_size = 0\n[loss]\nvariant = mcel\n",
+         "batch_size must be >= 1, got 0"),
+        ("gmcel-epsilons", "[loss]\nvariant = gmcel\nepsilons = 0.1,0.2,0.3,0.4\n",
+         "per-class epsilons need sg-mcel or sg-mcel-soft, not 'gmcel'"),
+        ("epsilon", "[loss]\nvariant = mcel\nepsilon = 0.7\n", "epsilon 0.7 outside [0, 0.5)"),
+        ("epsilons-value", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2,0.6,0.3\n",
+         "epsilons value 0.6 outside [0, 0.5)"),
+        ("hidden", "[train]\nhidden = 0\n", "hidden layer sizes must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("command,config,message", [
+        pytest.param(command, config, message,
+                     id=case if command == "train" else f"{case}-{command}")
+        for case, config, message in CONFIG_ERRORS
+        for command in ("train", "gridsearch", "noise-exp")
+        if case != "epsilons-count" or command == "train"
+    ])
     def test_train_config_errors_come_before_the_lda_fit(self, tmp_path, capsys, no_lda,
-                                                          config, message):
+                                                          no_training, command, config,
+                                                          message):
         path = tmp_path / "bad.ini"
         path.write_text(config)
         err = self.assert_usage_error_in_process(
-            capsys, "train", "--blobs", "4,40,2,1.0", "--config", str(path),
+            capsys, command, "--blobs", "4,40,2,1.0", "--config", str(path),
             "--out", str(tmp_path / "x"),
         )
-        assert message in err
+        assert err == f"error: config file {path}: {message}\n"
 
     @pytest.mark.parametrize("command,flag,value,form", [
         ("noise-exp", "--pairs", "0", "A:B,C:D"),
@@ -393,6 +422,18 @@ class TestBadValues:
             "--out", str(tmp_path / "x"),
         )
         assert "epsilon candidate 0.7 outside [0, 0.5)" in err
+
+
+class TestOneRunConfig:
+    """TrainConfig states each [train]/[loss] default; the cli only parses."""
+
+    def test_config_keys_are_the_train_config_fields(self):
+        keys = [*CONFIG_KEYS["train"], *CONFIG_KEYS["loss"]]
+        named = [{"hidden": "hidden_sizes"}.get(key, key) for key in keys]
+        assert sorted(named) == sorted(f.name for f in fields(TrainConfig) if f.name != "seed")
+
+    def test_no_config_file_gives_the_train_config_defaults(self):
+        assert build_train_config(load_config()) == TrainConfig()
 
 
 class TestRuntimeExitCodes:
@@ -443,7 +484,8 @@ class TestRuntimeExitCodes:
         assert f"{path}: line {line}: field larger than field limit" in proc.stderr
 
     def test_corrupted_gradcheck_exits_3(self):
-        proc = run_python("-m", "mcel.cli", "gradcheck", "--trials", "3", "--corrupt")
+        # a logit gradient off by 1e-3 in every entry, in a fresh interpreter
+        proc = run_python("-c", CORRUPT_GRADCHECK)
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stdout.count("[FAIL]") == len(VARIANTS)
@@ -504,8 +546,8 @@ class TestGridSearch:
             train, val, test = split(dataset, (0.7, 0.15, 0.15), seed)
             return train, val, test, similarity_from_dataset(train)
 
-        base = TrainConfig(epochs=2, batch_size=16)
-        result = run_grid_search(make_splits, base, (4,), (0.0, 0.2, 0.4), (5, 6), topk=2)
+        base = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(4,), topk=2)
+        result = run_grid_search(make_splits, base, (0.0, 0.2, 0.4), (5, 6))
         assert calls == [5, 6]
         assert [(r["epsilon"], r["seed"]) for r in result["runs"]] == [
             (e, s) for e in (0.0, 0.2, 0.4) for s in (5, 6)
@@ -536,8 +578,8 @@ class TestSweep:
             train, val, test = split(dataset, (0.7, 0.15, 0.15), seed)
             return train, val, test, similarity_from_dataset(train)
 
-        base = TrainConfig(epochs=2, batch_size=16)
-        result = run_grid_search(make_splits, base, (4,), (0.2, 0.0, 0.2), (5, 6), topk=2)
+        base = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(4,), topk=2)
+        result = run_grid_search(make_splits, base, (0.2, 0.0, 0.2), (5, 6))
         assert trainings == [0.2, 0.0] * 2
         assert [row["epsilon"] for row in result["grid"]] == [0.2, 0.0, 0.2]
         assert result["grid"][0] == result["grid"][2]
@@ -550,8 +592,9 @@ class TestSweep:
         dataset = gen_blobs(4, 40, 2, spread=1.0, seed=0)
         fractions, seeds = (0.1, 0.3), (0, 1)
         result = run_noise_experiment(
-            dataset, ((0, 1), (2, 3)), fractions, seeds, TrainConfig(epochs=3, batch_size=16),
-            (4,), epsilon_candidates=candidates, topk=2,
+            dataset, ((0, 1), (2, 3)), fractions, seeds,
+            TrainConfig(epochs=3, batch_size=16, hidden_sizes=(4,), topk=2),
+            epsilon_candidates=candidates,
         )
         per_cell = len({0.0, *candidates})
         assert len(trainings) == len(fractions) * len(seeds) * per_cell
@@ -603,8 +646,12 @@ class TestGradcheckCommand:
     def test_minimal_k(self):
         assert run_cli("gradcheck", "--k", "2", "--trials", "5") == 0
 
-    def test_corrupted_gradient_detected(self):
-        assert run_cli("gradcheck", "--trials", "3", "--corrupt") == 3
+    def test_corrupted_gradient_detected(self, monkeypatch):
+        def corrupted(probs, targets):
+            value, grad = batch_loss(probs, targets)
+            return value, grad + 1e-3
+        monkeypatch.setattr("mcel.gradcheck.batch_loss", corrupted)
+        assert run_cli("gradcheck", "--trials", "3") == 3
 
     @pytest.mark.parametrize("flag,value,least", [
         ("--k", "1", 2), ("--k", "0", 2), ("--trials", "0", 1), ("--trials", "-2", 1),

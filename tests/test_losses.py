@@ -112,6 +112,16 @@ class TestMixingSpecs:
         ]
         assert hits == []
 
+    def test_only_losses_states_the_epsilon_range(self):
+        # check_epsilons is the one statement of [0, 0.5)
+        pattern = re.compile(r"[<>=]=?\s*0?\.5\b|\b0?\.5\s*[<>=]")
+        hits = [
+            f"{path.name}:{lineno}: {line.strip()}"
+            for path in sorted(Path(mcel.__file__).parent.glob("*.py")) if path.name != "losses.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)
+        ]
+        assert hits == []
+
 
 class TestTargetMatrix:
     def test_epsilon_zero_is_identity(self):

@@ -345,8 +345,8 @@ class TestTrainer:
             if permute_head:
                 # output rows follow the class relabeling: W'[perm[c]] = W[c]
                 inv = np.argsort(perm)
-                model.weights[-1] = model.weights[-1][inv].copy()
-                model.biases[-1] = model.biases[-1][inv].copy()
+                model.weights[-1][:] = model.weights[-1][inv]
+                model.biases[-1][:] = model.biases[-1][inv]
             cfg = TrainConfig(
                 learning_rate=0.05, epochs=5, batch_size=10, seed=9,
                 variant="mcel", epsilon=0.2,
@@ -541,8 +541,8 @@ class TestEvaluate:
         # zero features and zero biases give every class the same probability
         k = 3
         val = LabeledDataset(np.zeros((7, 2)), np.array([0, 1, 2, 0, 1, 0, 2]), k)
-        cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8)
-        result = run_training(gen_blobs(k, 10, 2, seed=0), val, val, cfg, (4,))
+        cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8, hidden_sizes=(4,))
+        result = run_training(gen_blobs(k, 10, 2, seed=0), val, val, cfg)
         top1, _, _ = evaluate(result.model, val)
         assert top1 == 3 / 7  # every tie goes to class 0
         assert [r["val_acc"] for r in result.report["epochs"]] == [top1, top1]
