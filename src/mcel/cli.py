@@ -1,8 +1,8 @@
 """Command-line harness.
 
 Subcommands: similarity, train, gridsearch, noise-exp, gradcheck.
-Exit codes: 0 success, 1 usage/config error, 2 runtime failure, 3 gradcheck
-failure. Reports are JSON with sorted keys so identical seeds give
+Exit codes: 0 success, 1 bad flag, config value or path, 2 runtime failure,
+3 gradcheck failure. Reports are JSON with sorted keys so identical seeds give
 byte-identical payloads; wall-clock timing goes to a separate meta file.
 """
 
@@ -36,8 +36,11 @@ EXIT_RUNTIME = 2
 EXIT_GRADCHECK = 3
 
 
-class UsageError(Exception):
-    pass
+class Parser(argparse.ArgumentParser):
+    """Raises a bad flag as ValueError, which main turns into exit 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _float_list(text):
@@ -48,6 +51,17 @@ def _int_list(text):
     return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {seed}")
+    return seed
+
+
+def _seed_list(text):
+    return [_seed(v) for v in text.split(",") if v.strip() != ""]
+
+
 def add_dataset_flags(parser):
     parser.add_argument("--data-csv", metavar="PATH")
     parser.add_argument("--label-col", metavar="NAME")
@@ -56,16 +70,18 @@ def add_dataset_flags(parser):
         "--blobs", metavar="K,PER_CLASS,DIM,SPREAD",
         help="synthetic Gaussian blobs, e.g. 4,500,2,0.8",
     )
-    parser.add_argument("--data-seed", type=int, default=0)
+    parser.add_argument("--data-seed", type=_seed, default=0)
+    parser.add_argument("--lda-components", type=int, default=None)
+    parser.add_argument("--out", default="out")
 
 
 def load_dataset(args):
     sources = [args.data_csv, args.data_idx, args.blobs]
     if sum(s is not None for s in sources) != 1:
-        raise UsageError("exactly one of --data-csv, --data-idx, --blobs is required")
+        raise ValueError("exactly one of --data-csv, --data-idx, --blobs is required")
     if args.data_csv is not None:
         if args.label_col is None:
-            raise UsageError("--data-csv requires --label-col")
+            raise ValueError("--data-csv requires --label-col")
         dataset, _ = datamod.load_csv(args.data_csv, args.label_col)
         return dataset
     if args.data_idx is not None:
@@ -74,7 +90,7 @@ def load_dataset(args):
         k, per_class, dim, spread = args.blobs.split(",")
         k, per_class, dim, spread = int(k), int(per_class), int(dim), float(spread)
     except ValueError:
-        raise UsageError(f"--blobs wants K,PER_CLASS,DIM,SPREAD, got {args.blobs!r}") from None
+        raise ValueError(f"--blobs wants K,PER_CLASS,DIM,SPREAD, got {args.blobs!r}") from None
     return datamod.gen_blobs(k, per_class, dim, spread=spread, seed=args.data_seed)
 
 
@@ -110,14 +126,14 @@ def load_config(path=None):
         try:
             read = parser.read(path)
         except configparser.Error as exc:
-            raise UsageError(f"config file {path}: {' '.join(str(exc).split())}") from None
+            raise ValueError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if not read:
-            raise UsageError(f"config file {path} not found")
+            raise ValueError(f"config file {path} not found")
     # [DEFAULT] first: configparser copies its keys into every section
     for section in (parser.default_section, *parser.sections()):
         for key in parser[section]:
             if key not in CONFIG_KEYS.get(section, ()):
-                raise UsageError(f"config file {path}: unknown key {key!r} in [{section}]")
+                raise ValueError(f"config file {path}: unknown key {key!r} in [{section}]")
     cfg = {section: {} for section in CONFIG_KEYS}
     for section, values in cfg.items():
         for key, value in parser[section].items():
@@ -125,7 +141,7 @@ def load_config(path=None):
             try:
                 values[key] = parse(value)
             except ValueError:
-                raise UsageError(f"config file {path}: [{section}] {key} = {value!r} "
+                raise ValueError(f"config file {path}: [{section}] {key} = {value!r} "
                                  f"is not {WANTED[parse]}") from None
     return cfg
 
@@ -141,7 +157,7 @@ def build_train_config(cfg, path=None, seed=0):
     try:
         return TrainConfig(**values, seed=seed)
     except ValueError as exc:
-        raise UsageError(f"config file {path}: {exc}") from None
+        raise ValueError(f"config file {path}: {exc}") from None
 
 
 def prepare_splits(dataset, cfg, seed):
@@ -153,10 +169,7 @@ def prepare_splits(dataset, cfg, seed):
 
 def obtain_similarity(args, tc, train):
     if args.similarity:
-        path = Path(args.similarity)
-        if not path.exists():
-            raise UsageError(f"similarity file {path} does not exist")
-        return ldamod.load_similarity(path)
+        return ldamod.load_similarity(args.similarity)
     if not VARIANTS[tc.variant].similarity:
         return None
     return similarity_from_dataset(train, args.lda_components, args.ridge)
@@ -168,8 +181,9 @@ def _outdir(args):
     return out
 
 
-def _write_meta(out, wall_seconds):
-    meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "wall_seconds": wall_seconds}
+def _write_meta(out, started):
+    meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "wall_seconds": time.monotonic() - started}
     (out / "meta.json").write_text(json.dumps(meta) + "\n")
 
 
@@ -195,7 +209,7 @@ def cmd_train(args):
     tc = build_train_config(cfg, args.config, args.seed)
     dataset = load_dataset(args)
     if tc.epsilons is not None and len(tc.epsilons) != dataset.k:
-        raise UsageError(f"config file {args.config}: [loss] epsilons has "
+        raise ValueError(f"config file {args.config}: [loss] epsilons has "
                          f"{len(tc.epsilons)} values, the data has {dataset.k} classes")
     out = _outdir(args)
     train, val, test = prepare_splits(dataset, cfg, args.seed)
@@ -207,14 +221,14 @@ def cmd_train(args):
             stream.write(json.dumps(record, sort_keys=True) + "\n")
             stream.flush()
 
-        result = run_training(train, val, test, tc, sim, on_epoch)
-    (out / "report.json").write_text(dumps_report(result.report))
-    save_checkpoint(result.model, out / "model.ckpt")
-    _write_meta(out, result.wall_seconds)
+        started = time.monotonic()
+        report, model = run_training(train, val, test, tc, sim, on_epoch)
+        _write_meta(out, started)
+    (out / "report.json").write_text(dumps_report(report))
+    save_checkpoint(model, out / "model.ckpt")
     print(
-        f"best val acc {result.report['best_val_acc']:.4f} at epoch "
-        f"{result.report['best_epoch']}; test top-1 {result.report['test_top1']:.4f}, "
-        f"top-{result.report['topk']} {result.report['test_topk']:.4f}"
+        f"best val acc {report['best_val_acc']:.4f} at epoch {report['best_epoch']}; "
+        f"test top-1 {report['test_top1']:.4f}, top-{report['topk']} {report['test_topk']:.4f}"
     )
     return EXIT_OK
 
@@ -240,7 +254,7 @@ def cmd_gridsearch(args):
         writer.writerow(["epsilon", "mean_val_acc", "std_val_acc"])
         writer.writerows([row["epsilon"], repr(row["mean_val_acc"]), repr(row["std_val_acc"])]
                          for row in result["grid"])
-    _write_meta(out, time.monotonic() - started)
+    _write_meta(out, started)
     print(f"grid {epsilons} -> selected epsilon = {result['selected_epsilon']}")
     return EXIT_OK
 
@@ -256,7 +270,7 @@ def _parse_pairs(text):
             return pairs
     except ValueError:
         pass
-    raise UsageError(f"--pairs wants A:B,C:D, got {text!r}")
+    raise ValueError(f"--pairs wants A:B,C:D, got {text!r}")
 
 
 def cmd_noise_exp(args):
@@ -284,7 +298,7 @@ def cmd_noise_exp(args):
         mask_path.write_text("".join(f"{int(i)}\n" for i in idx))
     payload = {"pairs": [list(p) for p in pairs], "rows": result["rows"]}
     (out / "noise.json").write_text(dumps_report(payload))
-    _write_meta(out, time.monotonic() - started)
+    _write_meta(out, started)
     print(f"noise experiment over fractions {fractions}, pairs {pairs}")
     return EXIT_OK
 
@@ -292,7 +306,7 @@ def cmd_noise_exp(args):
 def cmd_gradcheck(args):
     for flag, value, least in (("--k", args.k, 2), ("--trials", args.trials, 1)):
         if value < least:
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     results = run_all(args.k, args.trials, args.seed)
     failed = False
     for name, err in results.items():
@@ -303,7 +317,7 @@ def cmd_gradcheck(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="mcel",
         description="Mixed cross-entropy loss experiments with an LDA similarity prior",
     )
@@ -311,63 +325,51 @@ def build_parser():
 
     p = sub.add_parser("similarity", help="build and save a class-similarity matrix")
     add_dataset_flags(p)
-    p.add_argument("--lda-components", type=int, default=None)
     p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("train", help="train and evaluate one model")
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--similarity", default=None, metavar="PATH")
-    p.add_argument("--lda-components", type=int, default=None)
     p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gridsearch", help="epsilon grid search")
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
     p.add_argument("--epsilons", type=_float_list, default=None)
-    p.add_argument("--seeds", type=_int_list, default=None)
-    p.add_argument("--lda-components", type=int, default=None)
+    p.add_argument("--seeds", type=_seed_list, default=None)
     p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("noise-exp", help="pairwise label-noise robustness comparison")
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
     p.add_argument("--fractions", type=_float_list, default=None)
-    p.add_argument("--seeds", type=_int_list, default=None)
+    p.add_argument("--seeds", type=_seed_list, default=None)
     p.add_argument("--pairs", default=None, metavar="A:B,C:D")
     p.add_argument("--epsilon-candidates", type=_float_list, default=None)
-    p.add_argument("--lda-components", type=int, default=None)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_noise_exp)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except McelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except ValueError as exc:
-        # bad values in flags or config that pass argparse/configparser
+    except (ValueError, OSError) as exc:
+        # bad flags, values and paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

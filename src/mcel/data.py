@@ -10,7 +10,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class NoiseSpec:
                     raise ValueError(f"class {c} appears in more than one pair")
                 seen.add(c)
         if not 0.0 <= self.swap_fraction <= 1.0:
-            raise ValueError("swap_fraction must be in [0, 1]")
+            raise ValueError(f"noise fraction {self.swap_fraction} outside [0, 1]")
 
 
 def load_csv(path, label_column):

@@ -41,10 +41,7 @@ def max_rel_error(analytic, numeric):
 
 
 def random_similarity(rng, k):
-    a = rng.random((k, k)) + 0.1
-    np.fill_diagonal(a, 0.0)
-    a = a / a.sum(axis=1, keepdims=True)
-    return SimilarityMatrix(k, a)
+    return SimilarityMatrix.from_scores(rng.random((k, k)) + 0.1)
 
 
 def random_targets(variant, rng, k):

@@ -8,8 +8,7 @@ reruns with identical seeds are byte-identical.
 
 import hashlib
 import json
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -29,16 +28,9 @@ def similarity_checksum(sim):
     return hashlib.sha256(ldamod.format_similarity(sim).encode()).hexdigest()
 
 
-@dataclass
-class RunResult:
-    report: dict
-    model: object
-    wall_seconds: float
-
-
 def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
-    """Train, keep the best-validation snapshot, evaluate it on test."""
-    started = time.monotonic()
+    """Train, keep the best-validation snapshot, evaluate it on test;
+    returns (report, best model)."""
     model = init_model((train.dim, *cfg.hidden_sizes, train.k), cfg.seed)
     trainer = Trainer(model, cfg, sim)
     records = []
@@ -76,7 +68,7 @@ def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
         report["learned_mixing"] = (trainer.targets.tolist() if mixing == "targets"
                                     else [float(e) for e in eps])
         report["learned_similarity"] = trainer.sim.a.tolist()
-    return RunResult(report, best_model, time.monotonic() - started)
+    return report, best_model
 
 
 def similarity_from_dataset(train, num_components=None, ridge=None):
@@ -93,7 +85,7 @@ def sweep(train, val, test, sim, base_cfg, seed, epsilons):
     for eps in epsilons:
         if eps not in results:
             cfg = replace(base_cfg, seed=seed, variant="mcel", epsilon=eps, epsilons=None)
-            report = run_training(train, val, test, cfg, sim).report
+            report, _ = run_training(train, val, test, cfg, sim)
             results[eps] = (report["best_val_acc"], report["test_top1"])
     return results
 
@@ -133,22 +125,19 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg,
     Returns comparison rows plus the per-run noise masks (train-split row
     indices that were flipped).
     """
-    for fraction in fractions:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"noise fraction {fraction} outside [0, 1]")
+    specs = [datamod.NoiseSpec(pairs, fraction, seed) for fraction in fractions for seed in seeds]
     check_epsilons(epsilon_candidates, "epsilon candidate")
     rows = []
     masks = {}
-    for fraction in fractions:
-        for seed in seeds:
-            train, val, test = datamod.split(dataset, split_fractions, seed)
-            spec = datamod.NoiseSpec(pairs, fraction, seed)
-            noisy_train, mask = datamod.inject_pairwise_noise(train, spec)
-            masks[(fraction, seed)] = np.flatnonzero(mask)
-            sim = similarity_from_dataset(noisy_train, lda_components)
-            runs = sweep(noisy_train, val, test, sim, base_cfg, seed, (0.0, *epsilon_candidates))
-            eps = select({e: runs[e][0] for e in epsilon_candidates})
-            cell = {"fraction": fraction, "seed": seed}
-            rows.append({**cell, "variant": "ce", "epsilon": 0.0, "test_top1": runs[0.0][1]})
-            rows.append({**cell, "variant": "mcel", "epsilon": eps, "test_top1": runs[eps][1]})
+    for spec in specs:
+        fraction, seed = spec.swap_fraction, spec.seed
+        train, val, test = datamod.split(dataset, split_fractions, seed)
+        noisy_train, mask = datamod.inject_pairwise_noise(train, spec)
+        masks[(fraction, seed)] = np.flatnonzero(mask)
+        sim = similarity_from_dataset(noisy_train, lda_components)
+        runs = sweep(noisy_train, val, test, sim, base_cfg, seed, (0.0, *epsilon_candidates))
+        eps = select({e: runs[e][0] for e in epsilon_candidates})
+        cell = {"fraction": fraction, "seed": seed}
+        rows.append({**cell, "variant": "ce", "epsilon": 0.0, "test_top1": runs[0.0][1]})
+        rows.append({**cell, "variant": "mcel", "epsilon": eps, "test_top1": runs[eps][1]})
     return {"rows": rows, "masks": masks}

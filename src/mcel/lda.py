@@ -58,6 +58,14 @@ class SimilarityMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
+    @classmethod
+    def from_scores(cls, scores):
+        """The matrix of k x k non-negative scores with the diagonal zeroed
+        and each row scaled to sum to 1."""
+        a = np.array(scores, dtype=float)
+        np.fill_diagonal(a, 0.0)
+        return cls(a.shape[0], a / a.sum(axis=1, keepdims=True))
+
     def asymmetry(self):
         """Largest |A - A^T| entry; the row-normalized matrix need not be
         symmetric even though the raw similarity scores are."""
@@ -172,22 +180,15 @@ def build_similarity_matrix(model):
     d(v_i, v_j) = 1 - cos(v_i, v_j); s = 1 / (1 + e^d); rows normalize over
     the off-diagonal entries, diagonal stays zero.
     """
-    k = model.num_classes
     means = model.class_means
     norms = [np.linalg.norm(v) for v in means]
     for i, nrm in enumerate(norms):
         if nrm == 0.0:
             raise ValueError(f"projected mean of class {i} is the zero vector")
-    a = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            cos = float(np.dot(means[i], means[j])) / (norms[i] * norms[j])
-            dist = 1.0 - cos
-            a[i, j] = 1.0 / (1.0 + np.exp(dist))
-        a[i] /= a[i].sum()
-    return SimilarityMatrix(k, a)
+    # one np.dot per pair: means @ means.T rounds some cosines differently
+    cos = np.array([[float(np.dot(u, v)) / (nu * nv) for v, nv in zip(means, norms)]
+                    for u, nu in zip(means, norms)])
+    return SimilarityMatrix.from_scores(1.0 / (1.0 + np.exp(1.0 - cos)))
 
 
 def format_similarity(sim):
@@ -246,16 +247,13 @@ def load_similarity(path):
                 f"{path}: line {lineno}: row sums to {total!r}, expected 1"
             )
         rows.append(row)
-    a = np.array(rows)
     # renormalize the sub-1e-9 residue so the type invariant (1e-12) holds
     try:
-        return SimilarityMatrix(k, a / a.sum(axis=1, keepdims=True))
+        return SimilarityMatrix.from_scores(rows)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
 def uniform_similarity(k):
     """Uniform off-diagonal similarity (the label-smoothing special case)."""
-    a = np.full((k, k), 1.0 / (k - 1))
-    np.fill_diagonal(a, 0.0)
-    return SimilarityMatrix(k, a)
+    return SimilarityMatrix.from_scores(np.ones((k, k)))

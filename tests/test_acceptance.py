@@ -213,10 +213,10 @@ def test_end_to_end_training():
     sim = similarity_from_dataset(train)
     base = TrainConfig(learning_rate=0.1, momentum=0.1, weight_decay=1e-3,
                        epochs=200, batch_size=32, topk=2, seed=0)
-    ce = run_training(train, val, test, base)
+    ce, _ = run_training(train, val, test, base)
     from dataclasses import replace
     mixed_cfg = replace(base, variant="mcel", epsilon=0.2)
-    mixed = run_training(train, val, test, mixed_cfg, sim)
+    mixed, _ = run_training(train, val, test, mixed_cfg, sim)
 
     k = 3
     sim3 = random_similarity(np.random.default_rng(5), k)
@@ -234,16 +234,16 @@ def test_end_to_end_training():
     worst_grad = max(grad_errs.values())
     elapsed = time.monotonic() - started
     ok = (
-        ce.report["test_top1"] >= 0.95
-        and mixed.report["test_top1"] >= 0.95
+        ce["test_top1"] >= 0.95
+        and mixed["test_top1"] >= 0.95
         and worst_grad <= 1e-5
         and elapsed < 60.0
     )
     report(
         "end-to-end training",
         ok,
-        f"test top-1 ce {ce.report['test_top1']:.4f}, mixed "
-        f"{mixed.report['test_top1']:.4f} (need >= 0.95); backprop FD error "
+        f"test top-1 ce {ce['test_top1']:.4f}, mixed "
+        f"{mixed['test_top1']:.4f} (need >= 0.95); backprop FD error "
         f"{worst_grad:.3e} (tol 1e-5) across {sorted(grad_errs)}; "
         f"{elapsed:.1f}s (budget 60s)",
     )
@@ -347,8 +347,8 @@ def test_determinism():
         train, val, test = split(dataset, (0.7, 0.15, 0.15), seed=3)
         train, val, test, _, _ = standardize(train, val, test)
         sim = similarity_from_dataset(train)
-        result = run_training(train, val, test, cfg, sim)
-        payloads.append(dumps_report(result.report).encode())
+        result, _ = run_training(train, val, test, cfg, sim)
+        payloads.append(dumps_report(result).encode())
     ok = payloads[0] == payloads[1]
     report(
         "determinism",

@@ -423,6 +423,98 @@ class TestBadValues:
         )
         assert "epsilon candidate 0.7 outside [0, 0.5)" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--fractions", "0.3,1.5", "noise fraction 1.5 outside [0, 1]"),
+        ("--pairs", "0:1,1:2", "class 1 appears in more than one pair"),
+    ])
+    def test_noise_settings_checked_before_any_split(self, tmp_path, capsys, monkeypatch,
+                                                     flag, value, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("split the data before the bad value was rejected")
+        monkeypatch.setattr("mcel.data.split", fail)
+        err = self.assert_usage_error_in_process(
+            capsys, "noise-exp", "--blobs", "4,30,2,1.0", flag, value,
+            "--out", str(tmp_path / "x"),
+        )
+        assert err == f"error: {message}\n"
+
+
+BLOBS = ("--blobs", "4,40,2,1.0")
+
+
+class TestOneExitPath:
+    """main turns every bad flag, path or value into exit 1 and one line."""
+
+    # (id, argv, the text the line must hold); "{tmp}" is the test's directory
+    # and "{tmp}/file" an existing file
+    BAD_INPUT = [
+        ("malformed-flag", ["gridsearch", *BLOBS, "--epsilons", "x"],
+         "mcel gridsearch: argument --epsilons"),
+        ("unknown-flag", ["train", "--bogus"], "unrecognized arguments: --bogus"),
+        ("no-command", [], "required: command"),
+        ("missing-csv", ["similarity", "--data-csv", "{tmp}/missing.csv", "--label-col", "y"],
+         "{tmp}/missing.csv"),
+        ("missing-idx", ["similarity", "--data-idx", "{tmp}/img.idx", "{tmp}/lab.idx"],
+         "{tmp}/img.idx"),
+        ("similarity-dir", ["train", *BLOBS, "--similarity", "{tmp}"], "Is a directory"),
+        ("csv-dir", ["similarity", "--data-csv", "{tmp}", "--label-col", "y"],
+         "Is a directory"),
+        ("out-file", ["similarity", *BLOBS, "--out", "{tmp}/file"], "{tmp}/file"),
+        ("train-seed", ["train", *BLOBS, "--seed", "-1"],
+         "argument --seed: seeds must be >= 0, got -1"),
+        ("data-seed", ["similarity", *BLOBS, "--data-seed", "-1"],
+         "argument --data-seed: seeds must be >= 0, got -1"),
+        ("grid-seeds", ["gridsearch", *BLOBS, "--seeds", "0,-1"],
+         "argument --seeds: seeds must be >= 0, got -1"),
+        ("noise-seeds", ["noise-exp", *BLOBS, "--seeds", "-2"],
+         "argument --seeds: seeds must be >= 0, got -2"),
+        ("gradcheck-seed", ["gradcheck", "--seed", "-1"],
+         "argument --seed: seeds must be >= 0, got -1"),
+    ]
+
+    @staticmethod
+    def argv(tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if argv and argv[0] != "gradcheck" and "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        return argv
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(argv, message, id=case) for case, argv, message in BAD_INPUT
+    ])
+    def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                             argv, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("loaded data before the bad flag was rejected")
+        if "seeds must be" in message:
+            monkeypatch.setattr("mcel.data.gen_blobs", fail)
+        assert run_cli(*self.argv(tmp_path, argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert message.replace("{tmp}", str(tmp_path)) in captured.err
+
+    def test_bad_path_in_a_fresh_interpreter(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        proc = run_python("-m", "mcel.cli", *self.argv(
+            tmp_path, ["similarity", "--data-csv", str(missing), "--label-col", "y"]))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and str(missing) in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        [], ["similarity"], ["train"], ["gridsearch"], ["noise-exp"], ["gradcheck"],
+    ])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "-h")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['mcel', *command])} ")
+
 
 class TestOneRunConfig:
     """TrainConfig states each [train]/[loss] default; the cli only parses."""

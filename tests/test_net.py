@@ -542,10 +542,10 @@ class TestEvaluate:
         k = 3
         val = LabeledDataset(np.zeros((7, 2)), np.array([0, 1, 2, 0, 1, 0, 2]), k)
         cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8, hidden_sizes=(4,))
-        result = run_training(gen_blobs(k, 10, 2, seed=0), val, val, cfg)
-        top1, _, _ = evaluate(result.model, val)
+        report, model = run_training(gen_blobs(k, 10, 2, seed=0), val, val, cfg)
+        top1, _, _ = evaluate(model, val)
         assert top1 == 3 / 7  # every tie goes to class 0
-        assert [r["val_acc"] for r in result.report["epochs"]] == [top1, top1]
+        assert [r["val_acc"] for r in report["epochs"]] == [top1, top1]
 
     def test_confusion_matches_add_at_reference(self):
         k = 5
