@@ -19,7 +19,6 @@ from . import lda as ldamod
 from .errors import McelError
 from .gradcheck import REL_TOL, run_all
 from .harness import (
-    DEFAULT_GRID,
     dumps_report,
     run_grid_search,
     run_noise_experiment,
@@ -43,54 +42,71 @@ class Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _at_least(least):
+    """An integer parse that rejects a value below least."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _items(item):
+    """The comma-list parse: 'a,b' -> (item('a'), item('b')). An empty list
+    or an empty item fails as item('') does."""
+    return lambda text: tuple(item(v) for v in text.split(","))
 
 
-def _seed(text):
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {seed}")
-    return seed
+def _pair(text):
+    a, b = text.split(":")
+    return int(a), int(b)
 
 
-def _seed_list(text):
-    return [_seed(v) for v in text.split(",") if v.strip() != ""]
+def _blobs(text):
+    k, per_class, dim, spread = text.split(",")
+    return int(k), int(per_class), int(dim), float(spread)
+
+
+def _flag(form, parse):
+    """An argparse type: parse(text), and a bad value worded by the form it
+    wants (argument --pairs: wants A:B,C:D, got '0')."""
+    def typed(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"wants {form}, got {text!r}") from None
+    return typed
+
+
+INTS, FLOATS = _items(int), _items(float)
+NUMBERS = _flag("a list of numbers", FLOATS)
+SEED = _flag("an integer", _at_least(0))
+SEEDS = _flag("a list of integers", _items(_at_least(0)))
 
 
 def add_dataset_flags(parser):
-    parser.add_argument("--data-csv", metavar="PATH")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data-csv", metavar="PATH")
+    source.add_argument("--data-idx", nargs=2, metavar=("IMAGES", "LABELS"))
+    form = "K,PER_CLASS,DIM,SPREAD"
+    source.add_argument("--blobs", type=_flag(form, _blobs), metavar=form,
+                        help="synthetic Gaussian blobs, e.g. 4,500,2,0.8")
     parser.add_argument("--label-col", metavar="NAME")
-    parser.add_argument("--data-idx", nargs=2, metavar=("IMAGES", "LABELS"))
-    parser.add_argument(
-        "--blobs", metavar="K,PER_CLASS,DIM,SPREAD",
-        help="synthetic Gaussian blobs, e.g. 4,500,2,0.8",
-    )
-    parser.add_argument("--data-seed", type=_seed, default=0)
+    parser.add_argument("--data-seed", type=SEED, default=0)
     parser.add_argument("--lda-components", type=int, default=None)
     parser.add_argument("--out", default="out")
 
 
 def load_dataset(args):
-    sources = [args.data_csv, args.data_idx, args.blobs]
-    if sum(s is not None for s in sources) != 1:
-        raise ValueError("exactly one of --data-csv, --data-idx, --blobs is required")
     if args.data_csv is not None:
         if args.label_col is None:
             raise ValueError("--data-csv requires --label-col")
         dataset, _ = datamod.load_csv(args.data_csv, args.label_col)
         return dataset
     if args.data_idx is not None:
-        return datamod.load_idx(args.data_idx[0], args.data_idx[1])
-    try:
-        k, per_class, dim, spread = args.blobs.split(",")
-        k, per_class, dim, spread = int(k), int(per_class), int(dim), float(spread)
-    except ValueError:
-        raise ValueError(f"--blobs wants K,PER_CLASS,DIM,SPREAD, got {args.blobs!r}") from None
+        return datamod.load_idx(*args.data_idx)
+    k, per_class, dim, spread = args.blobs
     return datamod.gen_blobs(k, per_class, dim, spread=spread, seed=args.data_seed)
 
 
@@ -106,14 +122,14 @@ def _boolean(text):
 CONFIG_KEYS = {
     "train": {
         "learning_rate": float, "momentum": float, "weight_decay": float, "epochs": int,
-        "batch_size": int, "lr_decay": float, "hidden": _int_list, "topk": int,
+        "batch_size": int, "lr_decay": float, "hidden": INTS, "topk": int,
     },
-    "loss": {"variant": str, "epsilon": float, "epsilons": _float_list},
-    "split": {"fractions": _float_list, "standardize": _boolean},
+    "loss": {"variant": str, "epsilon": float, "epsilons": FLOATS},
+    "split": {"fractions": FLOATS, "standardize": _boolean},
 }
 SPLIT_DEFAULTS = {"fractions": "0.7,0.15,0.15", "standardize": "true"}
-WANTED = {float: "a number", int: "an integer", _float_list: "a list of numbers",
-          _int_list: "a list of integers",
+WANTED = {float: "a number", int: "an integer", FLOATS: "a list of numbers",
+          INTS: "a list of integers",
           _boolean: f"one of {', '.join(configparser.ConfigParser.BOOLEAN_STATES)}"}
 
 
@@ -151,9 +167,7 @@ def build_train_config(cfg, path=None, seed=0):
     sets; TrainConfig checks each one and gives the defaults."""
     values = {**cfg["train"], **cfg["loss"]}
     if "hidden" in values:
-        values["hidden_sizes"] = tuple(values.pop("hidden"))
-    if "epsilons" in values:
-        values["epsilons"] = tuple(values["epsilons"])
+        values["hidden_sizes"] = values.pop("hidden")
     try:
         return TrainConfig(**values, seed=seed)
     except ValueError as exc:
@@ -238,8 +252,6 @@ def cmd_gridsearch(args):
     base = build_train_config(cfg, args.config)
     dataset = load_dataset(args)
     out = _outdir(args)
-    epsilons = args.epsilons if args.epsilons else list(DEFAULT_GRID)
-    seeds = args.seeds if args.seeds else [0]
 
     def make_splits(seed):
         train, val, test = prepare_splits(dataset, cfg, seed)
@@ -247,7 +259,7 @@ def cmd_gridsearch(args):
         return train, val, test, sim
 
     started = time.monotonic()
-    result = run_grid_search(make_splits, base, epsilons, seeds)
+    result = run_grid_search(make_splits, base, args.epsilons, args.seeds)
     (out / "grid.json").write_text(dumps_report(result))
     with open(out / "grid_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -255,22 +267,8 @@ def cmd_gridsearch(args):
         writer.writerows([row["epsilon"], repr(row["mean_val_acc"]), repr(row["std_val_acc"])]
                          for row in result["grid"])
     _write_meta(out, started)
-    print(f"grid {epsilons} -> selected epsilon = {result['selected_epsilon']}")
+    print(f"grid {list(args.epsilons)} -> selected epsilon = {result['selected_epsilon']}")
     return EXIT_OK
-
-
-def _default_pairs(k):
-    return tuple((i, i + 1) for i in range(0, k - 1, 2))
-
-
-def _parse_pairs(text):
-    try:
-        pairs = tuple(tuple(int(v) for v in part.split(":")) for part in text.split(","))
-        if all(len(pair) == 2 for pair in pairs):
-            return pairs
-    except ValueError:
-        pass
-    raise ValueError(f"--pairs wants A:B,C:D, got {text!r}")
 
 
 def cmd_noise_exp(args):
@@ -278,15 +276,11 @@ def cmd_noise_exp(args):
     base = build_train_config(cfg, args.config)
     dataset = load_dataset(args)
     out = _outdir(args)
-    pairs = _parse_pairs(args.pairs) if args.pairs else _default_pairs(dataset.k)
-    fractions = args.fractions if args.fractions else [0.3]
-    seeds = args.seeds if args.seeds else [0]
-    candidates = args.epsilon_candidates if args.epsilon_candidates else [0.2]
 
     started = time.monotonic()
     result = run_noise_experiment(
-        dataset, pairs, fractions, seeds, base, epsilon_candidates=candidates,
-        split_fractions=cfg["split"]["fractions"], lda_components=args.lda_components,
+        dataset, args.pairs, args.fractions, args.seeds, base, args.epsilon_candidates,
+        cfg["split"]["fractions"], args.lda_components,
     )
     with open(out / "noise.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -296,17 +290,15 @@ def cmd_noise_exp(args):
     for (fraction, seed), idx in result["masks"].items():
         mask_path = out / f"noise_mask_f{fraction}_s{seed}.txt"
         mask_path.write_text("".join(f"{int(i)}\n" for i in idx))
+    pairs = result["pairs"]
     payload = {"pairs": [list(p) for p in pairs], "rows": result["rows"]}
     (out / "noise.json").write_text(dumps_report(payload))
     _write_meta(out, started)
-    print(f"noise experiment over fractions {fractions}, pairs {pairs}")
+    print(f"noise experiment over fractions {list(args.fractions)}, pairs {pairs}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args):
-    for flag, value, least in (("--k", args.k, 2), ("--trials", args.trials, 1)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
     results = run_all(args.k, args.trials, args.seed)
     failed = False
     for name, err in results.items():
@@ -331,7 +323,7 @@ def build_parser():
     p = sub.add_parser("train", help="train and evaluate one model")
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--similarity", default=None, metavar="PATH")
     p.add_argument("--ridge", type=float, default=None)
     p.set_defaults(func=cmd_train)
@@ -339,24 +331,25 @@ def build_parser():
     p = sub.add_parser("gridsearch", help="epsilon grid search")
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
-    p.add_argument("--epsilons", type=_float_list, default=None)
-    p.add_argument("--seeds", type=_seed_list, default=None)
+    p.add_argument("--epsilons", type=NUMBERS, default=(0.0, 0.1, 0.2, 0.3, 0.4, 0.45))
+    p.add_argument("--seeds", type=SEEDS, default=(0,))
     p.add_argument("--ridge", type=float, default=None)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("noise-exp", help="pairwise label-noise robustness comparison")
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
-    p.add_argument("--fractions", type=_float_list, default=None)
-    p.add_argument("--seeds", type=_seed_list, default=None)
-    p.add_argument("--pairs", default=None, metavar="A:B,C:D")
-    p.add_argument("--epsilon-candidates", type=_float_list, default=None)
+    p.add_argument("--fractions", type=NUMBERS, default=(0.3,))
+    p.add_argument("--seeds", type=SEEDS, default=(0,))
+    p.add_argument("--pairs", type=_flag("A:B,C:D", _items(_pair)), default=None,
+                   metavar="A:B,C:D", help="default 0:1,2:3,... over the data's classes")
+    p.add_argument("--epsilon-candidates", type=NUMBERS, default=(0.2,))
     p.set_defaults(func=cmd_noise_exp)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--k", type=_flag("an integer", _at_least(2)), default=5)
+    p.add_argument("--trials", type=_flag("an integer", _at_least(1)), default=50)
+    p.add_argument("--seed", type=SEED, default=0)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -255,15 +255,19 @@ def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     return LabeledDataset(feats, labels, k)
 
 
+def check_pairs(pairs, k):
+    for a, b in pairs:
+        if not (0 <= a < k and 0 <= b < k):
+            raise ValueError(f"pair ({a},{b}) references a class outside [0,{k})")
+
+
 def inject_pairwise_noise(data, spec):
     """Swap a fraction of labels symmetrically within each designated pair.
 
     Features are untouched. Returns the noisy dataset and a boolean mask of
     flipped rows.
     """
-    for a, b in spec.pairs:
-        if not (0 <= a < data.k and 0 <= b < data.k):
-            raise ValueError(f"pair ({a},{b}) references a class outside [0,{data.k})")
+    check_pairs(spec.pairs, data.k)
     rng = np.random.default_rng(spec.seed)
     labels = data.labels.copy()
     mask = np.zeros(data.n, dtype=bool)

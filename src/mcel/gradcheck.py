@@ -66,7 +66,7 @@ def check_variant(variant, k, trials, seed):
     return worst
 
 
-def run_all(k=5, trials=50, seed=0):
+def run_all(k, trials, seed):
     """Max relative finite-difference error per loss variant."""
     return {
         variant: check_variant(variant, k, trials, seed + i)

@@ -17,8 +17,6 @@ from . import lda as ldamod
 from .losses import VARIANTS, check_epsilons
 from .net import Trainer, evaluate, init_model, top1
 
-DEFAULT_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45)
-
 
 def dumps_report(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -95,7 +93,7 @@ def select(accuracy):
     return max(accuracy, key=lambda eps: (accuracy[eps], -eps))
 
 
-def run_grid_search(make_splits, base_cfg, epsilons=DEFAULT_GRID, seeds=(0,)):
+def run_grid_search(make_splits, base_cfg, epsilons, seeds):
     """One mcel training run per (distinct epsilon, seed).
 
     make_splits(seed) must return (train, val, test, sim); it is called
@@ -114,17 +112,20 @@ def run_grid_search(make_splits, base_cfg, epsilons=DEFAULT_GRID, seeds=(0,)):
     return {"grid": curve, "runs": rows, "selected_epsilon": selected}
 
 
-def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg,
-                         epsilon_candidates=(0.2,), split_fractions=(0.7, 0.15, 0.15),
-                         lda_components=None):
+def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, epsilon_candidates,
+                         split_fractions, lda_components=None):
     """CE vs MCEL at each noise fraction; noise touches the train split only.
 
-    Each (fraction, seed) cell sweeps epsilon 0 and the candidates: the ce
-    row is the epsilon-0 run, and the mcel row is the candidate selected by
-    clean validation accuracy (on the untouched validation split).
-    Returns comparison rows plus the per-run noise masks (train-split row
+    pairs None swaps 0:1, 2:3, ... over the data's classes. Each (fraction,
+    seed) cell sweeps epsilon 0 and the candidates: the ce row is the
+    epsilon-0 run, and the mcel row is the candidate selected by clean
+    validation accuracy (on the untouched validation split). Returns the
+    pairs, comparison rows and the per-run noise masks (train-split row
     indices that were flipped).
     """
+    if pairs is None:
+        pairs = tuple((i, i + 1) for i in range(0, dataset.k - 1, 2))
+    datamod.check_pairs(pairs, dataset.k)
     specs = [datamod.NoiseSpec(pairs, fraction, seed) for fraction in fractions for seed in seeds]
     check_epsilons(epsilon_candidates, "epsilon candidate")
     rows = []
@@ -140,4 +141,4 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg,
         cell = {"fraction": fraction, "seed": seed}
         rows.append({**cell, "variant": "ce", "epsilon": 0.0, "test_top1": runs[0.0][1]})
         rows.append({**cell, "variant": "mcel", "epsilon": eps, "test_top1": runs[eps][1]})
-    return {"rows": rows, "masks": masks}
+    return {"pairs": pairs, "rows": rows, "masks": masks}

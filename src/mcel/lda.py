@@ -116,8 +116,8 @@ def solve_generalized_symmetric_eig(sb, sw, ridge=0.0):
         )
     if not (np.all(np.isfinite(sb)) and np.all(np.isfinite(sw))):
         raise ValueError("sb and sw must be finite")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be in [0, inf), got {ridge}")
     for name, m in (("sb", sb), ("sw", sw)):
         if np.linalg.norm(m - m.T) > SYMMETRY_TOL * max(np.linalg.norm(m), 1.0):
             raise ValueError(f"{name} is not symmetric")

@@ -4,8 +4,9 @@ These tests keep a refactor from renaming a traced function away or
 folding it into the training loop, which would empty a per-layer metric
 without an error. The benchmark's output checks (bench/checks.py) read
 fields of the program's reports; a test here runs the same checks on a
-fresh report, so a change to the report fails here first. The tests read
-bench/ and change nothing in it."""
+fresh report, so a change to the report fails here first. The workloads
+(bench/workloads.py) drive the CLI with fixed argv shapes; a test here
+parses each one. The tests read bench/ and change nothing in it."""
 
 import json
 
@@ -20,9 +21,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import checks  # noqa: E402
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 from mcel import net  # noqa: E402
-from mcel.cli import main  # noqa: E402
+from mcel.cli import build_parser, main  # noqa: E402
 from mcel.data import gen_blobs  # noqa: E402
 from mcel.gradcheck import random_similarity  # noqa: E402
 from mcel.lda import SimilarityMatrix  # noqa: E402
@@ -73,3 +75,32 @@ def test_soft_report_fields_the_train_soft_checks_read(tmp_path):
     assert all(type(e) is float for e in report["learned_mixing"])
     SimilarityMatrix(k, np.array(report["learned_similarity"]))
     checks.check_epochs((out / "epochs.jsonl").read_text(), report, 3)
+
+
+@pytest.mark.parametrize("name", list(workloads.BUILDERS))
+def test_workload_argv_parses_to_its_settings(tmp_path, name):
+    spec = workloads.build(name, 0, tmp_path)
+    args = build_parser().parse_args(spec["argv"])
+    assert args.out == "{out}" and args.lda_components is None
+    assert args.config == str(tmp_path / {"noise-sweep": "noise.ini", "grid-wide": "grid.ini",
+                                          "train-soft": "soft.ini"}[name])
+    if name == "noise-sweep":
+        c = workloads.NOISE
+        assert args.command == "noise-exp" and args.data_csv == str(tmp_path / "noise.csv")
+        assert args.label_col == "label"
+        # read as bench/run.py reads them
+        assert args.pairs == tuple(tuple(map(int, p.split(":"))) for p in c["pairs"].split(","))
+        assert args.fractions == tuple(c["fractions"])
+        assert args.seeds == tuple(c["seeds"])
+        assert args.epsilon_candidates == tuple(c["candidates"])
+    elif name == "grid-wide":
+        c = workloads.GRID
+        assert args.command == "gridsearch"
+        assert args.data_idx == [str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")]
+        assert args.epsilons == tuple(c["epsilons"])
+        assert args.seeds == tuple(c["seeds"])
+        assert args.ridge is None
+    else:
+        assert args.command == "train" and args.data_csv == str(tmp_path / "soft.csv")
+        assert args.label_col == "label"
+        assert args.seed == 0 and args.similarity is None and args.ridge is None

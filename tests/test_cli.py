@@ -322,9 +322,13 @@ class TestBadValues:
         ("train", "epochs", "2.5", "an integer"),
         ("train", "learning_rate", "fast", "a number"),
         ("train", "hidden", "16,x", "a list of integers"),
+        ("train", "hidden", "", "a list of integers"),
+        ("train", "hidden", "8,,8", "a list of integers"),
         ("loss", "epsilon", "big", "a number"),
         ("loss", "epsilons", "0.1,one", "a list of numbers"),
+        ("loss", "epsilons", "0.1,,0.2,0.3", "a list of numbers"),
         ("split", "fractions", "0.7,0.15,a", "a list of numbers"),
+        ("split", "fractions", "0.7,0.15,0.15,", "a list of numbers"),
     ])
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, no_training,
                                               section, key, value, wanted):
@@ -400,21 +404,42 @@ class TestBadValues:
         )
         assert err == f"error: config file {path}: {message}\n"
 
+    # (command, list flag, form, a list with a gap)
+    LIST_FLAGS = [
+        ("gridsearch", "--epsilons", "a list of numbers", "0.1,,0.2"),
+        ("gridsearch", "--seeds", "a list of integers", "0,,1"),
+        ("noise-exp", "--fractions", "a list of numbers", "0.1,"),
+        ("noise-exp", "--seeds", "a list of integers", ",0"),
+        ("noise-exp", "--epsilon-candidates", "a list of numbers", "0.2, ,0.3"),
+    ]
+
     @pytest.mark.parametrize("command,flag,value,form", [
         ("noise-exp", "--pairs", "0", "A:B,C:D"),
         ("noise-exp", "--pairs", "0:1:2", "A:B,C:D"),
         ("noise-exp", "--pairs", "a:b", "A:B,C:D"),
         ("noise-exp", "--pairs", "0:1,", "A:B,C:D"),
+        ("noise-exp", "--pairs", "x", "A:B,C:D"),
+        ("noise-exp", "--pairs", "", "A:B,C:D"),
         ("train", "--blobs", "4,x,2,1.0", "K,PER_CLASS,DIM,SPREAD"),
         ("train", "--blobs", "4,40,2", "K,PER_CLASS,DIM,SPREAD"),
+        ("gridsearch", "--epsilons", "x", "a list of numbers"),
+        ("train", "--seed", "x", "an integer"),
+        *[(command, flag, value, form) for command, flag, form, gap in LIST_FLAGS
+          for value in ("", gap)],
     ])
-    def test_malformed_flag_names_the_flag(self, tmp_path, capsys, no_training,
+    def test_malformed_flag_names_the_flag(self, tmp_path, capsys, monkeypatch,
                                            command, flag, value, form):
+        # rejected by the parser: nothing loads, splits or is written
+        def fail(*args, **kwargs):
+            raise AssertionError("read the data before the bad flag was rejected")
+        monkeypatch.setattr("mcel.data.gen_blobs", fail)
+        monkeypatch.setattr("mcel.data.split", fail)
         blobs = () if flag == "--blobs" else ("--blobs", "4,30,2,1.0")
         err = self.assert_usage_error_in_process(
             capsys, command, *blobs, flag, value, "--out", str(tmp_path / "x"),
         )
-        assert err == f"error: {flag} wants {form}, got {value!r}\n"
+        assert err == f"error: mcel {command}: argument {flag}: wants {form}, got {value!r}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_epsilon_candidates_checked_before_training(self, tmp_path, capsys, no_training):
         err = self.assert_usage_error_in_process(
@@ -426,6 +451,7 @@ class TestBadValues:
     @pytest.mark.parametrize("flag,value,message", [
         ("--fractions", "0.3,1.5", "noise fraction 1.5 outside [0, 1]"),
         ("--pairs", "0:1,1:2", "class 1 appears in more than one pair"),
+        ("--pairs", "0:7", "pair (0,7) references a class outside [0,4)"),
     ])
     def test_noise_settings_checked_before_any_split(self, tmp_path, capsys, monkeypatch,
                                                      flag, value, message):
@@ -450,7 +476,11 @@ class TestOneExitPath:
     BAD_INPUT = [
         ("malformed-flag", ["gridsearch", *BLOBS, "--epsilons", "x"],
          "mcel gridsearch: argument --epsilons"),
-        ("unknown-flag", ["train", "--bogus"], "unrecognized arguments: --bogus"),
+        ("unknown-flag", ["train", *BLOBS, "--bogus"], "unrecognized arguments: --bogus"),
+        ("no-source", ["train"],
+         "mcel train: one of the arguments --data-csv --data-idx --blobs is required"),
+        ("two-sources", ["similarity", *BLOBS, "--data-csv", "{tmp}/file"],
+         "mcel similarity: argument --data-csv: not allowed with argument --blobs"),
         ("no-command", [], "required: command"),
         ("missing-csv", ["similarity", "--data-csv", "{tmp}/missing.csv", "--label-col", "y"],
          "{tmp}/missing.csv"),
@@ -461,15 +491,18 @@ class TestOneExitPath:
          "Is a directory"),
         ("out-file", ["similarity", *BLOBS, "--out", "{tmp}/file"], "{tmp}/file"),
         ("train-seed", ["train", *BLOBS, "--seed", "-1"],
-         "argument --seed: seeds must be >= 0, got -1"),
+         "argument --seed: must be >= 0, got -1"),
         ("data-seed", ["similarity", *BLOBS, "--data-seed", "-1"],
-         "argument --data-seed: seeds must be >= 0, got -1"),
+         "argument --data-seed: must be >= 0, got -1"),
         ("grid-seeds", ["gridsearch", *BLOBS, "--seeds", "0,-1"],
-         "argument --seeds: seeds must be >= 0, got -1"),
+         "argument --seeds: must be >= 0, got -1"),
         ("noise-seeds", ["noise-exp", *BLOBS, "--seeds", "-2"],
-         "argument --seeds: seeds must be >= 0, got -2"),
+         "argument --seeds: must be >= 0, got -2"),
         ("gradcheck-seed", ["gradcheck", "--seed", "-1"],
-         "argument --seed: seeds must be >= 0, got -1"),
+         "argument --seed: must be >= 0, got -1"),
+        ("ridge-nan", ["similarity", *BLOBS, "--ridge", "nan"],
+         "ridge must be in [0, inf), got nan"),
+        ("ridge-inf", ["gridsearch", *BLOBS, "--ridge", "inf"], "ridge must be in [0, inf), got inf"),
     ]
 
     @staticmethod
@@ -487,7 +520,7 @@ class TestOneExitPath:
                                              argv, message):
         def fail(*args, **kwargs):
             raise AssertionError("loaded data before the bad flag was rejected")
-        if "seeds must be" in message:
+        if "argument --" in message:
             monkeypatch.setattr("mcel.data.gen_blobs", fail)
         assert run_cli(*self.argv(tmp_path, argv)) == 1
         captured = capsys.readouterr()
@@ -505,6 +538,13 @@ class TestOneExitPath:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and str(missing) in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_infinite_ridge_in_a_fresh_interpreter(self, tmp_path):
+        # no RuntimeWarning from the solve ahead of the error
+        proc = run_python("-m", "mcel.cli", *self.argv(
+            tmp_path, ["similarity", *BLOBS, "--ridge", "inf"]))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: ridge must be in [0, inf), got inf\n"
 
     @pytest.mark.parametrize("command", [
         [], ["similarity"], ["train"], ["gridsearch"], ["noise-exp"], ["gradcheck"],
@@ -686,7 +726,7 @@ class TestSweep:
         result = run_noise_experiment(
             dataset, ((0, 1), (2, 3)), fractions, seeds,
             TrainConfig(epochs=3, batch_size=16, hidden_sizes=(4,), topk=2),
-            epsilon_candidates=candidates,
+            epsilon_candidates=candidates, split_fractions=(0.7, 0.15, 0.15),
         )
         per_cell = len({0.0, *candidates})
         assert len(trainings) == len(fractions) * len(seeds) * per_cell
@@ -755,4 +795,5 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck", flag, value) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {flag} must be >= {least}, got {value}\n"
+        assert captured.err == (f"error: mcel gradcheck: argument {flag}: "
+                                f"must be >= {least}, got {value}\n")

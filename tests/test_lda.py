@@ -146,8 +146,9 @@ class TestGeneralizedEig:
             solve_generalized_symmetric_eig(bad, np.eye(2), 0.0)
 
     def test_negative_ridge_rejected(self):
-        with pytest.raises(ValueError):
-            solve_generalized_symmetric_eig(np.eye(2), np.eye(2), -1.0)
+        for ridge in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"ridge must be in \[0, inf\)"):
+                solve_generalized_symmetric_eig(np.eye(2), np.eye(2), ridge)
 
 
 class TestSimilarityMatrix:
