@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import data as datamod
@@ -20,13 +21,14 @@ from .errors import McelError
 from .gradcheck import REL_TOL, run_all
 from .harness import (
     dumps_report,
+    prepare_splits,
     run_grid_search,
     run_noise_experiment,
     run_training,
     similarity_checksum,
     similarity_from_dataset,
 )
-from .losses import VARIANTS
+from .losses import VARIANTS, check_epsilons
 from .net import TrainConfig, save_checkpoint
 
 EXIT_OK = 0
@@ -68,21 +70,31 @@ def _blobs(text):
     return int(k), int(per_class), int(dim), float(spread)
 
 
-def _flag(form, parse):
-    """An argparse type: parse(text), and a bad value worded by the form it
-    wants (argument --pairs: wants A:B,C:D, got '0')."""
+def _flag(form, parse, rule=lambda value: None):
+    """An argparse type: parse(text), with a bad value worded by the form it
+    wants (argument --pairs: wants A:B,C:D, got '0'), then the library's
+    rule(value), whose ValueError is the flag's error as the rule words it."""
     def typed(text):
         try:
-            return parse(text)
-        except ValueError:
+            value = parse(text)
+        except (ValueError, KeyError):  # KeyError: a word BOOLEAN does not know
             raise argparse.ArgumentTypeError(f"wants {form}, got {text!r}") from None
+        try:
+            rule(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
     return typed
 
 
-INTS, FLOATS = _items(int), _items(float)
-NUMBERS = _flag("a list of numbers", FLOATS)
+NUMBER, INTEGER = _flag("a number", float), _flag("an integer", int)
+NUMBERS = _flag("a list of numbers", _items(float))
+INTEGERS = _flag("a list of integers", _items(int))
+BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+BOOLEAN = _flag(f"one of {', '.join(BOOLEANS)}", lambda text: BOOLEANS[text.lower()])
 SEED = _flag("an integer", _at_least(0))
 SEEDS = _flag("a list of integers", _items(_at_least(0)))
+RIDGE = _flag("a number", float, ldamod.check_ridge)
 
 
 def add_dataset_flags(parser):
@@ -94,50 +106,35 @@ def add_dataset_flags(parser):
                         help="synthetic Gaussian blobs, e.g. 4,500,2,0.8")
     parser.add_argument("--label-col", metavar="NAME")
     parser.add_argument("--data-seed", type=SEED, default=0)
-    parser.add_argument("--lda-components", type=int, default=None)
+    parser.add_argument("--lda-components", type=_flag("an integer", _at_least(1)))
     parser.add_argument("--out", default="out")
 
 
 def load_dataset(args):
     if args.data_csv is not None:
-        if args.label_col is None:
-            raise ValueError("--data-csv requires --label-col")
-        dataset, _ = datamod.load_csv(args.data_csv, args.label_col)
-        return dataset
+        return datamod.load_csv(args.data_csv, args.label_col)[0]
     if args.data_idx is not None:
         return datamod.load_idx(*args.data_idx)
     k, per_class, dim, spread = args.blobs
     return datamod.gen_blobs(k, per_class, dim, spread=spread, seed=args.data_seed)
 
 
-def _boolean(text):
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(text) from None
-
-
-# section -> key -> parse. The [train] and [loss] defaults are TrainConfig's;
-# only [split] has its defaults here.
+# section -> key -> parse. FIELDS maps a key to its TrainConfig field where
+# the names differ; TrainConfig checks each value and gives the defaults.
 CONFIG_KEYS = {
     "train": {
-        "learning_rate": float, "momentum": float, "weight_decay": float, "epochs": int,
-        "batch_size": int, "lr_decay": float, "hidden": INTS, "topk": int,
+        "learning_rate": NUMBER, "momentum": NUMBER, "weight_decay": NUMBER, "epochs": INTEGER,
+        "batch_size": INTEGER, "lr_decay": NUMBER, "hidden": INTEGERS, "topk": INTEGER,
     },
-    "loss": {"variant": str, "epsilon": float, "epsilons": FLOATS},
-    "split": {"fractions": FLOATS, "standardize": _boolean},
+    "loss": {"variant": str, "epsilon": NUMBER, "epsilons": NUMBERS},
+    "split": {"fractions": NUMBERS, "standardize": BOOLEAN},
 }
-SPLIT_DEFAULTS = {"fractions": "0.7,0.15,0.15", "standardize": "true"}
-WANTED = {float: "a number", int: "an integer", FLOATS: "a list of numbers",
-          INTS: "a list of integers",
-          _boolean: f"one of {', '.join(configparser.ConfigParser.BOOLEAN_STATES)}"}
+FIELDS = {"hidden": "hidden_sizes", "fractions": "split_fractions"}
 
 
-def load_config(path=None):
-    """The [train], [loss] and [split] sections: each value the file sets,
-    parsed, and the [split] defaults."""
+def load_config(path=None, seed=0):
+    """The run's TrainConfig, from each value the file sets."""
     parser = configparser.ConfigParser()
-    parser.read_dict({"train": {}, "loss": {}, "split": SPLIT_DEFAULTS})
     if path is not None:
         try:
             read = parser.read(path)
@@ -145,40 +142,21 @@ def load_config(path=None):
             raise ValueError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if not read:
             raise ValueError(f"config file {path} not found")
+    values = {}
     # [DEFAULT] first: configparser copies its keys into every section
     for section in (parser.default_section, *parser.sections()):
-        for key in parser[section]:
-            if key not in CONFIG_KEYS.get(section, ()):
+        for key, text in parser[section].items():
+            parse = CONFIG_KEYS.get(section, {}).get(key)
+            if parse is None:
                 raise ValueError(f"config file {path}: unknown key {key!r} in [{section}]")
-    cfg = {section: {} for section in CONFIG_KEYS}
-    for section, values in cfg.items():
-        for key, value in parser[section].items():
-            parse = CONFIG_KEYS[section][key]
             try:
-                values[key] = parse(value)
-            except ValueError:
-                raise ValueError(f"config file {path}: [{section}] {key} = {value!r} "
-                                 f"is not {WANTED[parse]}") from None
-    return cfg
-
-
-def build_train_config(cfg, path=None, seed=0):
-    """The run's TrainConfig from the [train] and [loss] values the file
-    sets; TrainConfig checks each one and gives the defaults."""
-    values = {**cfg["train"], **cfg["loss"]}
-    if "hidden" in values:
-        values["hidden_sizes"] = values.pop("hidden")
+                values[FIELDS.get(key, key)] = parse(text)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config file {path}: [{section}] {key}: {exc}") from None
     try:
         return TrainConfig(**values, seed=seed)
     except ValueError as exc:
         raise ValueError(f"config file {path}: {exc}") from None
-
-
-def prepare_splits(dataset, cfg, seed):
-    train, val, test = datamod.split(dataset, cfg["split"]["fractions"], seed)
-    if cfg["split"]["standardize"]:
-        train, val, test, _, _ = datamod.standardize(train, val, test)
-    return train, val, test
 
 
 def obtain_similarity(args, tc, train):
@@ -219,18 +197,16 @@ def cmd_similarity(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    tc = build_train_config(cfg, args.config, args.seed)
+    tc = load_config(args.config, args.seed)
     dataset = load_dataset(args)
     if tc.epsilons is not None and len(tc.epsilons) != dataset.k:
         raise ValueError(f"config file {args.config}: [loss] epsilons has "
                          f"{len(tc.epsilons)} values, the data has {dataset.k} classes")
-    out = _outdir(args)
-    train, val, test = prepare_splits(dataset, cfg, args.seed)
+    train, val, test = prepare_splits(dataset, tc)
     sim = obtain_similarity(args, tc, train)
+    out = _outdir(args)
 
-    epochs_path = out / "epochs.jsonl"
-    with open(epochs_path, "w") as stream:
+    with open(out / "epochs.jsonl", "w") as stream:
         def on_epoch(record):
             stream.write(json.dumps(record, sort_keys=True) + "\n")
             stream.flush()
@@ -248,18 +224,12 @@ def cmd_train(args):
 
 
 def cmd_gridsearch(args):
-    cfg = load_config(args.config)
-    base = build_train_config(cfg, args.config)
+    base = load_config(args.config)
     dataset = load_dataset(args)
     out = _outdir(args)
-
-    def make_splits(seed):
-        train, val, test = prepare_splits(dataset, cfg, seed)
-        sim = similarity_from_dataset(train, args.lda_components, args.ridge)
-        return train, val, test, sim
-
     started = time.monotonic()
-    result = run_grid_search(make_splits, base, args.epsilons, args.seeds)
+    result = run_grid_search(dataset, base, args.epsilons, args.seeds, args.lda_components,
+                             args.ridge)
     (out / "grid.json").write_text(dumps_report(result))
     with open(out / "grid_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -272,16 +242,13 @@ def cmd_gridsearch(args):
 
 
 def cmd_noise_exp(args):
-    cfg = load_config(args.config)
-    base = build_train_config(cfg, args.config)
+    base = load_config(args.config)
     dataset = load_dataset(args)
+    datamod.check_pairs(args.pairs or (), dataset.k)  # needs k, so not a flag rule
     out = _outdir(args)
-
     started = time.monotonic()
-    result = run_noise_experiment(
-        dataset, args.pairs, args.fractions, args.seeds, base, args.epsilon_candidates,
-        cfg["split"]["fractions"], args.lda_components,
-    )
+    result = run_noise_experiment(dataset, args.pairs, args.fractions, args.seeds, base,
+                                  args.epsilon_candidates, args.lda_components)
     with open(out / "noise.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fraction", "seed", "variant", "epsilon", "test_top1"])
@@ -290,11 +257,9 @@ def cmd_noise_exp(args):
     for (fraction, seed), idx in result["masks"].items():
         mask_path = out / f"noise_mask_f{fraction}_s{seed}.txt"
         mask_path.write_text("".join(f"{int(i)}\n" for i in idx))
-    pairs = result["pairs"]
-    payload = {"pairs": [list(p) for p in pairs], "rows": result["rows"]}
-    (out / "noise.json").write_text(dumps_report(payload))
+    (out / "noise.json").write_text(dumps_report({k: result[k] for k in ("pairs", "rows")}))
     _write_meta(out, started)
-    print(f"noise experiment over fractions {list(args.fractions)}, pairs {pairs}")
+    print(f"noise experiment over fractions {list(args.fractions)}, pairs {result['pairs']}")
     return EXIT_OK
 
 
@@ -317,7 +282,7 @@ def build_parser():
 
     p = sub.add_parser("similarity", help="build and save a class-similarity matrix")
     add_dataset_flags(p)
-    p.add_argument("--ridge", type=float, default=None)
+    p.add_argument("--ridge", type=RIDGE)
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("train", help="train and evaluate one model")
@@ -325,25 +290,28 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--similarity", default=None, metavar="PATH")
-    p.add_argument("--ridge", type=float, default=None)
+    p.add_argument("--ridge", type=RIDGE)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gridsearch", help="epsilon grid search")
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
-    p.add_argument("--epsilons", type=NUMBERS, default=(0.0, 0.1, 0.2, 0.3, 0.4, 0.45))
+    p.add_argument("--epsilons", default=(0.0, 0.1, 0.2, 0.3, 0.4, 0.45), type=_flag(
+        "a list of numbers", _items(float), partial(check_epsilons, what="grid epsilon")))
     p.add_argument("--seeds", type=SEEDS, default=(0,))
-    p.add_argument("--ridge", type=float, default=None)
+    p.add_argument("--ridge", type=RIDGE)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("noise-exp", help="pairwise label-noise robustness comparison")
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
-    p.add_argument("--fractions", type=NUMBERS, default=(0.3,))
+    p.add_argument("--fractions", default=(0.3,), type=_flag(
+        "a list of numbers", _items(float), datamod.check_noise_fractions))
     p.add_argument("--seeds", type=SEEDS, default=(0,))
-    p.add_argument("--pairs", type=_flag("A:B,C:D", _items(_pair)), default=None,
+    p.add_argument("--pairs", type=_flag("A:B,C:D", _items(_pair), datamod.check_pairs),
                    metavar="A:B,C:D", help="default 0:1,2:3,... over the data's classes")
-    p.add_argument("--epsilon-candidates", type=NUMBERS, default=(0.2,))
+    p.add_argument("--epsilon-candidates", default=(0.2,), type=_flag(
+        "a list of numbers", _items(float), partial(check_epsilons, what="epsilon candidate")))
     p.set_defaults(func=cmd_noise_exp)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -357,6 +325,9 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        # argparse cannot make one flag require another
+        if getattr(args, "data_csv", None) is not None and args.label_col is None:
+            raise ValueError(f"mcel {args.command}: argument --label-col: required with --data-csv")
         return args.func(args)
     except McelError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,16 +66,29 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        seen = set()
-        for a, b in self.pairs:
-            if a == b:
-                raise ValueError(f"pair ({a},{b}) repeats a class")
-            for c in (a, b):
-                if c in seen:
-                    raise ValueError(f"class {c} appears in more than one pair")
-                seen.add(c)
-        if not 0.0 <= self.swap_fraction <= 1.0:
-            raise ValueError(f"noise fraction {self.swap_fraction} outside [0, 1]")
+        check_pairs(self.pairs)
+        check_noise_fractions((self.swap_fraction,))
+
+
+def check_pairs(pairs, k=None):
+    """Pairs of two distinct classes, no class in two pairs, and, given k,
+    every class in [0, k)."""
+    seen = set()
+    for a, b in pairs:
+        if a == b:
+            raise ValueError(f"pair ({a},{b}) repeats a class")
+        for c in (a, b):
+            if c in seen:
+                raise ValueError(f"class {c} appears in more than one pair")
+            seen.add(c)
+        if k is not None and not (0 <= a < k and 0 <= b < k):
+            raise ValueError(f"pair ({a},{b}) references a class outside [0,{k})")
+
+
+def check_noise_fractions(fractions):
+    for fraction in fractions:
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"noise fraction {fraction} outside [0, 1]")
 
 
 def load_csv(path, label_column):
@@ -255,12 +268,6 @@ def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     return LabeledDataset(feats, labels, k)
 
 
-def check_pairs(pairs, k):
-    for a, b in pairs:
-        if not (0 <= a < k and 0 <= b < k):
-            raise ValueError(f"pair ({a},{b}) references a class outside [0,{k})")
-
-
 def inject_pairwise_noise(data, spec):
     """Swap a fraction of labels symmetrically within each designated pair.
 
@@ -280,6 +287,15 @@ def inject_pairwise_noise(data, spec):
     return LabeledDataset(data.features, labels, data.k, data.feature_names), mask
 
 
+def check_fractions(fractions):
+    """The train, validation and test shares: three numbers >= 0 that sum
+    to 1. Each test is written so that a NaN fails it."""
+    if not (len(fractions) == 3 and all(f >= 0 for f in fractions)
+            and abs(sum(fractions) - 1.0) <= 1e-9):
+        shares = ",".join(map(str, fractions))
+        raise ValueError(f"split fractions must be three numbers >= 0 that sum to 1, got {shares}")
+
+
 def split(data, fractions, seed=0):
     """Seeded shuffle then contiguous slicing into train/val/test.
 
@@ -287,10 +303,7 @@ def split(data, fractions, seed=0):
     the train part.
     """
     fractions = [float(f) for f in fractions]
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError("fractions must be three non-negative numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    check_fractions(fractions)
     n_train = int(round(fractions[0] * data.n))
     n_val = int(round(fractions[1] * data.n))
     parts = np.split(np.random.default_rng(seed).permutation(data.n), [n_train, n_train + n_val])

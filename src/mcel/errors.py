@@ -29,9 +29,7 @@ class TrainingDivergedError(McelError):
     when that check fails, `batch` is the index of the last batch.
     """
 
-    def __init__(self, epoch, batch, message=None):
+    def __init__(self, epoch, batch):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(
-            message or f"training diverged at epoch {epoch}, batch {batch}"
-        )
+        super().__init__(f"training diverged at epoch {epoch}, batch {batch}")

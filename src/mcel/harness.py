@@ -74,16 +74,27 @@ def similarity_from_dataset(train, num_components=None, ridge=None):
     return ldamod.build_similarity_matrix(model)
 
 
-def sweep(train, val, test, sim, base_cfg, seed, epsilons):
-    """mcel trained once per distinct epsilon: {epsilon: (best_val_acc, test_top1)}.
+def prepare_splits(dataset, cfg):
+    """A run's train, validation and test splits, by cfg.split_fractions and
+    cfg.seed, standardized by the train split's statistics if cfg.standardize."""
+    train, val, test = datamod.split(dataset, cfg.split_fractions, cfg.seed)
+    if cfg.standardize:
+        train, val, test, _, _ = datamod.standardize(train, val, test)
+    return train, val, test
+
+
+def sweep(train, val, test, cfg, epsilons, lda_components=None, ridge=None):
+    """mcel trained once per distinct epsilon, on the similarity of train's
+    LDA: {epsilon: (best_val_acc, test_top1)}.
 
     At epsilon 0 H is exactly I, so that run trains as ce.
     """
+    sim = similarity_from_dataset(train, lda_components, ridge)
     results = {}
     for eps in epsilons:
         if eps not in results:
-            cfg = replace(base_cfg, seed=seed, variant="mcel", epsilon=eps, epsilons=None)
-            report, _ = run_training(train, val, test, cfg, sim)
+            run_cfg = replace(cfg, variant="mcel", epsilon=eps, epsilons=None)
+            report, _ = run_training(train, val, test, run_cfg, sim)
             results[eps] = (report["best_val_acc"], report["test_top1"])
     return results
 
@@ -93,16 +104,18 @@ def select(accuracy):
     return max(accuracy, key=lambda eps: (accuracy[eps], -eps))
 
 
-def run_grid_search(make_splits, base_cfg, epsilons, seeds):
+def run_grid_search(dataset, base_cfg, epsilons, seeds, lda_components=None, ridge=None):
     """One mcel training run per (distinct epsilon, seed).
 
-    make_splits(seed) must return (train, val, test, sim); it is called
-    once per seed, and only one seed's splits are alive at a time. Runs and
-    the curve have one row per listed epsilon, epsilon-major. Selection is
-    the highest mean best-validation accuracy.
+    Each seed splits the data once, and only one seed's splits are alive at
+    a time. Runs and the curve have one row per listed epsilon,
+    epsilon-major. Selection is the highest mean best-validation accuracy.
     """
     check_epsilons(epsilons, "grid epsilon")
-    per_seed = [sweep(*make_splits(seed), base_cfg, seed, epsilons) for seed in seeds]
+    per_seed = []
+    for seed in seeds:
+        cfg = replace(base_cfg, seed=seed)
+        per_seed.append(sweep(*prepare_splits(dataset, cfg), cfg, epsilons, lda_components, ridge))
     rows = [{"epsilon": eps, "seed": seed, "val_acc": runs[eps][0], "test_top1": runs[eps][1]}
             for eps in epsilons for seed, runs in zip(seeds, per_seed)]
     accs = {eps: [runs[eps][0] for runs in per_seed] for eps in epsilons}
@@ -113,7 +126,7 @@ def run_grid_search(make_splits, base_cfg, epsilons, seeds):
 
 
 def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, epsilon_candidates,
-                         split_fractions, lda_components=None):
+                         lda_components=None):
     """CE vs MCEL at each noise fraction; noise touches the train split only.
 
     pairs None swaps 0:1, 2:3, ... over the data's classes. Each (fraction,
@@ -132,11 +145,12 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, epsilon_can
     masks = {}
     for spec in specs:
         fraction, seed = spec.swap_fraction, spec.seed
-        train, val, test = datamod.split(dataset, split_fractions, seed)
+        # raw features: bench/run.py finds each LDA input row in the CSV by its bytes
+        cfg = replace(base_cfg, seed=seed, standardize=False)
+        train, val, test = prepare_splits(dataset, cfg)
         noisy_train, mask = datamod.inject_pairwise_noise(train, spec)
         masks[(fraction, seed)] = np.flatnonzero(mask)
-        sim = similarity_from_dataset(noisy_train, lda_components)
-        runs = sweep(noisy_train, val, test, sim, base_cfg, seed, (0.0, *epsilon_candidates))
+        runs = sweep(noisy_train, val, test, cfg, (0.0, *epsilon_candidates), lda_components)
         eps = select({e: runs[e][0] for e in epsilon_candidates})
         cell = {"fraction": fraction, "seed": seed}
         rows.append({**cell, "variant": "ce", "epsilon": 0.0, "test_top1": runs[0.0][1]})

@@ -100,6 +100,11 @@ def scatter_matrices(data):
     return sw, sb, means
 
 
+def check_ridge(ridge):
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be in [0, inf), got {ridge}")
+
+
 def solve_generalized_symmetric_eig(sb, sw, ridge=0.0):
     """Eigenpairs of (sw + ridge*I)^(-1) sb for symmetric sb, sw.
 
@@ -116,8 +121,7 @@ def solve_generalized_symmetric_eig(sb, sw, ridge=0.0):
         )
     if not (np.all(np.isfinite(sb)) and np.all(np.isfinite(sw))):
         raise ValueError("sb and sw must be finite")
-    if not 0 <= ridge < np.inf:
-        raise ValueError(f"ridge must be in [0, inf), got {ridge}")
+    check_ridge(ridge)
     for name, m in (("sb", sb), ("sw", sw)):
         if np.linalg.norm(m - m.T) > SYMMETRY_TOL * max(np.linalg.norm(m), 1.0):
             raise ValueError(f"{name} is not symmetric")
@@ -141,10 +145,6 @@ def solve_generalized_symmetric_eig(sb, sw, ridge=0.0):
     return vals[order], vecs / np.linalg.norm(vecs, axis=0)
 
 
-def default_ridge(sw):
-    return 1e-6 * np.trace(sw) / sw.shape[0]
-
-
 def fit_lda(data, num_components=None, ridge=None):
     """Fit LDA and keep the leading discriminant components.
 
@@ -161,7 +161,7 @@ def fit_lda(data, num_components=None, ridge=None):
         raise ValueError("need more samples than classes")
     sw, sb, means = scatter_matrices(data)
     if ridge is None:
-        ridge = default_ridge(sw)
+        ridge = 1e-6 * np.trace(sw) / sw.shape[0]
     vals, vecs = solve_generalized_symmetric_eig(sb, sw, ridge)
     projection = vecs[:, :num_components].T.copy()
     projected = tuple(projection @ m for m in means)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_exact
+from .data import check_fractions, read_exact
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
 from .lda import SimilarityMatrix
 from .losses import VARIANTS, batch_values, build_targets, check_loss, logit_grad, softmax
@@ -56,8 +56,8 @@ class MlpModel:
 
 @dataclass
 class TrainConfig:
-    """Every [train] and [loss] setting of a run and its default; each
-    value is checked when the config is made, before any work."""
+    """Every [train], [loss] and [split] setting of a run and its default;
+    each value is checked when the config is made, before any work."""
     learning_rate: float = 0.1
     momentum: float = 0.1
     weight_decay: float = 1e-3
@@ -70,6 +70,8 @@ class TrainConfig:
     variant: str = "ce"  # one of losses.VARIANTS; *-soft variants move their similarity
     epsilon: float = 0.2
     epsilons: tuple = None  # per-class epsilons, sg-mcel variants only
+    split_fractions: tuple = (0.7, 0.15, 0.15)  # train, validation, test
+    standardize: bool = True  # by the train split's mean and std
 
     def __post_init__(self):
         # 0 is admitted so a no-op step stays observable
@@ -86,6 +88,7 @@ class TrainConfig:
             sizes = ",".join(str(size) for size in self.hidden_sizes)
             raise ValueError(f"hidden layer sizes must be >= 1, got {sizes}")
         check_loss(self.variant, self.epsilon, self.epsilons)
+        check_fractions(self.split_fractions)
 
 
 def init_model(layer_sizes, seed=0):

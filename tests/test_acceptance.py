@@ -309,7 +309,8 @@ def test_noise_robustness():
         centers.append([cx + gap / 2, cy])
     dataset = gen_blobs(6, 200, 2, centers=np.array(centers), spread=0.7, seed=0)
     base = TrainConfig(learning_rate=0.1, momentum=0.1, weight_decay=1e-3,
-                       epochs=120, batch_size=32, hidden_sizes=(8,), topk=2, seed=0)
+                       epochs=120, batch_size=32, hidden_sizes=(8,), topk=2, seed=0,
+                       split_fractions=(0.5, 0.25, 0.25))
     result = run_noise_experiment(
         dataset,
         pairs=((0, 1), (2, 3), (4, 5)),
@@ -317,7 +318,6 @@ def test_noise_robustness():
         seeds=(0, 1, 2, 3, 4),
         base_cfg=base,
         epsilon_candidates=(0.2, 0.3, 0.4),
-        split_fractions=(0.5, 0.25, 0.25),
     )
     ce = [r["test_top1"] for r in result["rows"] if r["variant"] == "ce"]
     mixed = [r["test_top1"] for r in result["rows"] if r["variant"] == "mcel"]

@@ -5,8 +5,9 @@ folding it into the training loop, which would empty a per-layer metric
 without an error. The benchmark's output checks (bench/checks.py) read
 fields of the program's reports; a test here runs the same checks on a
 fresh report, so a change to the report fails here first. The workloads
-(bench/workloads.py) drive the CLI with fixed argv shapes; a test here
-parses each one. The tests read bench/ and change nothing in it."""
+(bench/workloads.py) drive the CLI with fixed argv shapes and config
+files; a test here parses each argv and loads each config. The tests
+read bench/ and change nothing in it."""
 
 import json
 
@@ -24,7 +25,7 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 from mcel import net  # noqa: E402
-from mcel.cli import build_parser, main  # noqa: E402
+from mcel.cli import build_parser, load_config, main  # noqa: E402
 from mcel.data import gen_blobs  # noqa: E402
 from mcel.gradcheck import random_similarity  # noqa: E402
 from mcel.lda import SimilarityMatrix  # noqa: E402
@@ -104,3 +105,11 @@ def test_workload_argv_parses_to_its_settings(tmp_path, name):
         assert args.command == "train" and args.data_csv == str(tmp_path / "soft.csv")
         assert args.label_col == "label"
         assert args.seed == 0 and args.similarity is None and args.ridge is None
+    # the config file, through the path every command reads it by
+    c = {"noise-sweep": workloads.NOISE, "grid-wide": workloads.GRID,
+         "train-soft": workloads.SOFT}[name]
+    cfg = load_config(args.config)
+    assert (cfg.epochs, cfg.hidden_sizes, cfg.batch_size) == (c["epochs"], (c["hidden"],), 32)
+    loss = ("sg-mcel-soft", c["epsilon"]) if name == "train-soft" else ("ce", 0.2)
+    assert (cfg.variant, cfg.epsilon, cfg.epsilons) == (*loss, None)
+    assert cfg.split_fractions == (0.7, 0.15, 0.15) and cfg.standardize is True

@@ -11,7 +11,7 @@ import pytest
 
 import mcel
 from mcel import harness
-from mcel.cli import CONFIG_KEYS, build_train_config, load_config, main
+from mcel.cli import CONFIG_KEYS, FIELDS, load_config, main
 from mcel.data import gen_blobs, split
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
 from mcel.lda import load_similarity
@@ -151,8 +151,10 @@ class TestTrainCommand:
         assert config["epsilons"] == [0.1, 0.2, 0.3]
         assert set(config) == {
             "batch_size", "epochs", "epsilon", "epsilons", "hidden_sizes", "learning_rate",
-            "lr_decay", "momentum", "seed", "topk", "variant", "weight_decay",
+            "lr_decay", "momentum", "seed", "split_fractions", "standardize", "topk",
+            "variant", "weight_decay",
         }
+        assert config["split_fractions"] == [0.7, 0.15, 0.15] and config["standardize"] is True
 
     def test_epsilons_set_the_soft_start(self, tmp_path):
         # with no mixing step (lr 0) the learned epsilons are the start
@@ -200,6 +202,7 @@ class TestTrainCommand:
             "--similarity", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "x"),
         )
         assert code == 1
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_variant_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -246,7 +249,7 @@ class TestBadValues:
             "--out", str(tmp_path / "x"),
         )
         self.assert_clean_usage_error(proc)
-        assert f"config file {path}: [train] epochs = 'abc' is not an integer" in proc.stderr
+        assert f"config file {path}: [train] epochs: wants an integer, got 'abc'" in proc.stderr
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -338,7 +341,7 @@ class TestBadValues:
             capsys, "train", "--blobs", "4,30,2,1.0", "--config", str(path),
             "--out", str(tmp_path / "x"),
         )
-        assert err == f"error: config file {path}: [{section}] {key} = {value!r} is not {wanted}\n"
+        assert err == f"error: config file {path}: [{section}] {key}: wants {wanted}, got {value!r}\n"
 
     def test_standardize_takes_configparser_booleans(self, tmp_path, capsys):
         def checkpoint(value):
@@ -462,7 +465,69 @@ class TestBadValues:
             capsys, "noise-exp", "--blobs", "4,30,2,1.0", flag, value,
             "--out", str(tmp_path / "x"),
         )
-        assert err == f"error: {message}\n"
+        # the parser checks all but the class range, which needs the data's k
+        where = "" if value == "0:7" else f"mcel noise-exp: argument {flag}: "
+        assert err == f"error: {where}{message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "noise-exp"])
+    @pytest.mark.parametrize("fractions,shares", [
+        ("0.5,0.5,0.5", "0.5,0.5,0.5"), ("0.7,0.3", "0.7,0.3"),
+        ("nan,0.5,0.5", "nan,0.5,0.5"), ("1,0,nan", "1.0,0.0,nan"),
+    ])
+    def test_bad_split_fractions_come_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      command, fractions, shares):
+        def fail(*args, **kwargs):
+            raise AssertionError("read or split the data before the bad value was rejected")
+        monkeypatch.setattr("mcel.data.gen_blobs", fail)
+        monkeypatch.setattr("mcel.data.split", fail)
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[split]\nfractions = {fractions}\n")
+        err = self.assert_usage_error_in_process(
+            capsys, command, "--blobs", "4,30,2,1.0", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        assert err == (f"error: config file {path}: split fractions must be three numbers "
+                       f">= 0 that sum to 1, got {shares}\n")
+        assert not (tmp_path / "x").exists()
+
+    # (command, flags, the line after "error: "); "{tmp}" is the test's
+    # directory, which holds a config file with a bad value
+    VALUE_ERRORS = [
+        ("gridsearch", ["--epsilons", "0.7"],
+         "mcel gridsearch: argument --epsilons: grid epsilon 0.7 outside [0, 0.5)"),
+        ("noise-exp", ["--fractions", "1.5"],
+         "mcel noise-exp: argument --fractions: noise fraction 1.5 outside [0, 1]"),
+        ("noise-exp", ["--epsilon-candidates", "0.7"],
+         "mcel noise-exp: argument --epsilon-candidates: epsilon candidate 0.7 outside [0, 0.5)"),
+        ("similarity", ["--ridge", "nan"],
+         "mcel similarity: argument --ridge: ridge must be in [0, inf), got nan"),
+        ("train", ["--ridge", "x"], "mcel train: argument --ridge: wants a number, got 'x'"),
+        ("similarity", ["--lda-components", "0"],
+         "mcel similarity: argument --lda-components: must be >= 1, got 0"),
+        ("gridsearch", ["--lda-components", "x"],
+         "mcel gridsearch: argument --lda-components: wants an integer, got 'x'"),
+        ("similarity", ["--data-csv", "{tmp}/x.csv"],
+         "mcel similarity: argument --label-col: required with --data-csv"),
+        ("train", ["--data-csv", "{tmp}/x.csv", "--config", "{tmp}/bad.ini"],
+         "mcel train: argument --label-col: required with --data-csv"),
+    ]
+
+    @pytest.mark.parametrize("command,flags,line", VALUE_ERRORS)
+    def test_bad_value_needing_no_data_leaves_no_out(self, tmp_path, capsys, monkeypatch,
+                                                     command, flags, line):
+        def fail(*args, **kwargs):
+            raise AssertionError("read or split the data before the bad value was rejected")
+        for name in ("gen_blobs", "load_csv", "split"):
+            monkeypatch.setattr(f"mcel.data.{name}", fail)
+        (tmp_path / "bad.ini").write_text("[train]\nepochs = abc\n")
+        flags = [flag.replace("{tmp}", str(tmp_path)) for flag in flags]
+        source = () if "--data-csv" in flags else ("--blobs", "4,30,2,1.0")
+        err = self.assert_usage_error_in_process(
+            capsys, command, *source, *flags, "--out", str(tmp_path / "x"),
+        )
+        assert err == f"error: {line}\n"
+        assert not (tmp_path / "x").exists()
 
 
 BLOBS = ("--blobs", "4,40,2,1.0")
@@ -501,8 +566,9 @@ class TestOneExitPath:
         ("gradcheck-seed", ["gradcheck", "--seed", "-1"],
          "argument --seed: must be >= 0, got -1"),
         ("ridge-nan", ["similarity", *BLOBS, "--ridge", "nan"],
-         "ridge must be in [0, inf), got nan"),
-        ("ridge-inf", ["gridsearch", *BLOBS, "--ridge", "inf"], "ridge must be in [0, inf), got inf"),
+         "argument --ridge: ridge must be in [0, inf), got nan"),
+        ("ridge-inf", ["gridsearch", *BLOBS, "--ridge", "inf"],
+         "argument --ridge: ridge must be in [0, inf), got inf"),
     ]
 
     @staticmethod
@@ -544,7 +610,8 @@ class TestOneExitPath:
         proc = run_python("-m", "mcel.cli", *self.argv(
             tmp_path, ["similarity", *BLOBS, "--ridge", "inf"]))
         assert proc.returncode == 1
-        assert proc.stderr == "error: ridge must be in [0, inf), got inf\n"
+        assert proc.stderr == ("error: mcel similarity: argument --ridge: "
+                               "ridge must be in [0, inf), got inf\n")
 
     @pytest.mark.parametrize("command", [
         [], ["similarity"], ["train"], ["gridsearch"], ["noise-exp"], ["gradcheck"],
@@ -557,15 +624,16 @@ class TestOneExitPath:
 
 
 class TestOneRunConfig:
-    """TrainConfig states each [train]/[loss] default; the cli only parses."""
+    """TrainConfig states each [train]/[loss]/[split] default; the cli only parses."""
 
     def test_config_keys_are_the_train_config_fields(self):
-        keys = [*CONFIG_KEYS["train"], *CONFIG_KEYS["loss"]]
-        named = [{"hidden": "hidden_sizes"}.get(key, key) for key in keys]
+        keys = [key for section in CONFIG_KEYS.values() for key in section]
+        named = [FIELDS.get(key, key) for key in keys]
         assert sorted(named) == sorted(f.name for f in fields(TrainConfig) if f.name != "seed")
 
     def test_no_config_file_gives_the_train_config_defaults(self):
-        assert build_train_config(load_config()) == TrainConfig()
+        assert load_config() == TrainConfig()
+        assert load_config(seed=3) == TrainConfig(seed=3)
 
 
 class TestRuntimeExitCodes:
@@ -669,21 +737,36 @@ class TestGridSearch:
         assert len(grid["runs"]) == 1
         assert grid["selected_epsilon"] == 0.2
 
-    def test_splits_once_per_seed(self):
+    def test_splits_once_per_seed(self, monkeypatch):
         dataset = gen_blobs(3, 40, 2, spread=0.8, seed=1)
         calls = []
 
-        def make_splits(seed):
-            calls.append(seed)
-            train, val, test = split(dataset, (0.7, 0.15, 0.15), seed)
-            return train, val, test, similarity_from_dataset(train)
+        def counted(data, fractions, seed):
+            calls.append((fractions, seed))
+            return split(data, fractions, seed)
 
-        base = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(4,), topk=2)
-        result = run_grid_search(make_splits, base, (0.0, 0.2, 0.4), (5, 6))
-        assert calls == [5, 6]
+        monkeypatch.setattr("mcel.data.split", counted)
+        base = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(4,), topk=2,
+                           split_fractions=(0.6, 0.2, 0.2))
+        result = run_grid_search(dataset, base, (0.0, 0.2, 0.4), (5, 6))
+        assert calls == [((0.6, 0.2, 0.2), 5), ((0.6, 0.2, 0.2), 6)]
         assert [(r["epsilon"], r["seed"]) for r in result["runs"]] == [
             (e, s) for e in (0.0, 0.2, 0.4) for s in (5, 6)
         ]
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_standardizes_as_configured(self, monkeypatch, standardize):
+        calls = []
+
+        def counted(*splits):
+            calls.append(len(splits))
+            return (*splits, 0.0, 1.0)
+
+        monkeypatch.setattr("mcel.data.standardize", counted)
+        base = TrainConfig(epochs=1, batch_size=16, hidden_sizes=(4,), topk=2,
+                           standardize=standardize)
+        run_grid_search(gen_blobs(3, 40, 2, seed=1), base, (0.0,), (5, 6))
+        assert calls == [3, 3] * standardize
 
 
 @pytest.fixture
@@ -705,13 +788,8 @@ class TestSweep:
 
     def test_grid_trains_a_repeated_epsilon_once(self, trainings):
         dataset = gen_blobs(3, 40, 2, spread=0.8, seed=1)
-
-        def make_splits(seed):
-            train, val, test = split(dataset, (0.7, 0.15, 0.15), seed)
-            return train, val, test, similarity_from_dataset(train)
-
         base = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(4,), topk=2)
-        result = run_grid_search(make_splits, base, (0.2, 0.0, 0.2), (5, 6))
+        result = run_grid_search(dataset, base, (0.2, 0.0, 0.2), (5, 6))
         assert trainings == [0.2, 0.0] * 2
         assert [row["epsilon"] for row in result["grid"]] == [0.2, 0.0, 0.2]
         assert result["grid"][0] == result["grid"][2]
@@ -726,7 +804,7 @@ class TestSweep:
         result = run_noise_experiment(
             dataset, ((0, 1), (2, 3)), fractions, seeds,
             TrainConfig(epochs=3, batch_size=16, hidden_sizes=(4,), topk=2),
-            epsilon_candidates=candidates, split_fractions=(0.7, 0.15, 0.15),
+            epsilon_candidates=candidates,
         )
         per_cell = len({0.0, *candidates})
         assert len(trainings) == len(fractions) * len(seeds) * per_cell
@@ -739,6 +817,14 @@ class TestSweep:
 
 
 class TestNoiseExperiment:
+    def test_never_standardizes(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("standardized a noise-exp split")
+        monkeypatch.setattr("mcel.data.standardize", fail)
+        base = TrainConfig(epochs=1, batch_size=16, hidden_sizes=(4,), topk=2, standardize=True)
+        result = run_noise_experiment(gen_blobs(4, 30, 2, seed=0), None, (0.1,), (0,), base, (0.2,))
+        assert [row["variant"] for row in result["rows"]] == ["ce", "mcel"]
+
     def test_mask_contains_only_train_rows(self, tmp_path):
         out = tmp_path / "noise"
         cfg = write_config(tmp_path)

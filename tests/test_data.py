@@ -384,9 +384,13 @@ class TestSplit:
         assert (train.n, val.n, test.n) == (800, 100, 100)
 
     def test_bad_fractions(self):
+        # a NaN share fails every test of the rule
         data = gen_blobs(2, 10, 2, seed=0)
-        with pytest.raises(ValueError):
-            split(data, (0.5, 0.2, 0.2), seed=0)
+        for fractions in ((0.5, 0.2, 0.2), (0.5, 0.5, 0.5), (0.7, 0.3), (-0.1, 0.6, 0.5),
+                          (np.nan, 0.5, 0.5), (1, 0, np.nan), (np.inf, 0, 0)):
+            with pytest.raises(ValueError, match="split fractions must be three numbers >= 0 "
+                                                 "that sum to 1, got "):
+                split(data, fractions, seed=0)
 
 
 class TestStandardize:
