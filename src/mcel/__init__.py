@@ -1,13 +1,12 @@
 """Mixed cross-entropy losses with an LDA-derived class-similarity prior,
 plus a small fully-connected training harness."""
 
-from .data import LabeledDataset, NoiseSpec
+from .data import LabeledDataset
 from .lda import LdaModel, SimilarityMatrix
 from .net import MlpModel, TrainConfig, Trainer
 
 __all__ = [
     "LabeledDataset",
-    "NoiseSpec",
     "LdaModel",
     "SimilarityMatrix",
     "MlpModel",

@@ -55,21 +55,6 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.k)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Pairwise label-swap noise: disjoint class pairs, a swap fraction
-    applied symmetrically within each pair, and a seed."""
-
-    pairs: tuple  # of (a, b) class-index pairs
-    swap_fraction: float
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        check_pairs(self.pairs)
-        check_noise_fractions((self.swap_fraction,))
-
-
 def check_pairs(pairs, k=None):
     """Pairs of two distinct classes, no class in two pairs, and, given k,
     every class in [0, k)."""
@@ -268,20 +253,21 @@ def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     return LabeledDataset(feats, labels, k)
 
 
-def inject_pairwise_noise(data, spec):
+def inject_pairwise_noise(data, pairs, fraction, seed=0):
     """Swap a fraction of labels symmetrically within each designated pair.
 
     Features are untouched. Returns the noisy dataset and a boolean mask of
     flipped rows.
     """
-    check_pairs(spec.pairs, data.k)
-    rng = np.random.default_rng(spec.seed)
+    check_pairs(pairs, data.k)
+    check_noise_fractions((fraction,))
+    rng = np.random.default_rng(seed)
     labels = data.labels.copy()
     mask = np.zeros(data.n, dtype=bool)
-    for a, b in spec.pairs:
+    for a, b in pairs:
         for src, dst in ((a, b), (b, a)):
             idx = np.flatnonzero(data.labels == src)
-            flip = rng.random(idx.shape[0]) < spec.swap_fraction
+            flip = rng.random(idx.shape[0]) < fraction
             labels[idx[flip]] = dst
             mask[idx[flip]] = True
     return LabeledDataset(data.features, labels, data.k, data.feature_names), mask

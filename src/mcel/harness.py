@@ -7,6 +7,7 @@ reruns with identical seeds are byte-identical.
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, replace
 
@@ -139,16 +140,15 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, epsilon_can
     if pairs is None:
         pairs = tuple((i, i + 1) for i in range(0, dataset.k - 1, 2))
     datamod.check_pairs(pairs, dataset.k)
-    specs = [datamod.NoiseSpec(pairs, fraction, seed) for fraction in fractions for seed in seeds]
+    datamod.check_noise_fractions(fractions)
     check_epsilons(epsilon_candidates, "epsilon candidate")
     rows = []
     masks = {}
-    for spec in specs:
-        fraction, seed = spec.swap_fraction, spec.seed
+    for fraction, seed in itertools.product(fractions, seeds):
         # raw features: bench/run.py finds each LDA input row in the CSV by its bytes
         cfg = replace(base_cfg, seed=seed, standardize=False)
         train, val, test = prepare_splits(dataset, cfg)
-        noisy_train, mask = datamod.inject_pairwise_noise(train, spec)
+        noisy_train, mask = datamod.inject_pairwise_noise(train, pairs, fraction, seed)
         masks[(fraction, seed)] = np.flatnonzero(mask)
         runs = sweep(noisy_train, val, test, cfg, (0.0, *epsilon_candidates), lda_components)
         eps = select({e: runs[e][0] for e in epsilon_candidates})

@@ -21,16 +21,20 @@ class LdaModel:
     projection: np.ndarray  # num_components x d, rows are discriminant directions
     eigenvalues: np.ndarray  # non-increasing
     class_means: tuple  # k projected mean vectors, length num_components each
-    num_components: int
-    num_classes: int
 
     def __post_init__(self):
         if self.num_components > self.num_classes - 1:
             raise ValueError("num_components must be <= num_classes - 1")
-        if len(self.class_means) != self.num_classes:
-            raise ValueError("need one projected mean per class")
         if np.any(np.diff(self.eigenvalues) > 1e-12):
             raise ValueError("eigenvalues must be non-increasing")
+
+    @property
+    def num_components(self):
+        return self.projection.shape[0]
+
+    @property
+    def num_classes(self):
+        return len(self.class_means)
 
 
 @dataclass(frozen=True)
@@ -38,17 +42,16 @@ class SimilarityMatrix:
     """Row-stochastic k x k matrix with zero diagonal; row i is the
     similarity distribution of class i."""
 
-    k: int
     a: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        if a.shape != (self.k, self.k):
-            raise DimensionError(f"matrix must be {self.k} x {self.k}, got {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionError(f"matrix must be square, got shape {a.shape}")
         # every check is written so that a NaN fails it
         if not np.all(np.diag(a) == 0.0):
             raise ValueError("diagonal entries must be exactly zero")
-        off = a[~np.eye(self.k, dtype=bool)]
+        off = a[~np.eye(len(a), dtype=bool)]
         if not np.all(off > 0.0):
             raise ValueError("off-diagonal entries must be strictly positive")
         sums = a.sum(axis=1)
@@ -58,13 +61,17 @@ class SimilarityMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
+    @property
+    def k(self):
+        return self.a.shape[0]
+
     @classmethod
     def from_scores(cls, scores):
         """The matrix of k x k non-negative scores with the diagonal zeroed
         and each row scaled to sum to 1."""
         a = np.array(scores, dtype=float)
         np.fill_diagonal(a, 0.0)
-        return cls(a.shape[0], a / a.sum(axis=1, keepdims=True))
+        return cls(a / a.sum(axis=1, keepdims=True))
 
     def asymmetry(self):
         """Largest |A - A^T| entry; the row-normalized matrix need not be
@@ -169,8 +176,6 @@ def fit_lda(data, num_components=None, ridge=None):
         projection=projection,
         eigenvalues=vals[:num_components].copy(),
         class_means=projected,
-        num_components=num_components,
-        num_classes=k,
     )
 
 

@@ -38,6 +38,11 @@ class MlpModel:
 
     def __post_init__(self):
         layers = [*self.weights, *self.biases]
+        sizes, shapes = tuple(self.layer_sizes), [p.shape for p in layers]
+        # (out, in) per weight, then (out,) per bias
+        want = [*zip(sizes[1:], sizes), *((out,) for out in sizes[1:])]
+        if shapes != want:
+            raise DimensionError(f"layer sizes {sizes} need the shapes {want}, got {shapes}")
         self.params = np.concatenate([p.ravel() for p in layers])
         ends = itertools.accumulate(p.size for p in layers)
         views = [self.params[end - p.size:end].reshape(p.shape) for end, p in zip(ends, layers)]
@@ -250,7 +255,7 @@ class Trainer:
         ok = np.all((off > 0.0) | diag, axis=1)
         a = self.sim.a.copy()
         a[ok] = off[ok] / off[ok].sum(axis=1, keepdims=True)
-        self.sim = SimilarityMatrix(k, a)
+        self.sim = SimilarityMatrix(a)
         cfg = self.cfg
         self.targets = build_targets(cfg.variant, k, self.sim, cfg.epsilon, cfg.epsilons)
 

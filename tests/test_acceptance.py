@@ -99,8 +99,6 @@ def test_similarity_matrix_suite():
             projection=model.projection * flip[:, None],
             eigenvalues=model.eigenvalues,
             class_means=tuple(v * flip for v in model.class_means),
-            num_components=model.num_components,
-            num_classes=model.num_classes,
         )
         flip_err = float(np.max(np.abs(build_similarity_matrix(flipped).a - sim.a)))
         ok = ok and flip_err <= 1e-10
@@ -111,8 +109,6 @@ def test_similarity_matrix_suite():
             projection=model.projection,
             eigenvalues=model.eigenvalues,
             class_means=tuple(model.class_means[i] for i in np.argsort(perm)),
-            num_components=model.num_components,
-            num_classes=model.num_classes,
         )
         sim_p = build_similarity_matrix(permuted)
         perm_err = max(
@@ -273,7 +269,7 @@ def test_soft_variants_learn_a_similarity(tmp_path):
                     continue
                 a = np.array(run["learned_similarity"])
                 k = a.shape[0]
-                final = SimilarityMatrix(k, a)
+                final = SimilarityMatrix(a)
                 off = a[~np.eye(k, dtype=bool)]
                 eps = np.full(k, 0.2)
                 mixing = {"epsilons": eps, "targets": target_matrix(final, eps)}[

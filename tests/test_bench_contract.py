@@ -74,7 +74,7 @@ def test_soft_report_fields_the_train_soft_checks_read(tmp_path):
     checks.check_learned_epsilons(report["learned_mixing"], k)
     assert report["learned_mixing"] == [0.2] * k
     assert all(type(e) is float for e in report["learned_mixing"])
-    SimilarityMatrix(k, np.array(report["learned_similarity"]))
+    assert SimilarityMatrix(np.array(report["learned_similarity"])).k == k
     checks.check_epochs((out / "epochs.jsonl").read_text(), report, 3)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mcel
-from mcel import harness
+from mcel import gradcheck, harness
 from mcel.cli import CONFIG_KEYS, FIELDS, load_config, main
 from mcel.data import gen_blobs, split
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
@@ -213,6 +213,21 @@ class TestTrainCommand:
         )
         assert code == 1
 
+    def test_similarity_of_another_k_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("trained before the similarity file was rejected")
+        monkeypatch.setattr(Trainer, "train_epoch", fail)
+        sim = tmp_path / "sim.txt"
+        sim.write_text("3\n0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n")
+        code = run_cli(
+            "train", "--blobs", "4,40,2,1.0", "--config", write_config(tmp_path, "mcel"),
+            "--similarity", str(sim), "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: similarity matrix is 3 x 3, the model has 4 classes\n")
+        assert not (tmp_path / "x").exists()
+
     def test_no_dataset_is_usage_error(self, tmp_path):
         assert run_cli("train", "--out", str(tmp_path / "x")) == 1
 
@@ -294,6 +309,7 @@ class TestBadValues:
         )
         self.assert_clean_usage_error(proc)
         assert f"split part {part} received zero samples" in proc.stderr
+        assert not (tmp_path / "x").exists()
 
 
     def assert_usage_error_in_process(self, capsys, *argv):
@@ -489,6 +505,16 @@ class TestBadValues:
         )
         assert err == (f"error: config file {path}: split fractions must be three numbers "
                        f">= 0 that sum to 1, got {shares}\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["similarity", "gridsearch", "noise-exp"])
+    def test_too_many_lda_components_leave_no_out(self, tmp_path, capsys, no_training,
+                                                  command):
+        err = self.assert_usage_error_in_process(
+            capsys, command, "--blobs", "4,40,2,1.0", "--lda-components", "9",
+            "--out", str(tmp_path / "x"),
+        )
+        assert err == "error: num_components must be in [1, 2], got 9\n"
         assert not (tmp_path / "x").exists()
 
     # (command, flags, the line after "error: "); "{tmp}" is the test's
@@ -870,6 +896,18 @@ class TestGradcheckCommand:
             return value, grad + 1e-3
         monkeypatch.setattr("mcel.gradcheck.batch_loss", corrupted)
         assert run_cli("gradcheck", "--trials", "3") == 3
+
+    def test_nan_gradient_fails(self, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0, so a NaN error must not pass through max
+        def nan_gradient(probs, targets):
+            value, grad = batch_loss(probs, targets)
+            return value, grad * np.nan
+        monkeypatch.setattr("mcel.gradcheck.batch_loss", nan_gradient)
+        assert all(np.isnan(err) for err in gradcheck.run_all(3, 2, 0).values())
+        assert run_cli("gradcheck", "--trials", "3") == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(VARIANTS)
+        assert all(line.endswith("max relative error nan  [FAIL]") for line in lines)
 
     @pytest.mark.parametrize("flag,value,least", [
         ("--k", "1", 2), ("--k", "0", 2), ("--trials", "0", 1), ("--trials", "-2", 1),

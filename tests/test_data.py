@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mcel import data as datamod
 from mcel.data import (
     LabeledDataset,
-    NoiseSpec,
     gen_blobs,
     inject_pairwise_noise,
     load_csv,
@@ -328,19 +327,19 @@ class TestGenBlobs:
 class TestNoise:
     def test_noop(self):
         data = gen_blobs(4, 20, 2, seed=0)
-        noisy, mask = inject_pairwise_noise(data, NoiseSpec(((0, 1), (2, 3)), 0.0, 0))
+        noisy, mask = inject_pairwise_noise(data, ((0, 1), (2, 3)), 0.0, 0)
         assert np.array_equal(noisy.labels, data.labels)
         assert not mask.any()
 
     def test_total_swap(self):
         data = gen_blobs(2, 20, 2, seed=0)
-        noisy, mask = inject_pairwise_noise(data, NoiseSpec(((0, 1),), 1.0, 0))
+        noisy, mask = inject_pairwise_noise(data, ((0, 1),), 1.0, 0)
         assert np.array_equal(noisy.labels, 1 - data.labels)
         assert mask.all()
 
     def test_statistical_fraction(self):
         data = gen_blobs(2, 1000, 2, seed=1)
-        noisy, mask = inject_pairwise_noise(data, NoiseSpec(((0, 1),), 0.3, 3))
+        noisy, mask = inject_pairwise_noise(data, ((0, 1),), 0.3, 3)
         for c in range(2):
             flipped = int(mask[data.labels == c].sum())
             # binomial(1000, 0.3) 99% interval
@@ -348,7 +347,7 @@ class TestNoise:
 
     def test_features_untouched_and_mask_matches(self):
         data = gen_blobs(4, 50, 3, seed=2)
-        noisy, mask = inject_pairwise_noise(data, NoiseSpec(((0, 2),), 0.5, 7))
+        noisy, mask = inject_pairwise_noise(data, ((0, 2),), 0.5, 7)
         assert noisy.features is data.features or np.array_equal(
             noisy.features, data.features
         )
@@ -357,9 +356,15 @@ class TestNoise:
         # classes outside the pair never change
         assert not diff[(data.labels == 1) | (data.labels == 3)].any()
 
+    def test_fraction_outside_unit_interval_rejected(self):
+        data = gen_blobs(2, 10, 2, seed=0)
+        with pytest.raises(ValueError, match=r"noise fraction 1.5 outside \[0, 1\]"):
+            inject_pairwise_noise(data, ((0, 1),), 1.5, 0)
+
     def test_overlapping_pairs_rejected(self):
+        data = gen_blobs(3, 10, 2, seed=0)
         with pytest.raises(ValueError, match="more than one pair"):
-            NoiseSpec(((0, 1), (1, 2)), 0.5, 0)
+            inject_pairwise_noise(data, ((0, 1), (1, 2)), 0.5, 0)
 
 
 class TestSplit:

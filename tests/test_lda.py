@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcel.data import LabeledDataset, gen_blobs
-from mcel.errors import DataFormatError, SingularScatterError
+from mcel.errors import DataFormatError, DimensionError, SingularScatterError
 from mcel.lda import (
     LdaModel,
     SimilarityMatrix,
@@ -25,15 +25,12 @@ from mcel.lda import (
 
 def make_model(means, projection=None):
     """LdaModel wrapper around explicit projected class means."""
-    k = len(means)
     lam = len(means[0])
     proj = projection if projection is not None else np.eye(lam, lam)
     return LdaModel(
         projection=proj,
         eigenvalues=np.arange(lam, 0, -1, dtype=float),
         class_means=tuple(np.asarray(m, dtype=float) for m in means),
-        num_components=lam,
-        num_classes=k,
     )
 
 
@@ -198,8 +195,6 @@ class TestSimilarityMatrix:
             projection=model.projection * flip[:, None],
             eigenvalues=model.eigenvalues,
             class_means=tuple(v * flip for v in model.class_means),
-            num_components=model.num_components,
-            num_classes=model.num_classes,
         )
         assert np.max(np.abs(build_similarity_matrix(flipped).a - sim.a)) <= 1e-10
 
@@ -212,8 +207,6 @@ class TestSimilarityMatrix:
             projection=model.projection,
             eigenvalues=model.eigenvalues,
             class_means=tuple(model.class_means[i] for i in np.argsort(perm)),
-            num_components=model.num_components,
-            num_classes=model.num_classes,
         )
         sim_p = build_similarity_matrix(permuted)
         for i in range(4):
@@ -299,10 +292,16 @@ class TestSimilarityFile:
         with pytest.raises(DataFormatError, match="sim.txt: not UTF-8 at byte offset 8"):
             load_similarity(path)
 
+    @pytest.mark.parametrize("a", [np.full((2, 3), 0.5), np.array([0.0, 1.0])],
+                             ids=["2x3", "1-D"])
+    def test_non_square_rejected(self, a):
+        with pytest.raises(DimensionError, match="must be square"):
+            SimilarityMatrix(a)
+
     def test_nan_fails_the_type_invariants(self):
         for a in ([[0.0, np.nan], [1.0, 0.0]], [[np.nan, 1.0], [1.0, 0.0]]):
             with pytest.raises(ValueError):
-                SimilarityMatrix(2, np.array(a))
+                SimilarityMatrix(np.array(a))
 
 
 SIM_TEXT = b"3\n0 0.5 0.5\n0.25 0 0.75\n0.5 0.5 0\n"

@@ -23,7 +23,7 @@ def variants(fact, value=True):
 
 
 def two_class_sim():
-    return SimilarityMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return SimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def random_stochastic_targets(rng, k):
@@ -172,7 +172,7 @@ class TestMcelLoss:
 
     def test_hand_instance_with_oracle(self):
         a = np.array([[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-        sim = SimilarityMatrix(3, a)
+        sim = SimilarityMatrix(a)
         probs = np.array([0.7, 0.2, 0.1])
         eps = 0.3
         value, _ = loss_of(probs, 0, target_matrix(sim, np.full(3, eps)))
@@ -202,7 +202,7 @@ class TestMcelLoss:
         perm = np.array([3, 0, 2, 1])
         inv = np.argsort(perm)
         a_p = sim.a[np.ix_(inv, inv)]
-        sim_p = SimilarityMatrix(k, a_p / a_p.sum(axis=1, keepdims=True))
+        sim_p = SimilarityMatrix(a_p / a_p.sum(axis=1, keepdims=True))
         value, _ = loss_of(probs, y, target_matrix(sim, np.full(k, 0.3)))
         value_p, _ = loss_of(probs[inv], perm[y], target_matrix(sim_p, np.full(k, 0.3)))
         assert abs(value - value_p) <= 1e-12

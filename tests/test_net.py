@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcel.data import LabeledDataset, gen_blobs
-from mcel.errors import DataFormatError, TrainingDivergedError
+from mcel.errors import DataFormatError, DimensionError, TrainingDivergedError
 from mcel.gradcheck import random_similarity
 from mcel.harness import run_training
 from mcel.lda import SimilarityMatrix
@@ -45,6 +45,19 @@ class TestInit:
         model = init_model((fan_in, 200, 2), seed=3)
         var = model.weights[0].var()
         assert abs(var - 1.0 / fan_in) <= 0.2 / fan_in
+
+
+    @pytest.mark.parametrize("layer_sizes,weights,biases", [
+        ((2, 3), [np.ones((4, 2))], [np.zeros(4)]),
+        ((2, 4, 3), [np.ones((5, 2)), np.ones((3, 5))], [np.zeros(5), np.zeros(3)]),
+        ((2, 4, 3), [np.ones((4, 2)), np.ones((3, 5))], [np.zeros(4), np.zeros(3)]),
+        ((2, 3), [np.ones((3, 2))], [np.zeros(4)]),
+        ((2, 3), [np.ones((3, 2))], []),
+    ], ids=["outputs", "hidden", "inputs", "bias", "no-bias"])
+    def test_layer_sizes_must_match_the_weights(self, layer_sizes, weights, biases):
+        # each would end in a numpy error in the first forward pass
+        with pytest.raises(DimensionError, match=r"layer sizes \(2, .*need the shapes"):
+            MlpModel(layer_sizes, weights, biases)
 
 
 class TestForward:
@@ -338,7 +351,7 @@ class TestTrainer:
         perm_labels = perm[data.labels]
         data_p = LabeledDataset(data.features, perm_labels, 3)
         a_p = sim.a[np.ix_(np.argsort(perm), np.argsort(perm))]
-        sim_p = SimilarityMatrix(3, a_p)
+        sim_p = SimilarityMatrix(a_p)
 
         def run(dataset, similarity, permute_head):
             model = init_model((2, 5, 3), seed=9)
@@ -488,7 +501,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
                 off[y] = 0.0
                 if np.all(np.delete(off, y) > 0.0):
                     a[y] = off / off.sum()
-            sim = SimilarityMatrix(k, a)
+            sim = SimilarityMatrix(a)
     return metrics, sim
 
 
