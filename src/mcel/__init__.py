@@ -2,12 +2,11 @@
 plus a small fully-connected training harness."""
 
 from .data import LabeledDataset
-from .lda import LdaModel, SimilarityMatrix
+from .lda import SimilarityMatrix
 from .net import MlpModel, TrainConfig, Trainer
 
 __all__ = [
     "LabeledDataset",
-    "LdaModel",
     "SimilarityMatrix",
     "MlpModel",
     "TrainConfig",

@@ -192,6 +192,13 @@ def read_exact(fh, size, nbytes, path, what):
     return fh.read(nbytes)
 
 
+def check_end(fh, size, path):
+    """Reject bytes past the last one the header declares."""
+    end = fh.tell()
+    if end != size:
+        raise DataFormatError(f"{path}: {size - end} bytes of trailing data at offset {end}")
+
+
 def _read_idx(path, magic, kind, ndims):
     """The header sizes and the body of one IDX file. The body's declared
     size is bounded by the file size before anything is read."""
@@ -203,7 +210,9 @@ def _read_idx(path, magic, kind, ndims):
             raise DataFormatError(f"{path}: bad {kind} magic 0x{got:08x} at offset 0")
         if 0 in dims:
             raise DataFormatError(f"{path}: declares an empty {kind} set {dims}")
-        return dims, read_exact(fh, size, math.prod(dims), path, f"{kind} data")
+        body = read_exact(fh, size, math.prod(dims), path, f"{kind} data")
+        check_end(fh, size, path)
+    return dims, body
 
 
 def load_idx(images_path, labels_path):

@@ -71,8 +71,8 @@ def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
 
 
 def similarity_from_dataset(train, num_components=None, ridge=None):
-    model = ldamod.fit_lda(train, num_components=num_components, ridge=ridge)
-    return ldamod.build_similarity_matrix(model)
+    means = ldamod.fit_lda(train, num_components=num_components, ridge=ridge)
+    return ldamod.build_similarity_matrix(means)
 
 
 def prepare_splits(dataset, cfg):

@@ -17,27 +17,6 @@ SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class LdaModel:
-    projection: np.ndarray  # num_components x d, rows are discriminant directions
-    eigenvalues: np.ndarray  # non-increasing
-    class_means: tuple  # k projected mean vectors, length num_components each
-
-    def __post_init__(self):
-        if self.num_components > self.num_classes - 1:
-            raise ValueError("num_components must be <= num_classes - 1")
-        if np.any(np.diff(self.eigenvalues) > 1e-12):
-            raise ValueError("eigenvalues must be non-increasing")
-
-    @property
-    def num_components(self):
-        return self.projection.shape[0]
-
-    @property
-    def num_classes(self):
-        return len(self.class_means)
-
-
-@dataclass(frozen=True)
 class SimilarityMatrix:
     """Row-stochastic k x k matrix with zero diagonal; row i is the
     similarity distribution of class i."""
@@ -79,27 +58,19 @@ class SimilarityMatrix:
         return float(np.max(np.abs(self.a - self.a.T)))
 
 
-def class_means(data):
-    """Mean feature vector of each class, in class-index order."""
-    counts = data.class_counts()
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise ValueError(f"class {int(empty[0])} has no samples")
-    means = []
-    for c in range(data.k):
-        means.append(data.features[data.labels == c].mean(axis=0))
-    return means
-
-
 def scatter_matrices(data):
-    """Within-class and between-class scatter (S_w, S_b) plus class means."""
+    """Within-class and between-class scatter (S_w, S_b) plus the mean
+    feature vector of each class, in class-index order."""
     mu = data.features.mean(axis=0)
-    means = class_means(data)
     d = data.dim
     sw = np.zeros((d, d))
     sb = np.zeros((d, d))
+    means = []
     for c in range(data.k):
         block = data.features[data.labels == c]
+        if not len(block):
+            raise ValueError(f"class {c} has no samples")
+        means.append(block.mean(axis=0))
         centered = block - means[c]
         sw += centered.T @ centered
         diff = (means[c] - mu)[:, None]
@@ -153,12 +124,15 @@ def solve_generalized_symmetric_eig(sb, sw, ridge=0.0):
 
 
 def fit_lda(data, num_components=None, ridge=None):
-    """Fit LDA and keep the leading discriminant components.
+    """The class means projected onto the leading discriminant directions:
+    a k x num_components array whose row i belongs to class i.
 
     num_components defaults to min(k - 1, d); ridge defaults to
     1e-6 * trace(S_w) / d to keep near-singular scatter invertible.
     """
     k = data.k
+    if k < 2:
+        raise ValueError(f"LDA needs at least 2 classes, got {k}")
     limit = min(k - 1, data.dim)
     if num_components is None:
         num_components = limit
@@ -169,23 +143,21 @@ def fit_lda(data, num_components=None, ridge=None):
     sw, sb, means = scatter_matrices(data)
     if ridge is None:
         ridge = 1e-6 * np.trace(sw) / sw.shape[0]
-    vals, vecs = solve_generalized_symmetric_eig(sb, sw, ridge)
+    _, vecs = solve_generalized_symmetric_eig(sb, sw, ridge)
+    # contiguous rows: a strided transpose rounds some products differently
     projection = vecs[:, :num_components].T.copy()
-    projected = tuple(projection @ m for m in means)
-    return LdaModel(
-        projection=projection,
-        eigenvalues=vals[:num_components].copy(),
-        class_means=projected,
-    )
+    return np.array([projection @ m for m in means])
 
 
-def build_similarity_matrix(model):
-    """Similarity matrix from the projected class means.
+def build_similarity_matrix(means):
+    """Similarity matrix from the k x c projected class means of fit_lda.
 
     d(v_i, v_j) = 1 - cos(v_i, v_j); s = 1 / (1 + e^d); rows normalize over
     the off-diagonal entries, diagonal stays zero.
     """
-    means = model.class_means
+    means = np.asarray(means, dtype=float)
+    if means.ndim != 2:
+        raise DimensionError(f"projected means must be a k x c array, got shape {means.shape}")
     norms = [np.linalg.norm(v) for v in means]
     for i, nrm in enumerate(norms):
         if nrm == 0.0:
@@ -213,8 +185,9 @@ def load_similarity(path):
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
+    filler = [not line.strip() or line.lstrip().startswith("#") for line in lines]
     pos = 0
-    while pos < len(lines) and (not lines[pos].strip() or lines[pos].lstrip().startswith("#")):
+    while pos < len(lines) and filler[pos]:
         pos += 1
     if pos >= len(lines):
         raise DataFormatError(f"{path}: no content")
@@ -252,6 +225,9 @@ def load_similarity(path):
                 f"{path}: line {lineno}: row sums to {total!r}, expected 1"
             )
         rows.append(row)
+    extra = [i for i in range(pos + 1 + k, len(lines)) if not filler[i]]
+    if extra:
+        raise DataFormatError(f"{path}: line {extra[0] + 1}: data after the {k} declared rows")
     # renormalize the sub-1e-9 residue so the type invariant (1e-12) holds
     try:
         return SimilarityMatrix.from_scores(rows)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_fractions, read_exact
+from .data import check_end, check_fractions, read_exact
 from .errors import DataFormatError, DimensionError, TrainingDivergedError
 from .lda import SimilarityMatrix
 from .losses import VARIANTS, batch_values, build_targets, check_loss, logit_grad, softmax
@@ -327,4 +327,5 @@ def load_checkpoint(path):
             if not sizes:
                 sizes.append(cols)
             sizes.append(rows)
+        check_end(fh, size, path)
     return MlpModel(tuple(sizes), weights, biases)

@@ -16,8 +16,8 @@ from mcel.harness import (
     dumps_report, run_noise_experiment, run_training, similarity_checksum, similarity_from_dataset,
 )
 from mcel.lda import (
-    LdaModel, SimilarityMatrix, build_similarity_matrix, fit_lda, scatter_matrices,
-    uniform_similarity,
+    SimilarityMatrix, build_similarity_matrix, fit_lda, scatter_matrices,
+    solve_generalized_symmetric_eig, uniform_similarity,
 )
 from mcel.losses import VARIANTS, batch_loss, build_targets, softmax, target_matrix
 from mcel.net import TrainConfig, backprop, forward_batch, init_model
@@ -87,30 +87,20 @@ def test_similarity_matrix_suite():
     details = []
     for k in (3, 10):
         data = gen_blobs(k, 80, 5, seed=100 + k)
-        model = fit_lda(data)
-        sim = build_similarity_matrix(model)
+        means = fit_lda(data)
+        sim = build_similarity_matrix(means)
         off = sim.a[~np.eye(k, dtype=bool)]
         ok = ok and np.all(np.diag(sim.a) == 0.0) and np.all(off > 0.0)
         row_err = float(np.max(np.abs(sim.a.sum(axis=1) - 1.0)))
         ok = ok and row_err <= 1e-12
 
-        flip = np.where(np.arange(model.num_components) % 2 == 0, 1.0, -1.0)
-        flipped = LdaModel(
-            projection=model.projection * flip[:, None],
-            eigenvalues=model.eigenvalues,
-            class_means=tuple(v * flip for v in model.class_means),
-        )
-        flip_err = float(np.max(np.abs(build_similarity_matrix(flipped).a - sim.a)))
+        flip = np.where(np.arange(means.shape[1]) % 2 == 0, 1.0, -1.0)
+        flip_err = float(np.max(np.abs(build_similarity_matrix(means * flip).a - sim.a)))
         ok = ok and flip_err <= 1e-10
 
         rng = np.random.default_rng(k)
         perm = rng.permutation(k)
-        permuted = LdaModel(
-            projection=model.projection,
-            eigenvalues=model.eigenvalues,
-            class_means=tuple(model.class_means[i] for i in np.argsort(perm)),
-        )
-        sim_p = build_similarity_matrix(permuted)
+        sim_p = build_similarity_matrix(means[np.argsort(perm)])
         perm_err = max(
             abs(sim_p.a[perm[i], perm[j]] - sim.a[i, j])
             for i in range(k)
@@ -123,9 +113,12 @@ def test_similarity_matrix_suite():
 
     two = gen_blobs(2, 300, 2, centers=np.array([[0.0, 0.0], [3.0, 1.0]]),
                     spread=0.7, seed=1)
-    sw, _, means = scatter_matrices(two)
+    sw, sb, means = scatter_matrices(two)
     fisher = np.linalg.solve(sw, means[1] - means[0])
-    direction = fit_lda(two).projection[0]
+    vals, vecs = solve_generalized_symmetric_eig(sb, sw, 1e-6 * np.trace(sw) / two.dim)
+    direction = vecs[:, 0]
+    ok = ok and np.all(np.diff(vals) <= 1e-12)
+    ok = ok and np.array_equal(fit_lda(two), np.array([vecs[:, :1].T.copy() @ m for m in means]))
     cosine = abs(np.dot(direction, fisher)) / (
         np.linalg.norm(direction) * np.linalg.norm(fisher)
     )

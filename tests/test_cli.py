@@ -517,6 +517,16 @@ class TestBadValues:
         assert err == "error: num_components must be in [1, 2], got 9\n"
         assert not (tmp_path / "x").exists()
 
+    def test_one_class_data_leaves_no_out(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("a,b,label\n0.0,1.0,x\n1.0,0.5,x\n2.0,0.0,x\n")
+        err = self.assert_usage_error_in_process(
+            capsys, "similarity", "--data-csv", str(path), "--label-col", "label",
+            "--out", str(tmp_path / "x"),
+        )
+        assert err == "error: LDA needs at least 2 classes, got 1\n"
+        assert not (tmp_path / "x").exists()
+
     # (command, flags, the line after "error: "); "{tmp}" is the test's
     # directory, which holds a config file with a bad value
     VALUE_ERRORS = [

@@ -136,6 +136,14 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="offset"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_trailing_bytes_rejected(self, tmp_path, which):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        path, offset = (img, 16 + 8) if which == "images" else (lab, 8 + 2)
+        path.write_bytes(path.read_bytes() + b"\x00\x00\x00")
+        with pytest.raises(DataFormatError,
+                           match=rf"{path.name}: 3 bytes of trailing data at offset {offset}$"):
+            load_idx(img, lab)
 
     def test_oversized_header(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])

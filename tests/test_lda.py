@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import DataFormatError, DimensionError, SingularScatterError
 from mcel.lda import (
-    LdaModel,
     SimilarityMatrix,
     build_similarity_matrix,
-    class_means,
     fit_lda,
     load_similarity,
     save_similarity,
@@ -23,15 +21,27 @@ from mcel.lda import (
 )
 
 
-def make_model(means, projection=None):
-    """LdaModel wrapper around explicit projected class means."""
-    lam = len(means[0])
-    proj = projection if projection is not None else np.eye(lam, lam)
-    return LdaModel(
-        projection=proj,
-        eigenvalues=np.arange(lam, 0, -1, dtype=float),
-        class_means=tuple(np.asarray(m, dtype=float) for m in means),
-    )
+def class_means(data):
+    return scatter_matrices(data)[2]
+
+
+def discriminants(data):
+    """fit_lda's eigenproblem at its default ridge: eigenvalues, eigenvector
+    columns and the class means before projection."""
+    sw, sb, means = scatter_matrices(data)
+    vals, vecs = solve_generalized_symmetric_eig(sb, sw, 1e-6 * np.trace(sw) / data.dim)
+    return vals, vecs, means
+
+
+def assert_rows_are_projected_means(data, num_components=None):
+    projected = fit_lda(data, num_components)
+    _, vecs, means = discriminants(data)
+    c = projected.shape[1]
+    assert projected.shape == (data.k, c)
+    # bit for bit: a strided vecs[:, :c].T rounds some products differently
+    projection = vecs[:, :c].T.copy()
+    for row, mean in zip(projected, means):
+        assert np.array_equal(row, projection @ mean)
 
 
 class TestClassMeans:
@@ -70,36 +80,40 @@ class TestFitLda:
     def test_two_class_fisher_closed_form(self):
         centers = np.array([[0.0, 0.0], [3.0, 1.0]])
         data = gen_blobs(2, 300, 2, centers=centers, spread=0.7, seed=1)
-        model = fit_lda(data)
         sw, _, means = scatter_matrices(data)
         fisher = np.linalg.solve(sw, means[1] - means[0])
-        direction = model.projection[0]
+        direction = discriminants(data)[1][:, 0]
         cosine = np.dot(direction, fisher) / (
             np.linalg.norm(direction) * np.linalg.norm(fisher)
         )
         assert abs(cosine) >= 0.999
+        assert_rows_are_projected_means(data)
 
     def test_coincident_means(self):
         rng = np.random.default_rng(0)
         block = rng.standard_normal((200, 3))
         feats = np.vstack([block, block])
         labels = np.array([0] * 200 + [1] * 200)
-        model = fit_lda(LabeledDataset(feats, labels, 2))
-        assert model.eigenvalues[0] <= 1e-9
+        vals, _, _ = discriminants(LabeledDataset(feats, labels, 2))
+        assert vals[0] <= 1e-9
 
     def test_shape_contract(self):
         data = gen_blobs(3, 50, 4, seed=2)
-        model = fit_lda(data, num_components=2)
-        assert model.projection.shape == (2, 4)
-        assert model.num_components == 2
-        assert np.all(np.diff(model.eigenvalues) <= 1e-12)
-        assert len(model.class_means) == 3
-        assert all(v.shape == (2,) for v in model.class_means)
+        assert fit_lda(data, num_components=2).shape == (3, 2)
+        vals, vecs, _ = discriminants(data)
+        assert vecs.shape == (4, 4)
+        assert np.all(np.diff(vals) <= 1e-12)
+        assert_rows_are_projected_means(data, num_components=2)
 
     def test_too_many_components(self):
         data = gen_blobs(3, 20, 4, seed=2)
         with pytest.raises(ValueError, match="num_components"):
             fit_lda(data, num_components=3)
+
+    def test_one_class_rejected(self):
+        data = LabeledDataset(np.arange(6.0).reshape(3, 2), np.zeros(3, dtype=int), 1)
+        with pytest.raises(ValueError, match=r"^LDA needs at least 2 classes, got 1$"):
+            fit_lda(data)
 
 
 def random_spd(rng, n, shift=0.5):
@@ -150,19 +164,19 @@ class TestGeneralizedEig:
 
 class TestSimilarityMatrix:
     def test_two_class_forced_normalization(self):
-        sim = build_similarity_matrix(make_model([[2.0], [-1.0]]))
+        sim = build_similarity_matrix(np.array([[2.0], [-1.0]]))
         assert np.allclose(sim.a, [[0, 1], [1, 0]], atol=1e-15)
 
     def test_three_symmetric_directions(self):
         angles = [0.0, 2 * np.pi / 3, 4 * np.pi / 3]
         means = [[np.cos(t), np.sin(t)] for t in angles]
-        sim = build_similarity_matrix(make_model(means))
+        sim = build_similarity_matrix(np.array(means))
         off = sim.a[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.5, atol=1e-12)
 
     def test_literal_formula_oracle(self):
         means = [[1.0, 0.0], [0.0, 1.0], [1 / np.sqrt(2), 1 / np.sqrt(2)]]
-        sim = build_similarity_matrix(make_model(means))
+        sim = build_similarity_matrix(np.array(means))
         expected = np.zeros((3, 3))
         for i in range(3):
             for j in range(3):
@@ -176,7 +190,7 @@ class TestSimilarityMatrix:
 
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError, match="class 1"):
-            build_similarity_matrix(make_model([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+            build_similarity_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
 
     def test_invariants_on_fitted_data(self):
         for k in (3, 10):
@@ -188,35 +202,24 @@ class TestSimilarityMatrix:
 
     def test_sign_flip_invariance(self):
         data = gen_blobs(4, 80, 5, seed=9)
-        model = fit_lda(data)
-        sim = build_similarity_matrix(model)
-        flip = np.array([1.0, -1.0, 1.0])[: model.num_components]
-        flipped = LdaModel(
-            projection=model.projection * flip[:, None],
-            eigenvalues=model.eigenvalues,
-            class_means=tuple(v * flip for v in model.class_means),
-        )
-        assert np.max(np.abs(build_similarity_matrix(flipped).a - sim.a)) <= 1e-10
+        means = fit_lda(data)
+        sim = build_similarity_matrix(means)
+        flip = np.array([1.0, -1.0, 1.0])[: means.shape[1]]
+        assert np.max(np.abs(build_similarity_matrix(means * flip).a - sim.a)) <= 1e-10
 
     def test_permutation_equivariance(self):
         data = gen_blobs(4, 80, 5, seed=10)
-        model = fit_lda(data)
-        sim = build_similarity_matrix(model)
+        means = fit_lda(data)
+        sim = build_similarity_matrix(means)
         perm = np.array([2, 0, 3, 1])
-        permuted = LdaModel(
-            projection=model.projection,
-            eigenvalues=model.eigenvalues,
-            class_means=tuple(model.class_means[i] for i in np.argsort(perm)),
-        )
-        sim_p = build_similarity_matrix(permuted)
+        sim_p = build_similarity_matrix(means[np.argsort(perm)])
         for i in range(4):
             for j in range(4):
                 assert abs(sim_p.a[perm[i], perm[j]] - sim.a[i, j]) <= 1e-12
 
     def test_raw_scores_symmetric_normalized_need_not_be(self):
         data = gen_blobs(5, 60, 4, seed=11)
-        model = fit_lda(data)
-        means = model.class_means
+        means = fit_lda(data)
         k = len(means)
         s = np.zeros((k, k))
         for i in range(k):
@@ -227,8 +230,14 @@ class TestSimilarityMatrix:
                     )
                     s[i, j] = 1 / (1 + np.exp(d))
         assert np.allclose(s, s.T, atol=1e-12)
-        sim = build_similarity_matrix(model)
+        sim = build_similarity_matrix(means)
         assert sim.asymmetry() >= 0.0
+
+    @pytest.mark.parametrize("means", [np.array([1.0, 2.0]), np.ones((2, 2, 1))],
+                             ids=["1-D", "3-D"])
+    def test_means_must_be_2d(self, means):
+        with pytest.raises(DimensionError, match="k x c array"):
+            build_similarity_matrix(means)
 
 
 class TestSimilarityFile:
@@ -242,7 +251,7 @@ class TestSimilarityFile:
 
     def test_comments_allowed(self, tmp_path):
         path = tmp_path / "sim.txt"
-        path.write_text("# similarity for a toy problem\n2\n0 1\n1 0\n")
+        path.write_text("# similarity for a toy problem\n2\n0 1\n1 0\n\n  # done\n")
         sim = load_similarity(path)
         assert np.array_equal(sim.a, [[0, 1], [1, 0]])
 
@@ -263,6 +272,12 @@ class TestSimilarityFile:
         lines[2] = " ".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="line 3.*sums"):
+            load_similarity(path)
+
+    def test_row_after_the_declared_rows_rejected(self, tmp_path):
+        path = tmp_path / "sim.txt"
+        path.write_text("2\n0 1\n1 0\n\n# a comment\n0.5 0.5\n")
+        with pytest.raises(DataFormatError, match="sim.txt: line 6: data after the 2"):
             load_similarity(path)
 
     def test_malformed_value_rejected(self, tmp_path):

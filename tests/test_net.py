@@ -623,6 +623,15 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="zero layers"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model((2, 16, 4), seed=0), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(DataFormatError,
+                           match=rf"model\.ckpt: 4 bytes of trailing data at offset {size}$"):
+            load_checkpoint(path)
+
     def test_layer_chain_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model((4, 7, 3), seed=13), path)
