@@ -51,9 +51,6 @@ class LabeledDataset:
     def dim(self):
         return self.features.shape[1]
 
-    def class_counts(self):
-        return np.bincount(self.labels, minlength=self.k)
-
 
 def check_pairs(pairs, k=None):
     """Pairs of two distinct classes, no class in two pairs, and, given k,
@@ -313,14 +310,22 @@ def split(data, fractions, seed=0):
                  for idx in parts)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised
 def standardize(train, *others):
     """Per-feature mean/std transform fitted on train only.
 
     Zero-variance features divide by 1 instead of 0. Returns the transformed
-    datasets followed by (mean, std).
+    datasets followed by (mean, std). A feature whose mean or squares
+    overflow float64 has a non-finite std, which is an error.
     """
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(std))
+    if bad.size:
+        j = int(bad[0])
+        column = repr(train.feature_names[j]) if train.feature_names else j
+        raise DataFormatError(f"feature column {column}: the values overflow float64 "
+                              "in the mean or standard deviation")
     std = np.where(std == 0.0, 1.0, std)
 
     def apply(ds):

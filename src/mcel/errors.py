@@ -18,7 +18,8 @@ class SingularScatterError(McelError):
 
 
 class DataFormatError(McelError, ValueError):
-    """A file could not be parsed; message names the offending line/offset."""
+    """A file could not be parsed, or data overflows float64; the message
+    names the offending line, offset or column."""
 
 
 class TrainingDivergedError(McelError):

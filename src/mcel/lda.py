@@ -58,9 +58,11 @@ class SimilarityMatrix:
         return float(np.max(np.abs(self.a - self.a.T)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised
 def scatter_matrices(data):
     """Within-class and between-class scatter (S_w, S_b) plus the mean
-    feature vector of each class, in class-index order."""
+    feature vector of each class, in class-index order. A mean or scatter
+    that overflows float64 is an error."""
     mu = data.features.mean(axis=0)
     d = data.dim
     sw = np.zeros((d, d))
@@ -75,6 +77,8 @@ def scatter_matrices(data):
         sw += centered.T @ centered
         diff = (means[c] - mu)[:, None]
         sb += block.shape[0] * (diff @ diff.T)
+    if not (np.isfinite(sw).all() and np.isfinite(sb).all()):
+        raise DataFormatError("the features overflow float64 in the LDA scatter matrices")
     return sw, sb, means
 
 
@@ -156,8 +160,12 @@ def build_similarity_matrix(means):
     the off-diagonal entries, diagonal stays zero.
     """
     means = np.asarray(means, dtype=float)
-    if means.ndim != 2:
-        raise DimensionError(f"projected means must be a k x c array, got shape {means.shape}")
+    if means.ndim != 2 or len(means) < 2:
+        raise DimensionError(
+            f"projected means must be a k x c array with k >= 2, got shape {means.shape}")
+    bad = np.flatnonzero(~np.isfinite(means).all(axis=1))
+    if bad.size:
+        raise ValueError(f"projected mean of class {int(bad[0])} is not finite")
     norms = [np.linalg.norm(v) for v in means]
     for i, nrm in enumerate(norms):
         if nrm == 0.0:

@@ -152,7 +152,7 @@ def backprop(model, acts, grad_logits, out=None):
     return grads_w, grads_b
 
 
-def _target_rows(h, ys, out=None):
+def _target_rows(h, ys, out):
     """Per-sample target rows: the rows of the target matrix H for labels ys.
     "clip" fills out directly ("raise" buffers); the row sums took ys unclipped."""
     return h.take(ys, axis=0, out=out, mode="clip")
@@ -321,9 +321,16 @@ def load_checkpoint(path):
                     f"the previous layer gives {sizes[-1]}"
                 )
             nw = rows * cols
+            start = fh.tell()
             body = read_exact(fh, size, (nw + rows) * 8, path, f"{rows}x{cols} layer")
-            weights.append(np.frombuffer(body, dtype="<f8", count=nw).reshape(rows, cols))
-            biases.append(np.frombuffer(body, dtype="<f8", offset=nw * 8))
+            values = np.frombuffer(body, dtype="<f8")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                i = int(bad[0])
+                raise DataFormatError(f"{path}: layer {len(weights)}: non-finite value "
+                                      f"{float(values[i])!r} at offset {start + 8 * i}")
+            weights.append(values[:nw].reshape(rows, cols))
+            biases.append(values[nw:])
             if not sizes:
                 sizes.append(cols)
             sizes.append(rows)

@@ -34,10 +34,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_python(*argv):
-    """Run a fresh interpreter with the package importable; returns the
-    completed process with text stdout/stderr."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+def run_python(*argv, **env):
+    """Run a fresh interpreter with the package importable and env added to
+    its environment; returns the completed process with text stdout/stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
     )
@@ -719,6 +719,31 @@ class TestRuntimeExitCodes:
         self.assert_clean_data_error(proc)
         assert f"{path}: line {line}: field larger than field limit" in proc.stderr
 
+    STD_OVERFLOW = ("feature column 'f0': the values overflow float64 "
+                    "in the mean or standard deviation")
+    SCATTER_OVERFLOW = "the features overflow float64 in the LDA scatter matrices"
+
+    @pytest.mark.parametrize("command,message", [
+        pytest.param(command, message, id=command) for command, message in (
+            ("train", STD_OVERFLOW), ("gridsearch", STD_OVERFLOW),
+            ("similarity", SCATTER_OVERFLOW), ("noise-exp", SCATTER_OVERFLOW))
+    ])
+    def test_features_whose_squares_overflow(self, tmp_path, command, message):
+        # finite features whose squares overflow float64: no RuntimeWarning, no
+        # training on the zeros an infinite std would give
+        rng = np.random.default_rng(0)
+        rows = [f"{x},{y},{z},{c}" for c in range(3)
+                for x, y, z in rng.standard_normal((40, 3)) * 1e200]
+        path = tmp_path / "huge.csv"
+        path.write_text("f0,f1,f2,label\n" + "\n".join(rows) + "\n")
+        proc = run_python(
+            "-m", "mcel.cli", command, "--data-csv", str(path), "--label-col", "label",
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_data_error(proc)
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_corrupted_gradcheck_exits_3(self):
         # a logit gradient off by 1e-3 in every entry, in a fresh interpreter
         proc = run_python("-c", CORRUPT_GRADCHECK)
@@ -772,6 +797,23 @@ class TestGridSearch:
         grid = json.loads((out / "grid.json").read_text())
         assert len(grid["runs"]) == 1
         assert grid["selected_epsilon"] == 0.2
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 64 features: each class's scatter product is past OpenBLAS's threading
+        # threshold (m * n * k >= 262,144), so two threads split it
+        config = tmp_path / "cfg.ini"
+        config.write_text("[train]\nepochs = 2\n")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_python(
+                "-m", "mcel.cli", "gridsearch", "--blobs", "10,150,64,3.0", "--config",
+                str(config), "--out", str(out),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("grid.json", "grid_curve.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_splits_once_per_seed(self, monkeypatch):
         dataset = gen_blobs(3, 40, 2, spread=0.8, seed=1)

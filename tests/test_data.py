@@ -196,7 +196,7 @@ def load_idx_or_reject(images, labels):
         return
     assert data.n >= 1 and data.dim >= 1
     assert np.all((data.features >= 0.0) & (data.features <= 1.0))
-    assert np.all(data.class_counts() > 0)
+    assert np.all(np.bincount(data.labels, minlength=data.k) > 0)
 
 
 def csv_outcome(path):
@@ -263,7 +263,7 @@ class TestReaderProperties:
             assert "no sample has label" in str(exc)
             assert set(range(max(values))) - set(values)
             return
-        assert data.k == max(values) + 1 and np.all(data.class_counts() > 0)
+        assert data.k == max(values) + 1 and np.all(np.bincount(data.labels, minlength=data.k) > 0)
 
     def test_every_csv_truncation(self):
         for cut in range(len(CSV_TEXT)):
@@ -432,3 +432,14 @@ class TestStandardize:
         other_val = gen_blobs(2, 30, 2, seed=99)
         _, _, mean2, std2 = standardize(train, other_val)
         assert np.array_equal(mean, mean2) and np.array_equal(std, std2)
+
+    @pytest.mark.parametrize("names,column", [(("a", "b"), "'b'"), (None, "1")],
+                             ids=["named", "unnamed"])
+    def test_overflowing_feature_names_its_column(self, names, column):
+        feats = np.column_stack([np.arange(4.0), [1e200, -1e200, 1e200, -1e200]])
+        data = LabeledDataset(feats, np.zeros(4, dtype=int), 1, names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is the error, not a warning
+            with pytest.raises(DataFormatError, match=f"^feature column {column}: the values "
+                                                      "overflow float64"):
+                standardize(data)

@@ -1,5 +1,6 @@
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,17 @@ class TestSimilarityMatrix:
     def test_means_must_be_2d(self, means):
         with pytest.raises(DimensionError, match="k x c array"):
             build_similarity_matrix(means)
+
+    @pytest.mark.parametrize("means,error,message", [
+        ([[1.0]], DimensionError, "k >= 2"),
+        ([[1.0, np.nan], [0.0, 1.0]], ValueError, "class 0 is not finite"),
+        ([[1.0, 0.0], [np.inf, 1.0]], ValueError, "class 1 is not finite"),
+    ], ids=["one-row", "nan", "inf"])
+    def test_degenerate_means_rejected_before_any_arithmetic(self, means, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning first
+            with pytest.raises(error, match=message):
+                build_similarity_matrix(np.array(means))
 
 
 class TestSimilarityFile:

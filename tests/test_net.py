@@ -632,6 +632,19 @@ class TestCheckpoint:
                            match=rf"model\.ckpt: 4 bytes of trailing data at offset {size}$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("offset,value,message", [
+        (20, float("nan"), "layer 0: non-finite value nan at offset 20"),  # the first weight
+        (20 + 6 * 8, float("inf"), "layer 0: non-finite value inf at offset 68"),  # first bias
+    ], ids=["nan-weight", "inf-bias"])
+    def test_non_finite_value_rejected(self, tmp_path, offset, value, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model((2, 3), seed=0), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match=rf"model\.ckpt: {message}$"):
+            load_checkpoint(path)
+
     def test_layer_chain_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model((4, 7, 3), seed=13), path)
@@ -673,6 +686,7 @@ def load_or_reject(raw):
     assert len(sizes) >= 2 and min(sizes) >= 1
     assert [w.shape for w in model.weights] == list(zip(sizes[1:], sizes[:-1]))
     assert [b.shape for b in model.biases] == [(s,) for s in sizes[1:]]
+    assert model.check_finite()
 
 
 class TestCheckpointProperties:
