@@ -1,9 +1,9 @@
 """Command-line harness.
 
 Subcommands: similarity, train, gridsearch, noise-exp, gradcheck.
-Exit codes: 0 success, 1 bad flag, config value or path, 2 runtime failure,
-3 gradcheck failure. Reports are JSON with sorted keys so identical seeds give
-byte-identical payloads; wall-clock timing goes to a separate meta file.
+Exit codes: 0 success, 1 bad flag, config value or path, 2 runtime or
+allocation failure, 3 gradcheck failure. Reports are sorted-key JSON, so
+identical seeds give byte-identical payloads; wall-clock time goes to meta.json.
 """
 
 import argparse
@@ -329,7 +329,7 @@ def main(argv=None):
         if getattr(args, "data_csv", None) is not None and args.label_col is None:
             raise ValueError(f"mcel {args.command}: argument --label-col: required with --data-csv")
         return args.func(args)
-    except McelError as exc:
+    except (McelError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, OSError) as exc:

@@ -235,6 +235,7 @@ def load_idx(images_path, labels_path):
     return LabeledDataset(images.astype(float) / 255.0, labels, int(labels.max()) + 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # LabeledDataset rejects what overflows
 def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     """Gaussian clusters, one per class, deterministic per seed.
 

@@ -23,11 +23,11 @@ class DataFormatError(McelError, ValueError):
 
 
 class TrainingDivergedError(McelError):
-    """The loss or a parameter became non-finite during training.
+    """The loss, a parameter or a model output became non-finite in training.
 
     `batch` is the index within the epoch of the batch whose loss was not
-    finite. The parameters are checked once, after the epoch's last batch;
-    when that check fails, `batch` is the index of the last batch.
+    finite. The parameters, then the validation and test outputs, are checked
+    after the epoch's last batch; when one fails, `batch` is the last batch.
     """
 
     def __init__(self, epoch, batch):

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import data as datamod
 from . import lda as ldamod
+from .errors import TrainingDivergedError
 from .losses import VARIANTS, check_epsilons
 from .net import Trainer, evaluate, init_model, top1
 
@@ -27,16 +28,20 @@ def similarity_checksum(sim):
     return hashlib.sha256(ldamod.format_similarity(sim).encode()).hexdigest()
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence is raised
 def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
-    """Train, keep the best-validation snapshot, evaluate it on test;
-    returns (report, best model)."""
+    """Train, keep the best-validation snapshot, evaluate it on test; returns
+    (report, best model). A non-finite val or test output means divergence."""
     model = init_model((train.dim, *cfg.hidden_sizes, train.k), cfg.seed)
     trainer = Trainer(model, cfg, sim)
+    last_batch = (train.n - 1) // cfg.batch_size
     records = []
     best = {"epoch": -1, "val_acc": -1.0, "snapshot": None}
     for epoch in range(cfg.epochs):
         metrics = trainer.train_epoch(train)
-        val_top1 = top1(model, val)[0]
+        val_top1, _, probs = top1(model, val)
+        if not np.isfinite(probs).all():
+            raise TrainingDivergedError(epoch, last_batch)
         record = {
             "epoch": epoch,
             "train_loss": metrics["mean_loss"],
@@ -49,7 +54,9 @@ def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
         if epoch_callback is not None:
             epoch_callback(record)
     best_model = best["snapshot"]
-    test_top1, test_topk, _ = evaluate(best_model, test, cfg.topk)
+    test_top1, test_topk, _, probs = evaluate(best_model, test, cfg.topk)
+    if not np.isfinite(probs).all():
+        raise TrainingDivergedError(best["epoch"], last_batch)
     report = {
         "config": asdict(cfg),
         "epochs": records,

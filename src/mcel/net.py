@@ -268,7 +268,7 @@ def top1(model, data):
 
 
 def evaluate(model, data, topk=5):
-    """Top-1/top-k accuracy plus the confusion matrix.
+    """Top-1/top-k accuracy, the confusion matrix and the probabilities.
 
     Top-k ties break toward the smaller class index.
     """
@@ -280,7 +280,7 @@ def evaluate(model, data, topk=5):
     in_topk = np.any(ranked[:, :kprime] == data.labels[:, None], axis=1)
     topk_acc = float(np.mean(in_topk))
     confusion = np.bincount(data.labels * k + pred, minlength=k * k).reshape(k, k)
-    return top1_acc, topk_acc, confusion
+    return top1_acc, topk_acc, confusion, probs
 
 
 def save_checkpoint(model, path):

@@ -1,13 +1,20 @@
+import io
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mcel
 from mcel import gradcheck, harness
@@ -567,6 +574,8 @@ class TestBadValues:
 
 
 BLOBS = ("--blobs", "4,40,2,1.0")
+# one epoch whose step leaves finite weights (max |w| 6.7e199) on --blobs 4,100,2,1.0
+DIVERGE_AT_VALIDATION = "[train]\nepochs = 1\nlearning_rate = 1e200\nbatch_size = 1000\n"
 
 
 class TestOneExitPath:
@@ -704,6 +713,53 @@ class TestRuntimeExitCodes:
         self.assert_clean_data_error(proc)
         assert proc.stderr.startswith("error: training diverged at epoch 0, batch ")
 
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_non_finite_validation_outputs_diverge(self, tmp_path, command):
+        # the one epoch ends with finite parameters whose validation logits
+        # overflow; every NaN row would otherwise be read as class 0
+        path = tmp_path / "diverge.ini"
+        path.write_text(DIVERGE_AT_VALIDATION)
+        out = tmp_path / "x"
+        proc = run_python(
+            "-m", "mcel.cli", command, "--blobs", "4,100,2,1.0", "--config", str(path),
+            "--out", str(out),
+        )
+        self.assert_clean_data_error(proc)
+        assert proc.stderr == "error: training diverged at epoch 0, batch 0\n"
+        assert command == "train" or not out.exists()
+
+    def test_allocation_failure_prints_one_line(self, tmp_path, capsys, monkeypatch):
+        # no real huge allocation: how much a machine overcommits differs
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+        monkeypatch.setattr("mcel.harness.init_model", refuse)
+        assert run_cli("train", *BLOBS, "--out", str(tmp_path / "x")) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 1.46 TiB for an array\n"
+
+    def test_blobs_spread_that_overflows_prints_one_line(self, tmp_path):
+        proc = run_python("-m", "mcel.cli", "train", "--blobs", "3,10,2,1e308",
+                          "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: features contain non-finite values\n"
+
+    def test_scatter_near_the_float64_limit(self, tmp_path):
+        # finite scatter matrices whose Frobenius norm passes 1.8e308: no
+        # RuntimeWarning from the eigensolve or the similarity build
+        rng = np.random.default_rng(0)
+        rows = []
+        for c in range(3):
+            block = rng.standard_normal((40, 3)) * 3e152
+            block[:, c] += 9e152
+            rows += [",".join(repr(float(v)) for v in row) + f",{c}" for row in block]
+        path = tmp_path / "big.csv"
+        path.write_text("a,b,c,label\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "x"
+        proc = run_python("-m", "mcel.cli", "similarity", "--data-csv", str(path),
+                          "--label-col", "label", "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert load_similarity(out / "similarity.txt").k == 3
+
     @pytest.mark.parametrize("text,line", [
         # the empty line sends the body to the csv module
         ("x,label\n1," + "a" * 140_000 + "\n\n2,b\n", 2),
@@ -757,6 +813,57 @@ class TestRuntimeExitCodes:
         lines = proc.stdout.splitlines()
         assert [line.split()[0] for line in lines] == list(VARIANTS)
         assert all(line.endswith("[ok]") for line in lines)
+
+
+TRAIN_VALUES = st.fixed_dictionaries({
+    "learning_rate": st.sampled_from(
+        [0.0, 1e-3, 1.0, 1e10, 1e100, 1e200, 1e308, math.inf, math.nan]),
+    "momentum": st.floats(0.0, 1.0),
+    "weight_decay": st.sampled_from([0.0, 1e-3, 1.0, 1e10, 1e308, math.inf]),
+    "batch_size": st.integers(1, 10**6),
+    "epochs": st.integers(1, 3),
+    "hidden": st.integers(1, 32),
+})
+LOSS_VALUES = st.fixed_dictionaries({
+    "variant": st.sampled_from(list(VARIANTS)),
+    "epsilon": st.sampled_from([0.0, 0.2, 0.45, 0.5, math.nan]),
+})
+# the defaults the drawn keys replace, for the examples
+DEFAULT_TRAIN = {"learning_rate": 0.1, "momentum": 0.1, "weight_decay": 1e-3,
+                 "batch_size": 32, "epochs": 100, "hidden": 16}
+DEFAULT_LOSS = {"variant": "ce", "epsilon": 0.2}
+
+
+class TestOneLinePerRun:
+    """Whatever the [train] and [loss] values, a run exits 0 in silence or
+    ends in one error line: no numpy warning and no traceback first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(train=TRAIN_VALUES, loss=LOSS_VALUES)
+    @example(train={**DEFAULT_TRAIN, "epochs": 1, "learning_rate": 1e200, "batch_size": 1000},
+             loss=DEFAULT_LOSS)
+    @example(train={**DEFAULT_TRAIN, "epochs": 3, "learning_rate": 1e200, "batch_size": 1000},
+             loss=DEFAULT_LOSS)
+    def test_train(self, train, loss):
+        config = ["[train]", *(f"{key} = {value}" for key, value in train.items()),
+                  "[loss]", *(f"{key} = {value}" for key, value in loss.items())]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.ini"
+            path.write_text("\n".join(config) + "\n")
+            argv = ["train", "--blobs", "4,30,2,1.0", "--config", str(path),
+                    "--out", str(Path(tmp) / "out")]
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                    redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert [str(w.message) for w in caught] == []  # each a stderr line of its own
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_cli_import_loads_no_scipy():

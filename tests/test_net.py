@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -294,6 +295,18 @@ class TestTrainer:
             trainer.train_epoch(data)
         assert (err.value.epoch, err.value.batch) == (0, (data.n - 1) // 8)
 
+    def test_non_finite_test_outputs_name_the_best_epoch(self):
+        # finite weights and validation outputs; the test rows' logits are
+        # both +inf (seed 2), so their softmax is NaN
+        train = gen_blobs(2, 20, 2, seed=0)
+        test = LabeledDataset(np.full((2, 2), 1e308), np.array([0, 1]), 2)
+        cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning first
+            with pytest.raises(TrainingDivergedError) as err:
+                run_training(train, train, test, cfg)
+        assert (err.value.epoch, err.value.batch) == (0, (train.n - 1) // 8)
+
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_step_matches_reference_loop(self, variant):
         data = self.make_data(k=3, per_class=25, spread=1.5)  # n = 75, batch 8
@@ -515,7 +528,7 @@ class TestEvaluate:
         k = 3
         feats = np.eye(k) * 10.0
         data = LabeledDataset(np.tile(feats, (4, 1)), np.tile(np.arange(k), 4), k)
-        top1, topk, confusion = evaluate(logit_model(k), data)
+        top1, topk, confusion, _ = evaluate(logit_model(k), data)
         assert top1 == 1.0
         assert np.array_equal(confusion, np.eye(k, dtype=int) * 4)
 
@@ -523,7 +536,7 @@ class TestEvaluate:
         k = 4
         rng = np.random.default_rng(0)
         data = LabeledDataset(rng.normal(size=(20, k)), rng.integers(k, size=20), k)
-        _, topk, _ = evaluate(logit_model(k), data, topk=k)
+        _, topk, _, _ = evaluate(logit_model(k), data, topk=k)
         assert topk == 1.0
 
     def test_hand_counted_top2(self):
@@ -539,14 +552,14 @@ class TestEvaluate:
         )
         labels = np.array([0, 0, 0, 2, 2])
         data = LabeledDataset(feats, labels, 3)
-        top1, top2, _ = evaluate(logit_model(3), data, topk=2)
+        top1, top2, _, _ = evaluate(logit_model(3), data, topk=2)
         assert top1 == pytest.approx(1 / 5)
         assert top2 == pytest.approx(3 / 5)
 
     def test_tie_breaks_toward_smaller_index(self):
         feats = np.array([[1.0, 1.0, 0.0]])
         data = LabeledDataset(feats, np.array([1]), 3)
-        top1, _, confusion = evaluate(logit_model(3), data, topk=1)
+        top1, _, confusion, _ = evaluate(logit_model(3), data, topk=1)
         assert top1 == 0.0  # tie between 0 and 1 resolves to class 0
         assert confusion[1, 0] == 1
 
@@ -556,7 +569,7 @@ class TestEvaluate:
         val = LabeledDataset(np.zeros((7, 2)), np.array([0, 1, 2, 0, 1, 0, 2]), k)
         cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8, hidden_sizes=(4,))
         report, model = run_training(gen_blobs(k, 10, 2, seed=0), val, val, cfg)
-        top1, _, _ = evaluate(model, val)
+        top1 = evaluate(model, val)[0]
         assert top1 == 3 / 7  # every tie goes to class 0
         assert [r["val_acc"] for r in report["epochs"]] == [top1, top1]
 
@@ -567,7 +580,7 @@ class TestEvaluate:
         feats[:, 2] -= 100.0  # class 2 has samples but gets no prediction
         labels = rng.integers(k, size=40)
         assert np.any(labels == 2)
-        _, _, confusion = evaluate(logit_model(k), LabeledDataset(feats, labels, k))
+        confusion = evaluate(logit_model(k), LabeledDataset(feats, labels, k))[2]
         expected = np.zeros((k, k), dtype=int)
         np.add.at(expected, (labels, np.argmax(feats, axis=1)), 1)
         assert confusion.dtype == expected.dtype
