@@ -198,6 +198,9 @@ def cmd_similarity(args):
 
 def cmd_train(args):
     tc = load_config(args.config, args.seed)
+    if args.similarity and not VARIANTS[tc.variant].similarity:
+        raise ValueError(f"mcel train: argument --similarity: loss variant {tc.variant!r} "
+                         "takes no similarity matrix")
     dataset = load_dataset(args)
     if tc.epsilons is not None and len(tc.epsilons) != dataset.k:
         raise ValueError(f"config file {args.config}: [loss] epsilons has "

@@ -30,8 +30,8 @@ class LabeledDataset:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
         labs = np.asarray(self.labels, dtype=int)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise DimensionError(f"features must be n x d with n >= 1, got {feats.shape}")
+        if feats.ndim != 2 or min(feats.shape) < 1:
+            raise DimensionError(f"features must be n x d with n, d >= 1, got {feats.shape}")
         if labs.shape != (feats.shape[0],):
             raise DimensionError("labels length must match feature rows")
         if not np.all(np.isfinite(feats)):
@@ -242,8 +242,8 @@ def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     If centers is None they are drawn uniformly from [-5, 5]^dim using the
     same seed stream.
     """
-    if k < 2 or per_class < 1 or spread <= 0:
-        raise ValueError("need k >= 2, per_class >= 1, spread > 0")
+    if k < 2 or per_class < 1 or dim < 1 or spread <= 0:
+        raise ValueError("need k >= 2, per_class >= 1, dim >= 1, spread > 0")
     rng = np.random.default_rng(seed)
     if centers is None:
         centers = rng.uniform(-5.0, 5.0, size=(k, dim))

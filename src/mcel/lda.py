@@ -137,9 +137,7 @@ def fit_lda(data, num_components=None, ridge=None):
     if ridge is None:
         ridge = 1e-6 * np.trace(sw) / sw.shape[0]
     _, vecs = solve_generalized_symmetric_eig(sb, sw, ridge)
-    # contiguous rows: a strided transpose rounds some products differently
-    projection = vecs[:, :num_components].T.copy()
-    return np.array([projection @ m for m in means])
+    return np.array(means) @ vecs[:, :num_components]
 
 
 def build_similarity_matrix(means):
@@ -153,14 +151,12 @@ def build_similarity_matrix(means):
         raise DimensionError(
             f"projected means must be a k x c array with k >= 2, got shape {means.shape}")
     with np.errstate(over="ignore"):  # an overflowing norm is raised
-        norms = [np.linalg.norm(v) for v in means]
+        norms = np.linalg.norm(means, axis=1)
     for i, nrm in enumerate(norms):
         if not 0.0 < nrm < np.inf:  # a NaN fails too
             what = "the zero vector" if nrm == 0.0 else "not finite or its norm overflows float64"
             raise ValueError(f"projected mean of class {i} is {what}")
-    # one np.dot per pair: means @ means.T rounds some cosines differently
-    cos = np.array([[float(np.dot(u, v)) / (nu * nv) for v, nv in zip(means, norms)]
-                    for u, nu in zip(means, norms)])
+    cos = means @ means.T / np.outer(norms, norms)
     return SimilarityMatrix.from_scores(1.0 / (1.0 + np.exp(1.0 - cos)))
 
 

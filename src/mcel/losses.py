@@ -6,9 +6,9 @@ target_matrix(A, eps) for the rest. VARIANTS says what each name means.
 
 check_loss checks a run's loss settings, and check_epsilons is the one
 statement of the [0, 0.5) epsilon range. build_targets gives a variant's H
-on a similarity matrix. The trainer steps on logit_grad, a batch's exact
-logit gradient, and sums each epoch's loss with batch_values; batch_loss
-is the two on one batch, and gradcheck verifies it.
+on a similarity matrix. The trainer steps on logit_grad, softmax - H[y]
+(every H row sums to 1 within 1e-12), and sums each epoch's loss with
+batch_values; batch_loss is the two on one batch, and gradcheck verifies it.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
@@ -86,15 +86,9 @@ def build_targets(variant, k, sim, epsilon, epsilons=None):
     return target_matrix(sim, eps)
 
 
-def logit_grad(probs, targets, row_sums=None):
-    """probs * rowsum(targets) - targets, the exact logit gradient of the
-    summed loss also when a target row does not sum to 1. row_sums is the
-    n x 1 column rowsum(targets), if precomputed."""
-    if row_sums is None:
-        row_sums = np.add.reduce(targets, axis=1, keepdims=True)
-    grad = probs * row_sums
-    grad -= targets
-    return grad
+def logit_grad(probs, targets):
+    """probs - targets: the summed loss's exact logit gradient, as every H row sums to 1."""
+    return probs - targets
 
 
 def batch_values(probs, targets, size):

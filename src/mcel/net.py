@@ -154,7 +154,7 @@ def backprop(model, acts, grad_logits, out=None):
 
 def _target_rows(h, ys, out):
     """Per-sample target rows: the rows of the target matrix H for labels ys.
-    "clip" fills out directly ("raise" buffers); the row sums took ys unclipped."""
+    "clip" fills out directly ("raise" buffers); LabeledDataset keeps ys in [0, k)."""
     return h.take(ys, axis=0, out=out, mode="clip")
 
 
@@ -202,7 +202,6 @@ class Trainer:
         h = self.targets
         k = self.model.num_classes
         probs, targets = np.empty((2, data.n, k))  # the epoch's buffers
-        row_sums = np.add.reduce(h, axis=1).take(ys_all)[:, None]
         lr = self.learning_rate()
         params, vel, g = self.model.params, self._vel, self._grad
         g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
@@ -211,7 +210,7 @@ class Trainer:
             stop = start + size
             batch_probs, acts = forward_batch(self.model, xs[start:stop], out=probs[start:stop])
             batch_targets = _target_rows(h, ys_all[start:stop], out=targets[start:stop])
-            grad_logits = logit_grad(batch_probs, batch_targets, row_sums[start:stop])
+            grad_logits = logit_grad(batch_probs, batch_targets)
             backprop(self.model, acts, grad_logits, out=self._grads)
             g *= 1.0 / len(grad_logits)
             g_w += wd * p_w
@@ -228,11 +227,9 @@ class Trainer:
             raise TrainingDivergedError(self.epoch, batch)
         hit = probs.argmax(axis=1) == ys_all
         if VARIANTS[cfg.variant].moves:
-            # class sums of each batch's correct softmax rows, added batch after batch
-            cell = (np.arange(data.n)[hit] // size * k + ys_all[hit]) * k
-            per_batch = np.bincount((cell[:, None] + np.arange(k)).ravel(),
-                                    weights=probs[hit].ravel(), minlength=(batch + 1) * k * k)
-            self._step_mixing(np.add.reduce(per_batch.reshape(-1, k * k), axis=0).reshape(k, k))
+            # the class sums of the correct softmax rows, added in sample order
+            cells = (ys_all[hit, None] * k + np.arange(k)).ravel()
+            self._step_mixing(np.bincount(cells, probs[hit].ravel(), k * k).reshape(k, k))
         self.epoch += 1
         return {
             "mean_loss": total_loss / data.n,

@@ -534,6 +534,26 @@ class TestBadValues:
         assert err == "error: LDA needs at least 2 classes, got 1\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["similarity", "train"])
+    def test_blobs_without_a_feature_leave_no_out(self, tmp_path, capsys, command):
+        err = self.assert_usage_error_in_process(
+            capsys, command, "--blobs", "3,10,0,1.0", "--out", str(tmp_path / "x"),
+        )
+        assert err == "error: need k >= 2, per_class >= 1, dim >= 1, spread > 0\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["similarity", "train"])
+    def test_csv_without_a_feature_column_leaves_no_out(self, tmp_path, capsys, command):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n0\n1\n2\n0\n")
+        out = tmp_path / "x"
+        code = run_cli(command, "--data-csv", str(path), "--label-col", "label",
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: features must be n x d with n, d >= 1, got (4, 0)\n")
+        assert not out.exists()
+
     # (command, flags, the line after "error: "); "{tmp}" is the test's
     # directory, which holds a config file with a bad value
     VALUE_ERRORS = [
@@ -596,7 +616,11 @@ class TestOneExitPath:
          "{tmp}/missing.csv"),
         ("missing-idx", ["similarity", "--data-idx", "{tmp}/img.idx", "{tmp}/lab.idx"],
          "{tmp}/img.idx"),
-        ("similarity-dir", ["train", *BLOBS, "--similarity", "{tmp}"], "Is a directory"),
+        ("similarity-dir", ["train", *BLOBS, "--similarity", "{tmp}", "--config",
+                            "{tmp}/mcel.ini"], "Is a directory"),
+        # a valid 3 x 3 file for 4-class data, which ce would load and report
+        ("similarity-unused", ["train", *BLOBS, "--similarity", "{tmp}/sim3.txt"],
+         "mcel train: argument --similarity: loss variant 'ce' takes no similarity matrix"),
         ("csv-dir", ["similarity", "--data-csv", "{tmp}", "--label-col", "y"],
          "Is a directory"),
         ("out-file", ["similarity", *BLOBS, "--out", "{tmp}/file"], "{tmp}/file"),
@@ -619,6 +643,8 @@ class TestOneExitPath:
     @staticmethod
     def argv(tmp_path, argv):
         (tmp_path / "file").write_text("")
+        (tmp_path / "mcel.ini").write_text("[loss]\nvariant = mcel\n")
+        (tmp_path / "sim3.txt").write_text("3\n0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         if argv and argv[0] != "gradcheck" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "out")]
@@ -639,6 +665,7 @@ class TestOneExitPath:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
         assert message.replace("{tmp}", str(tmp_path)) in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_path_in_a_fresh_interpreter(self, tmp_path):
         missing = tmp_path / "missing.csv"
@@ -907,19 +934,20 @@ class TestGridSearch:
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # 64 features: each class's scatter product is past OpenBLAS's threading
-        # threshold (m * n * k >= 262,144), so two threads split it
+        # threshold (m * n * k >= 262,144), so two threads split it; the
+        # similarity matrix's bits come from the projection and cosine matmuls
         config = tmp_path / "cfg.ini"
         config.write_text("[train]\nepochs = 2\n")
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            proc = run_python(
-                "-m", "mcel.cli", "gridsearch", "--blobs", "10,150,64,3.0", "--config",
-                str(config), "--out", str(out),
-                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append([(out / name).read_bytes() for name in ("grid.json", "grid_curve.csv")])
+            env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            for argv in (["gridsearch", "--config", str(config)], ["similarity"]):
+                proc = run_python("-m", "mcel.cli", *argv, "--blobs", "10,150,64,3.0",
+                                  "--out", str(out / argv[0]), **env)
+                assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in (
+                "gridsearch/grid.json", "gridsearch/grid_curve.csv", "similarity/similarity.txt")])
         assert outputs[0] == outputs[1]
 
     def test_splits_once_per_seed(self, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 import mcel
 from mcel.errors import DimensionError
 from mcel.gradcheck import central_diff, max_rel_error, random_similarity
-from mcel.lda import SimilarityMatrix, uniform_similarity
+from mcel.lda import SimilarityMatrix, load_similarity, uniform_similarity
 from mcel.losses import (
     VARIANTS,
     batch_loss,
@@ -148,6 +148,25 @@ class TestTargetMatrix:
             for eps in (np.full(k, 0.3), rng.uniform(0, 0.49, k)):
                 h = target_matrix(sim, eps)
                 assert np.allclose(h.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_every_variant_target_row_sums_to_one(self, variant, tmp_path):
+        # logit_grad is probs - targets only because this holds
+        rng = np.random.default_rng(list(VARIANTS).index(variant))
+        sims = [random_similarity(rng, k) for k in (2, 3, 7, 20)]
+        for k in (3, 11):
+            rows = rng.random((k, k)) + 1e-3
+            np.fill_diagonal(rows, 0.0)
+            rows *= (1.0 + 1e-10) / rows.sum(axis=1, keepdims=True)  # a 1e-10 residue
+            path = tmp_path / f"sim{k}.txt"
+            path.write_text(f"{k}\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                                                for row in rows))
+            sims.append(load_similarity(path))
+        for sim in sims:
+            for eps in (0.0, 0.4999, float(rng.uniform(0.0, 0.5))):
+                per_class = rng.uniform(0.0, 0.5, sim.k) if VARIANTS[variant].per_class else None
+                h = build_targets(variant, sim.k, sim, eps, per_class)
+                assert np.all(np.abs(h.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_mixture_matrix_rejected(self):
         # a k x k matrix is not read as a target matrix: only per-class epsilons are
@@ -314,16 +333,6 @@ class TestLogitGradient:
 
         num = central_diff(value_of, logits)
         assert max_rel_error(g, num) <= 1e-7
-
-    def test_unnormalised_target_matches_fd(self):
-        # for a target row that does not sum to 1, softmax - target is wrong
-        rng = np.random.default_rng(3)
-        logits = rng.normal(0, 2, size=6)
-        target = rng.uniform(0.05, 0.6, size=6)
-        g = logit_gradient(logits, target)
-        num = central_diff(lambda lg: -float(np.dot(target, np.log(softmax(lg)))), logits)
-        assert max_rel_error(g, num) <= 1e-7
-        assert max_rel_error(softmax(logits) - target, num) > 1e-2
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(2)

@@ -128,15 +128,12 @@ def variant_targets(k, ys, variant, rng):
         h = target_matrix(sim, np.full(k, 0.3))
     elif variant == "sg":
         h = target_matrix(sim, rng.uniform(0.05, 0.45, k))
-    elif variant == "gmcel":
-        h = rng.dirichlet(np.ones(k), size=k)  # any row-stochastic mixture matrix
     else:
-        # a mixture matrix whose rows do not sum to 1
-        h = rng.uniform(0.05, 0.95, (k, k))
+        h = rng.dirichlet(np.ones(k), size=k)  # any row-stochastic mixture matrix
     return h[ys]
 
 
-BACKPROP_CASES = ["ce", "mcel", "sg", "gmcel", "unnormalised"]
+BACKPROP_CASES = ["ce", "mcel", "sg", "gmcel"]
 
 
 class TestBackprop:
@@ -180,7 +177,7 @@ class TestArgumentsUnchanged:
         params = flatten_params(model)
         x = rng.normal(size=(6, 3))
         logits = rng.normal(size=(6, 3)) * 50.0
-        targets = variant_targets(3, rng.integers(3, size=6), "unnormalised", rng)
+        targets = variant_targets(3, rng.integers(3, size=6), "gmcel", rng)
         inputs = [x, logits, targets]
         before = [a.copy() for a in inputs]
 
@@ -418,6 +415,21 @@ class TestTrainer:
         assert np.all(h > 0.0) and np.all(h < 1.0)
         assert np.array_equal(h, target_matrix(trainer.sim, np.full(3, 0.2)))
 
+    @pytest.mark.parametrize("variant", [name for name, v in VARIANTS.items() if v.moves])
+    def test_moved_targets_rows_sum_to_one(self, variant):
+        # logit_grad is probs - targets only because this holds
+        data = self.make_data(k=5, per_class=30, spread=2.0)
+        cfg = TrainConfig(
+            learning_rate=0.05, batch_size=16, seed=16, variant=variant, epsilon=0.4999,
+            epsilons=(0.0, 0.1, 0.3, 0.45, 0.4999) if VARIANTS[variant].per_class else None,
+        )
+        sim = random_similarity(np.random.default_rng(16), 5)
+        trainer = Trainer(init_model((2, 8, 5), seed=16), cfg, sim)
+        for _ in range(3):
+            trainer.train_epoch(data)
+            assert np.all(np.abs(trainer.targets.sum(axis=1) - 1.0) <= 1e-12)
+        assert not np.array_equal(trainer.sim.a, sim.a)
+
     def test_soft_step_follows_kernel(self):
         # one full batch per epoch: each epoch's reported loss is the kernel's
         # value on the similarity the previous epoch left
@@ -469,8 +481,9 @@ class TestTrainer:
 def reference_epochs(model, cfg, sim, data, epochs):
     """Train `model` in place with a plain per-layer loop: fancy-indexed
     batches, the target rows gathered for every batch, SGD+momentum with
-    weight decay on the weights. A soft variant sums each batch's
-    correctly predicted softmax rows by class and moves A after the epoch.
+    weight decay on the weights. A soft variant sums the correctly
+    predicted softmax rows by class, one at a time in sample order, and
+    moves A after the epoch.
     Raises TrainingDivergedError at the first non-finite batch loss.
     Returns each epoch's metrics and the final similarity matrix."""
     k = model.num_classes
@@ -482,7 +495,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
         order = np.random.default_rng((cfg.seed, epoch)).permutation(data.n)
         lr = cfg.learning_rate / (1.0 + cfg.lr_decay * epoch)
         total, correct = 0.0, 0
-        sums = np.zeros(k * k)
+        sums = np.zeros((k, k))
         for batch, start in enumerate(range(0, data.n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             ys = data.labels[idx]
@@ -493,8 +506,8 @@ def reference_epochs(model, cfg, sim, data, epochs):
             total += value
             hit = np.argmax(probs, axis=1) == ys
             correct += int(np.sum(hit))
-            cells = (ys[hit][:, None] * k + np.arange(k)).ravel()
-            sums += np.bincount(cells, weights=probs[hit].ravel(), minlength=k * k)
+            for y, row in zip(ys[hit], probs[hit]):
+                sums[y] += row
             grads_w, grads_b = backprop(model, acts, grad_logits)
             scale = 1.0 / idx.shape[0]
             for layer in range(len(model.weights)):
@@ -509,7 +522,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
             # README: row y of A becomes the off-diagonal part of sums[y],
             # normalised, unless an off-diagonal entry is not > 0
             a = sim.a.copy()
-            for y, row in enumerate(sums.reshape(k, k)):
+            for y, row in enumerate(sums):
                 off = row.copy()
                 off[y] = 0.0
                 if np.all(np.delete(off, y) > 0.0):
