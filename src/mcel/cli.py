@@ -70,17 +70,25 @@ def _blobs(text):
     return int(k), int(per_class), int(dim), float(spread)
 
 
-def _flag(form, parse, rule=lambda value: None):
+def _distinct(values, what):
+    """The rule of a list flag whose every value makes runs: none repeats."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{what} {value} repeats")
+
+
+def _flag(form, parse, *rules):
     """An argparse type: parse(text), with a bad value worded by the form it
-    wants (argument --pairs: wants A:B,C:D, got '0'), then the library's
-    rule(value), whose ValueError is the flag's error as the rule words it."""
+    wants (argument --pairs: wants A:B,C:D, got '0'), then each rule(value),
+    whose ValueError is the flag's error as the rule words it."""
     def typed(text):
         try:
             value = parse(text)
         except (ValueError, KeyError):  # KeyError: a word BOOLEAN does not know
             raise argparse.ArgumentTypeError(f"wants {form}, got {text!r}") from None
         try:
-            rule(value)
+            for rule in rules:
+                rule(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -93,7 +101,7 @@ INTEGERS = _flag("a list of integers", _items(int))
 BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 BOOLEAN = _flag(f"one of {', '.join(BOOLEANS)}", lambda text: BOOLEANS[text.lower()])
 SEED = _flag("an integer", _at_least(0))
-SEEDS = _flag("a list of integers", _items(_at_least(0)))
+SEEDS = _flag("a list of integers", _items(_at_least(0)), partial(_distinct, what="seed"))
 RIDGE = _flag("a number", float, ldamod.check_ridge)
 
 
@@ -309,7 +317,8 @@ def build_parser():
     add_dataset_flags(p)
     p.add_argument("--config", default=None)
     p.add_argument("--fractions", default=(0.3,), type=_flag(
-        "a list of numbers", _items(float), datamod.check_noise_fractions))
+        "a list of numbers", _items(float), datamod.check_noise_fractions,
+        partial(_distinct, what="noise fraction")))
     p.add_argument("--seeds", type=SEEDS, default=(0,))
     p.add_argument("--pairs", type=_flag("A:B,C:D", _items(_pair), datamod.check_pairs),
                    metavar="A:B,C:D", help="default 0:1,2:3,... over the data's classes")

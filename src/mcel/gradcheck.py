@@ -17,8 +17,7 @@ BATCH_SIZE = 4
 
 
 def central_diff(fn, x, h=FD_STEP):
-    """Central finite differences of a scalar function, one entry at a time."""
-    x = np.asarray(x, dtype=float)
+    """Central finite differences of fn at the float array x, one entry at a time."""
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)
     xflat = x.reshape(-1)
@@ -34,8 +33,6 @@ def central_diff(fn, x, h=FD_STEP):
 
 
 def max_rel_error(analytic, numeric):
-    analytic = np.asarray(analytic, dtype=float)
-    numeric = np.asarray(numeric, dtype=float)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import data as datamod
 from . import lda as ldamod
 from .errors import TrainingDivergedError
-from .losses import VARIANTS, check_epsilons
+from .losses import VARIANTS
 from .net import Trainer, evaluate, init_model, top1
 
 
@@ -119,7 +119,6 @@ def run_grid_search(dataset, base_cfg, epsilons, seeds, lda_components=None, rid
     a time. Runs and the curve have one row per listed epsilon,
     epsilon-major. Selection is the highest mean best-validation accuracy.
     """
-    check_epsilons(epsilons, "grid epsilon")
     per_seed = []
     for seed in seeds:
         cfg = replace(base_cfg, seed=seed)
@@ -147,8 +146,6 @@ def run_noise_experiment(dataset, pairs, fractions, seeds, base_cfg, epsilon_can
     if pairs is None:
         pairs = tuple((i, i + 1) for i in range(0, dataset.k - 1, 2))
     datamod.check_pairs(pairs, dataset.k)
-    datamod.check_noise_fractions(fractions)
-    check_epsilons(epsilon_candidates, "epsilon candidate")
     rows = []
     masks = {}
     for fraction, seed in itertools.product(fractions, seeds):

@@ -146,10 +146,6 @@ def build_similarity_matrix(means):
     d(v_i, v_j) = 1 - cos(v_i, v_j); s = 1 / (1 + e^d); rows normalize over
     the off-diagonal entries, diagonal stays zero.
     """
-    means = np.asarray(means, dtype=float)
-    if means.ndim != 2 or len(means) < 2:
-        raise DimensionError(
-            f"projected means must be a k x c array with k >= 2, got shape {means.shape}")
     with np.errstate(over="ignore"):  # an overflowing norm is raised
         norms = np.linalg.norm(means, axis=1)
     for i, nrm in enumerate(norms):

@@ -72,10 +72,9 @@ def build_targets(variant, k, sim, epsilon, epsilons=None):
 
     ce trains on H = I. Every other variant trains on target_matrix(sim,
     eps), where eps holds k per-class epsilons: every one is epsilon,
-    unless a per_class variant gets its own epsilons. check_loss checks
-    the settings first.
+    unless a per_class variant gets its own epsilons. The settings are
+    not checked here: TrainConfig ran check_loss on them when it was made.
     """
-    check_loss(variant, epsilon, epsilons)
     if not VARIANTS[variant].similarity:
         return np.eye(k)
     if sim is None:
@@ -111,8 +110,7 @@ def batch_loss(probs, targets):
 
 
 def softmax(logits, out=None):
-    """Max-shifted softmax, safe for large logits; out is filled if given."""
-    logits = np.asarray(logits, dtype=float)
+    """Max-shifted softmax of a float array, safe for large logits; out is filled if given."""
     shifted = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
     shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)

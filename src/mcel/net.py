@@ -98,30 +98,19 @@ class TrainConfig:
 
 def init_model(layer_sizes, seed=0):
     """Seeded He-style init: weights ~ N(0, 1/fan_in), biases zero."""
-    sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ValueError("need >= 2 layer sizes, all >= 1")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(sizes, weights, biases)
+    shapes = list(zip(layer_sizes[1:], layer_sizes))  # (fan_out, fan_in) per layer
+    weights = [rng.standard_normal(shape) / np.sqrt(shape[1]) for shape in shapes]
+    return MlpModel(tuple(layer_sizes), weights, [np.zeros(out) for out, _ in shapes])
 
 
 def forward_batch(model, x, out=None):
     """Forward pass for an n x d batch; returns (probs, activations).
 
     activations[0] is the input, the rest are post-ReLU hidden outputs.
-    The input is not scanned for non-finite values: LabeledDataset rejects
-    them when the dataset is built. out receives the probabilities if given.
+    x is a float array of a dataset's features, which LabeledDataset
+    checked; it is not checked again. out receives the probabilities if given.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
-        raise DimensionError(
-            f"input must be n x {model.layer_sizes[0]}, got {x.shape}"
-        )
     acts = [x]
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):

@@ -551,7 +551,7 @@ class TestBadValues:
                        "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: features must be n x d with n, d >= 1, got (4, 0)\n")
+            f"error: {path}: no feature column besides 'label'\n")
         assert not out.exists()
 
     # (command, flags, the line after "error: "); "{tmp}" is the test's
@@ -574,6 +574,11 @@ class TestBadValues:
          "mcel similarity: argument --label-col: required with --data-csv"),
         ("train", ["--data-csv", "{tmp}/x.csv", "--config", "{tmp}/bad.ini"],
          "mcel train: argument --label-col: required with --data-csv"),
+        # each seed and noise fraction makes runs, so a repeat would count them twice
+        ("gridsearch", ["--seeds", "0,0,1"], "mcel gridsearch: argument --seeds: seed 0 repeats"),
+        ("noise-exp", ["--seeds", "1,0,1"], "mcel noise-exp: argument --seeds: seed 1 repeats"),
+        ("noise-exp", ["--fractions", "0.1,0.3,0.1"],
+         "mcel noise-exp: argument --fractions: noise fraction 0.1 repeats"),
     ]
 
     @pytest.mark.parametrize("command,flags,line", VALUE_ERRORS)

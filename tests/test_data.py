@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from mcel import data as datamod
 from mcel.data import (
     LabeledDataset,
+    check_fractions,
+    check_noise_fractions,
+    check_pairs,
     gen_blobs,
     inject_pairwise_noise,
     load_csv,
@@ -70,6 +73,14 @@ class TestLoadCsv:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(DataFormatError):
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize("text", ["label\n0\n1\n", "label\n"], ids=["rows", "header-only"])
+    def test_no_feature_column(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        want = r"labels.csv: no feature column besides 'label'$"
+        with pytest.raises(DataFormatError, match=want):
             load_csv(path, "label")
 
     def test_non_finite_cell(self, tmp_path):
@@ -364,15 +375,14 @@ class TestNoise:
         # classes outside the pair never change
         assert not diff[(data.labels == 1) | (data.labels == 3)].any()
 
+    # the parser and run_noise_experiment run these rules; inject_pairwise_noise trusts them
     def test_fraction_outside_unit_interval_rejected(self):
-        data = gen_blobs(2, 10, 2, seed=0)
         with pytest.raises(ValueError, match=r"noise fraction 1.5 outside \[0, 1\]"):
-            inject_pairwise_noise(data, ((0, 1),), 1.5, 0)
+            check_noise_fractions((0.5, 1.5))
 
     def test_overlapping_pairs_rejected(self):
-        data = gen_blobs(3, 10, 2, seed=0)
         with pytest.raises(ValueError, match="more than one pair"):
-            inject_pairwise_noise(data, ((0, 1), (1, 2)), 0.5, 0)
+            check_pairs(((0, 1), (1, 2)), 3)
 
 
 class TestSplit:
@@ -397,13 +407,12 @@ class TestSplit:
         assert (train.n, val.n, test.n) == (800, 100, 100)
 
     def test_bad_fractions(self):
-        # a NaN share fails every test of the rule
-        data = gen_blobs(2, 10, 2, seed=0)
+        # a NaN share fails every test of the rule; TrainConfig runs it, split trusts it
         for fractions in ((0.5, 0.2, 0.2), (0.5, 0.5, 0.5), (0.7, 0.3), (-0.1, 0.6, 0.5),
                           (np.nan, 0.5, 0.5), (1, 0, np.nan), (np.inf, 0, 0)):
             with pytest.raises(ValueError, match="split fractions must be three numbers >= 0 "
                                                  "that sum to 1, got "):
-                split(data, fractions, seed=0)
+                check_fractions(fractions)
 
 
 class TestStandardize:

@@ -42,18 +42,21 @@ UNREAD = {
 }
 
 
+def names_read(tree):
+    """Every name a tree reads as a Name or an Attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def unread_definitions(sources):
     """Top-level functions and classes, and methods other than dunders,
     that no source reads as a Name or an Attribute, by name alone:
     'module.function', 'module.Class' or 'module.Class.method'."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = {name for tree in trees.values() for name in names_read(tree)}
     defined = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -79,3 +82,56 @@ def test_unread_definition_is_found():
         "b": "from .a import C, used, unused\nused()\nC().called()\n",
     }
     assert unread_definitions(sources) == ["a.C.stored", "a.unused"]
+
+
+# each rule that checks a value where it comes into the program, and the
+# definitions that may read it: the parser, TrainConfig, and the library
+# functions that are the only check on what they are given. A library
+# internal that runs a rule its callers already ran fails the test.
+ENTRY_RULES = {
+    "check_fractions": {"net.TrainConfig.__post_init__"},
+    "check_loss": {"net.TrainConfig.__post_init__"},
+    "check_epsilons": {"cli.build_parser", "losses.check_loss"},
+    "check_pairs": {"cli.build_parser", "harness.run_noise_experiment"},  # the data's k
+    "check_noise_fractions": {"cli.build_parser"},
+    "check_ridge": {"cli", "lda.solve_generalized_symmetric_eig"},  # cli: the RIDGE flag
+}
+
+
+def rule_readers(sources, rules):
+    """For each name in rules, the definitions that read it, by
+    unread_definitions' walk: 'module.function', 'module.Class.method', or
+    'module.Class' and 'module' for a read outside any function."""
+    readers = {rule: set() for rule in rules}
+
+    def note(where, node):
+        for name in names_read(node):
+            if name in readers:
+                readers[name].add(where)
+
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    method = f".{item.name}" if isinstance(item, ast.FunctionDef) else ""
+                    note(f"{module}.{node.name}{method}", item)
+            elif isinstance(node, ast.FunctionDef):
+                note(f"{module}.{node.name}", node)
+            else:
+                note(module, node)
+    return readers
+
+
+def test_entry_rules_are_read_only_at_entry():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert rule_readers(sources, ENTRY_RULES) == ENTRY_RULES
+
+
+def test_rule_reader_is_found():
+    sources = {
+        "a": ("def rule(v):\n    pass\n\nRULE = rule\n\ndef entry(v):\n    rule(v)\n\n"
+              "class C:\n    check = rule\n\n    def again(self, v):\n"
+              "        def inner():\n            m.rule(v)\n"),
+        "b": "from .a import rule\n",
+    }
+    assert rule_readers(sources, ["rule"]) == {"rule": {"a", "a.entry", "a.C", "a.C.again"}}

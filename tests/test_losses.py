@@ -12,6 +12,7 @@ from mcel.losses import (
     VARIANTS,
     batch_loss,
     build_targets,
+    check_loss,
     softmax,
     target_matrix,
 )
@@ -58,30 +59,32 @@ def logit_fd_error(logits, y, h):
 
 
 class TestMixingSpecs:
+    # TrainConfig runs check_loss; build_targets trusts the settings it is given
     def test_epsilon_range(self):
         sim = two_class_sim()
         for variant in variants("similarity"):
             with pytest.raises(ValueError):
-                build_targets(variant, 2, sim, 0.5)
+                check_loss(variant, 0.5)
             with pytest.raises(ValueError):
-                build_targets(variant, 2, sim, -0.01)
+                check_loss(variant, -0.01)
             with pytest.raises(ValueError):
-                build_targets(variant, 2, sim, float("nan"))
-            build_targets(variant, 2, sim, 0.0)  # cross-entropy limit is admitted
+                check_loss(variant, float("nan"))
+            check_loss(variant, 0.0)  # cross-entropy limit is admitted
+            build_targets(variant, 2, sim, 0.0)
 
     def test_per_class_range(self):
         for variant in variants("per_class"):
             with pytest.raises(ValueError):
-                build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.5])
+                check_loss(variant, 0.2, [0.1, 0.5])
             with pytest.raises(ValueError):
-                build_targets(variant, 2, two_class_sim(), 0.2, [0.1, float("nan")])
+                check_loss(variant, 0.2, [0.1, float("nan")])
             with pytest.raises(DimensionError):
                 build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.1, 0.1])
 
     def test_per_class_only_for_sg_variants(self):
         for variant in variants("per_class", False):
             with pytest.raises(ValueError, match="per-class"):
-                build_targets(variant, 2, two_class_sim(), 0.2, [0.1, 0.2])
+                check_loss(variant, 0.2, [0.1, 0.2])
 
     def test_variant_states(self):
         # every variant's H: I for ce, the simple loss's H for the rest
@@ -100,7 +103,7 @@ class TestMixingSpecs:
         with pytest.raises(DimensionError):
             build_targets("gmcel", 3, two_class_sim(), 0.2)
         with pytest.raises(ValueError, match="unknown"):
-            build_targets("focal", 2, two_class_sim(), 0.2)
+            check_loss("focal", 0.2)
 
     def test_only_losses_tests_variant_names(self):
         # what a variant name means is read from VARIANTS, never from the name
