@@ -187,17 +187,23 @@ def _write_meta(out, started):
     (out / "meta.json").write_text(json.dumps(meta) + "\n")
 
 
+def _write_table(path, rows, header):
+    """A CSV file of dict rows under the header, which names each row's keys."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, header)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_similarity(args):
     dataset = load_dataset(args)
     sim = similarity_from_dataset(dataset, args.lda_components, args.ridge)
     out = _outdir(args)
     sim_path = out / "similarity.txt"
     ldamod.save_similarity(sim, sim_path)
-    with open(out / "similarity_heatmap.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "a_ij"])
-        classes = range(sim.k)
-        writer.writerows([i, j, repr(float(sim.a[i, j]))] for i in classes for j in classes)
+    cells = ({"i": i, "j": j, "a_ij": a_ij} for i, row in enumerate(sim.a.tolist())
+             for j, a_ij in enumerate(row))
+    _write_table(out / "similarity_heatmap.csv", cells, ["i", "j", "a_ij"])
     print(f"similarity matrix for k={sim.k} written to {sim_path}")
     print(f"asymmetry max|A-A^T| = {sim.asymmetry():.6g}")
     print(f"checksum = {similarity_checksum(sim)}")
@@ -243,11 +249,8 @@ def cmd_gridsearch(args):
                              args.ridge)
     out = _outdir(args)
     (out / "grid.json").write_text(dumps_report(result))
-    with open(out / "grid_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "mean_val_acc", "std_val_acc"])
-        writer.writerows([row["epsilon"], repr(row["mean_val_acc"]), repr(row["std_val_acc"])]
-                         for row in result["grid"])
+    _write_table(out / "grid_curve.csv", result["grid"],
+                 ["epsilon", "mean_val_acc", "std_val_acc"])
     _write_meta(out, started)
     print(f"grid {list(args.epsilons)} -> selected epsilon = {result['selected_epsilon']}")
     return EXIT_OK
@@ -260,11 +263,8 @@ def cmd_noise_exp(args):
     result = run_noise_experiment(dataset, args.pairs, args.fractions, args.seeds, base,
                                   args.epsilon_candidates, args.lda_components)
     out = _outdir(args)
-    with open(out / "noise.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "seed", "variant", "epsilon", "test_top1"])
-        writer.writerows([row["fraction"], row["seed"], row["variant"], row["epsilon"],
-                          repr(row["test_top1"])] for row in result["rows"])
+    _write_table(out / "noise.csv", result["rows"],
+                 ["fraction", "seed", "variant", "epsilon", "test_top1"])
     for (fraction, seed), idx in result["masks"].items():
         mask_path = out / f"noise_mask_f{fraction}_s{seed}.txt"
         mask_path.write_text("".join(f"{int(i)}\n" for i in idx))

@@ -10,7 +10,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,7 +129,33 @@ def _csv_module_rows(path, label_column):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            feature_names, rows, raw_labels = _csv_rows(reader, path, label_column)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            if label_column not in header:
+                raise DataFormatError(f"{path}: no column named {label_column!r} in header")
+            label_idx = header.index(label_column)
+            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+            if not feature_names:
+                raise DataFormatError(f"{path}: no feature column besides {label_column!r}")
+            rows, raw_labels = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
+                    )
+                raw_labels.append(row.pop(label_idx))
+                try:
+                    rows.append(list(map(float, row)))
+                except ValueError:
+                    for name, cell in zip(feature_names, row):  # find the cell to name
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise DataFormatError(
+                                f"{path}: line {lineno}: non-numeric value {cell!r} "
+                                f"in column {name!r}"
+                            ) from None
     except csv.Error as exc:  # a cell over csv.field_size_limit()
         raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
@@ -142,43 +168,9 @@ def _csv_module_rows(path, label_column):
                         f"{path}: line {lineno}, byte {exc.start + 1}: not UTF-8"
                     ) from None
         raise
-    return feature_names, np.array(rows, dtype=float), raw_labels
-
-
-def _csv_rows(reader, path, label_column):
-    """Feature names, feature rows and raw labels of a CSV reader."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: empty file") from None
-    if label_column not in header:
-        raise DataFormatError(f"{path}: no column named {label_column!r} in header")
-    label_idx = header.index(label_column)
-    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    if not feature_names:
-        raise DataFormatError(f"{path}: no feature column besides {label_column!r}")
-    rows = []
-    raw_labels = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
-            )
-        raw_labels.append(row.pop(label_idx))
-        try:
-            rows.append(list(map(float, row)))
-        except ValueError:
-            for name, cell in zip(feature_names, row):  # find the cell to name
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: non-numeric value {cell!r} "
-                        f"in column {name!r}"
-                    ) from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return feature_names, rows, raw_labels
+    return feature_names, np.array(rows, dtype=float), raw_labels
 
 
 def read_exact(fh, size, nbytes, path, what):
@@ -244,7 +236,7 @@ def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     If centers is None they are drawn uniformly from [-5, 5]^dim using the
     same seed stream.
     """
-    if k < 2 or per_class < 1 or dim < 1 or spread <= 0:
+    if k < 2 or per_class < 1 or dim < 1 or not spread > 0:  # a NaN spread fails too
         raise ValueError("need k >= 2, per_class >= 1, dim >= 1, spread > 0")
     rng = np.random.default_rng(seed)
     if centers is None:
@@ -253,12 +245,9 @@ def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
         centers = np.asarray(centers, dtype=float)
         if centers.shape != (k, dim):
             raise DimensionError(f"centers must be {k} x {dim}, got {centers.shape}")
-    feats = np.empty((k * per_class, dim))
-    labels = np.empty(k * per_class, dtype=int)
-    for c in range(k):
-        block = slice(c * per_class, (c + 1) * per_class)
-        feats[block] = centers[c] + spread * rng.standard_normal((per_class, dim))
-        labels[block] = c
+    # one row-major draw gives the numbers of one draw per class, in class order
+    labels = np.repeat(np.arange(k), per_class)
+    feats = centers[labels] + spread * rng.standard_normal((k * per_class, dim))
     return LabeledDataset(feats, labels, k)
 
 
@@ -277,7 +266,7 @@ def inject_pairwise_noise(data, pairs, fraction, seed=0):
             flip = rng.random(idx.shape[0]) < fraction
             labels[idx[flip]] = dst
             mask[idx[flip]] = True
-    return LabeledDataset(data.features, labels, data.k, data.feature_names), mask
+    return replace(data, labels=labels), mask
 
 
 def check_fractions(fractions):
@@ -305,7 +294,7 @@ def split(data, fractions, seed=0):
     missing = np.flatnonzero(present == 0)
     if missing.size:
         raise ValueError(f"class {int(missing[0])} has no samples in the train split")
-    return tuple(LabeledDataset(data.features[idx], data.labels[idx], data.k, data.feature_names)
+    return tuple(replace(data, features=data.features[idx], labels=data.labels[idx])
                  for idx in parts)
 
 
@@ -326,11 +315,5 @@ def standardize(train, *others):
         raise DataFormatError(f"feature column {column}: the values overflow float64 "
                               "in the mean or standard deviation")
     std = np.where(std == 0.0, 1.0, std)
-
-    def apply(ds):
-        return LabeledDataset(
-            (ds.features - mean) / std, ds.labels, ds.k, ds.feature_names
-        )
-
-    out = [apply(train)] + [apply(d) for d in others]
+    out = [replace(ds, features=(ds.features - mean) / std) for ds in (train, *others)]
     return (*out, mean, std)

@@ -79,13 +79,12 @@ class TrainConfig:
     standardize: bool = True  # by the train split's mean and std
 
     def __post_init__(self):
-        # 0 is admitted so a no-op step stays observable
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        # 0 is admitted so a no-op step stays observable; each test fails a NaN
+        for name in ("learning_rate", "weight_decay", "lr_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be in [0, inf), got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0 or self.lr_decay < 0:
-            raise ValueError("decay rates must be >= 0")
         for name in ("epochs", "batch_size", "topk"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -410,6 +410,14 @@ class TestBadValues:
         ("epsilons-value", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2,0.6,0.3\n",
          "epsilons value 0.6 outside [0, 0.5)"),
         ("hidden", "[train]\nhidden = 0\n", "hidden layer sizes must be >= 1, got 0"),
+        # a NaN or infinite rate fails its check, not the training's first batch
+        *[(f"{key.replace('_', '-')}-{value}", f"[train]\n{key} = {value}\n",
+           f"{key} must be in [0, inf), got {value}")
+          for key, value in (("learning_rate", "nan"), ("learning_rate", "inf"),
+                             ("weight_decay", "nan"), ("weight_decay", "inf"),
+                             ("lr_decay", "nan"), ("lr_decay", "inf"))],
+        ("lr-decay-negative", "[train]\nlr_decay = -0.5\n",
+         "lr_decay must be in [0, inf), got -0.5"),
     ]
 
     @pytest.mark.parametrize("command,config,message", [
@@ -534,10 +542,13 @@ class TestBadValues:
         assert err == "error: LDA needs at least 2 classes, got 1\n"
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("command", ["similarity", "train"])
-    def test_blobs_without_a_feature_leave_no_out(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,blobs", [
+        pytest.param(command, blobs, id=command + suffix) for command in ("similarity", "train")
+        for blobs, suffix in (("3,10,0,1.0", ""), ("3,10,2,nan", "-nan-spread"))
+    ])
+    def test_blobs_without_a_feature_leave_no_out(self, tmp_path, capsys, command, blobs):
         err = self.assert_usage_error_in_process(
-            capsys, command, "--blobs", "3,10,0,1.0", "--out", str(tmp_path / "x"),
+            capsys, command, "--blobs", blobs, "--out", str(tmp_path / "x"),
         )
         assert err == "error: need k >= 2, per_class >= 1, dim >= 1, spread > 0\n"
         assert not (tmp_path / "x").exists()

@@ -342,6 +342,60 @@ class TestGenBlobs:
         with pytest.raises(Exception):
             gen_blobs(3, 5, 2, centers=np.zeros((2, 2)), seed=0)
 
+    @pytest.mark.parametrize("k,per_class,dim,given,seed", [
+        (2, 1, 1, False, 0), (3, 1, 4, True, 1), (4, 7, 2, False, 2), (5, 13, 3, True, 3),
+        (3, 50, 8, False, 11), (6, 9, 5, True, 12345),
+    ])
+    def test_bit_equal_to_one_draw_per_class(self, k, per_class, dim, given, seed):
+        # the reference draws each class's block in turn from one seed stream
+        rng = np.random.default_rng(seed)
+        if given:
+            centers = np.arange(k * dim, dtype=float).reshape(k, dim) - 2.5
+        else:
+            centers = rng.uniform(-5.0, 5.0, size=(k, dim))
+        want = np.concatenate([centers[c] + 0.7 * rng.standard_normal((per_class, dim))
+                               for c in range(k)])
+        data = gen_blobs(k, per_class, dim, centers=centers if given else None,
+                         spread=0.7, seed=seed)
+        assert data.features.tobytes() == want.tobytes()
+        assert data.labels.tolist() == [c for c in range(k) for _ in range(per_class)]
+        assert data.k == k
+
+    @pytest.mark.parametrize("spread", [0.0, -1.0, float("nan")])
+    def test_spread_must_be_positive(self, spread):
+        with pytest.raises(ValueError, match="spread > 0"):
+            gen_blobs(3, 4, 2, spread=spread)
+
+
+NAMES = ("x0", "x1", "x2")
+
+
+def named_blobs(k=4, per_class=30, seed=0):
+    """Blobs carrying feature names, as a CSV load gives them."""
+    blobs = gen_blobs(k, per_class, len(NAMES), seed=seed)
+    return LabeledDataset(blobs.features, blobs.labels, k, NAMES)
+
+
+class TestDerivedDatasetsKeepTheirFields:
+    def test_split(self):
+        for part in split(named_blobs(), (0.6, 0.2, 0.2), seed=3):
+            assert (part.k, part.feature_names) == (4, NAMES)
+
+    def test_split_keeps_k_of_a_class_missing_from_a_part(self):
+        # k is the data's class count, not the count of classes a part holds
+        _, val, test = split(named_blobs(per_class=2), (0.75, 0.125, 0.125), seed=0)
+        assert (val.k, test.k) == (4, 4)
+        assert len(set(val.labels.tolist())) < 4
+
+    def test_inject_pairwise_noise(self):
+        noisy, _ = inject_pairwise_noise(named_blobs(), ((0, 1), (2, 3)), 0.5, 1)
+        assert (noisy.k, noisy.feature_names) == (4, NAMES)
+
+    def test_standardize(self):
+        train, val, test = split(named_blobs(), (0.6, 0.2, 0.2), seed=3)
+        for part in standardize(train, val, test)[:3]:
+            assert (part.k, part.feature_names) == (4, NAMES)
+
 
 class TestNoise:
     def test_noop(self):

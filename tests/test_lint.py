@@ -135,3 +135,18 @@ def test_rule_reader_is_found():
         "b": "from .a import rule\n",
     }
     assert rule_readers(sources, ["rule"]) == {"rule": {"a", "a.entry", "a.C", "a.C.again"}}
+
+
+# each table's one builder: a LabeledDataset is made from its four fields only
+# where a dataset first comes in (the rest derive one by dataclasses.replace),
+# and one function writes every CSV table
+TABLE_BUILDERS = {
+    "LabeledDataset": {"data.load_csv", "data.load_idx", "data.gen_blobs"},
+    "DictWriter": {"cli._write_table"},
+    "writer": {"cli._write_table"},
+}
+
+
+def test_one_builder_per_table():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert rule_readers(sources, TABLE_BUILDERS) == TABLE_BUILDERS
