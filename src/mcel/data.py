@@ -78,31 +78,37 @@ def load_csv(path, label_column):
 
     Feature columns parse as finite float64. String labels map to indices
     in first-appearance order; the mapping is returned alongside the
-    dataset. numpy's C reader parses the rows; a file it might read otherwise
-    than the csv module goes through the csv module, which words every error.
+    dataset. numpy's C reader parses a clean file and words no fault: any
+    other file is read again by the csv module, which names the earliest
+    fault at its physical line.
     """
     try:
-        feature_names, features, raw_labels = _loadtxt_rows(path, label_column)
-    except (ValueError, UserWarning, csv.Error):  # UnicodeDecodeError is a ValueError
-        feature_names, features, raw_labels = _csv_module_rows(path, label_column)
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        row, col = bad[0]
-        raise DataFormatError(
-            f"{path}: line {row + 2}: non-finite value {float(features[row, col])!r} "
-            f"in column {feature_names[col]!r}"
-        )
-    mapping = {}
-    labels = [mapping.setdefault(lab, len(mapping)) for lab in raw_labels]
-    return LabeledDataset(features, np.array(labels), len(mapping), feature_names), mapping
+        names, features, labels, mapping = _loadtxt_rows(path, label_column)
+    except (ValueError, UserWarning, csv.Error):  # DataFormatError, UnicodeDecodeError too
+        names, features, labels, mapping = _csv_module_rows(path, label_column)
+    return LabeledDataset(features, labels, len(mapping), names), mapping
+
+
+def _header(reader, path, label_column):
+    """The label column's index and the feature names of a CSV header."""
+    header = next(reader, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    if label_column not in header:
+        raise DataFormatError(f"{path}: no column named {label_column!r} in header")
+    label_idx = header.index(label_column)
+    names = tuple(header[:label_idx] + header[label_idx + 1:])
+    if not names:
+        raise DataFormatError(f"{path}: no feature column besides {label_column!r}")
+    return label_idx, names
 
 
 def _loadtxt_rows(path, label_column):
-    """Feature names, features and raw labels through np.loadtxt; a ValueError, or
-    a UserWarning for no rows, wherever it might read otherwise than the csv module."""
+    """Feature names, features, labels and mapping through np.loadtxt; a ValueError,
+    or a UserWarning for no rows, at a fault or where it may read apart from the csv module."""
+    mapping = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
-        label_idx = header.index(label_column)  # a ValueError if there is none
+        label_idx, names = _header(csv.reader(fh), path, label_column)
 
         def lines():
             # loadtxt skips an empty line (the csv module reads a 0-cell row)
@@ -113,49 +119,39 @@ def _loadtxt_rows(path, label_column):
                     raise ValueError("a line loadtxt and the csv module read apart")
                 yield line
 
-        dtype = [(f"f{i}", object if i == label_idx else float) for i in range(len(header))]
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
-            table = np.loadtxt(lines(), dtype=dtype, delimiter=",", quotechar='"',
-                               comments=None, ndmin=1)
-    columns = [table[f"f{i}"] for i in range(len(header))]
-    raw_labels = columns.pop(label_idx).tolist()
-    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    return feature_names, np.stack(columns, axis=1), raw_labels
+            table = np.loadtxt(
+                lines(), delimiter=",", quotechar='"', comments=None, ndmin=2,
+                converters={label_idx: lambda label: mapping.setdefault(label, len(mapping))})
+    if table.shape[1] != len(names) + 1 or not np.isfinite(table).all():
+        raise ValueError("a cell count or value the csv module words")
+    return names, np.delete(table, label_idx, axis=1), table[:, label_idx], mapping
 
 
 def _csv_module_rows(path, label_column):
-    """Feature names, features and raw labels through the csv module."""
+    """Feature names, features, labels and mapping through the csv module."""
+    rows, labels, mapping = [], [], {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataFormatError(f"{path}: empty file")
-            if label_column not in header:
-                raise DataFormatError(f"{path}: no column named {label_column!r} in header")
-            label_idx = header.index(label_column)
-            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-            if not feature_names:
-                raise DataFormatError(f"{path}: no feature column besides {label_column!r}")
-            rows, raw_labels = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
+            label_idx, names = _header(reader, path, label_column)
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != len(names) + 1:
                     raise DataFormatError(
-                        f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
-                    )
-                raw_labels.append(row.pop(label_idx))
-                try:
-                    rows.append(list(map(float, row)))
-                except ValueError:
-                    for name, cell in zip(feature_names, row):  # find the cell to name
-                        try:
-                            float(cell)
-                        except ValueError:
-                            raise DataFormatError(
-                                f"{path}: line {lineno}: non-numeric value {cell!r} "
-                                f"in column {name!r}"
-                            ) from None
+                        f"{where}: expected {len(names) + 1} cells, got {len(row)}")
+                labels.append(mapping.setdefault(row.pop(label_idx), len(mapping)))
+                rows.append([])
+                for name, cell in zip(names, row):
+                    try:
+                        rows[-1].append(float(cell))
+                    except ValueError:
+                        raise DataFormatError(
+                            f"{where}: non-numeric value {cell!r} in column {name!r}") from None
+                    if not math.isfinite(rows[-1][-1]):
+                        raise DataFormatError(
+                            f"{where}: non-finite value {rows[-1][-1]!r} in column {name!r}")
     except csv.Error as exc:  # a cell over csv.field_size_limit()
         raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
@@ -170,7 +166,7 @@ def _csv_module_rows(path, label_column):
         raise
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return feature_names, np.array(rows, dtype=float), raw_labels
+    return names, np.array(rows), labels, mapping
 
 
 def read_exact(fh, size, nbytes, path, what):
@@ -236,8 +232,8 @@ def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     If centers is None they are drawn uniformly from [-5, 5]^dim using the
     same seed stream.
     """
-    if k < 2 or per_class < 1 or dim < 1 or not spread > 0:  # a NaN spread fails too
-        raise ValueError("need k >= 2, per_class >= 1, dim >= 1, spread > 0")
+    if k < 2 or per_class < 1 or dim < 1 or not 0 < spread < math.inf:  # NaN fails too
+        raise ValueError("need k >= 2, per_class >= 1, dim >= 1, finite spread > 0")
     rng = np.random.default_rng(seed)
     if centers is None:
         centers = rng.uniform(-5.0, 5.0, size=(k, dim))

@@ -207,6 +207,9 @@ def load_similarity(path):
             raise DataFormatError(
                 f"{path}: line {lineno}: diagonal entry must be 0, got {row[i]!r}"
             )
+        if min(row[:i] + row[i + 1:]) <= 0.0:
+            raise DataFormatError(
+                f"{path}: line {lineno}: off-diagonal entries must be strictly positive")
         total = sum(row)
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise DataFormatError(
@@ -217,10 +220,7 @@ def load_similarity(path):
     if extra:
         raise DataFormatError(f"{path}: line {extra[0] + 1}: data after the {k} declared rows")
     # renormalize the sub-1e-9 residue so the type invariant (1e-12) holds
-    try:
-        return SimilarityMatrix.from_scores(rows)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return SimilarityMatrix.from_scores(rows)
 
 
 def uniform_similarity(k):

@@ -193,7 +193,7 @@ class Trainer:
         lr = self.learning_rate()
         params, vel, g = self.model.params, self._vel, self._grad
         g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
-        wd, momentum, size = cfg.weight_decay, cfg.momentum, cfg.batch_size
+        wd, momentum, size = cfg.weight_decay, cfg.momentum, min(cfg.batch_size, data.n)
         for start in range(0, data.n, size):
             stop = start + size
             batch_probs, acts = forward_batch(self.model, xs[start:stop], out=probs[start:stop])

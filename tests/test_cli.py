@@ -544,13 +544,14 @@ class TestBadValues:
 
     @pytest.mark.parametrize("command,blobs", [
         pytest.param(command, blobs, id=command + suffix) for command in ("similarity", "train")
-        for blobs, suffix in (("3,10,0,1.0", ""), ("3,10,2,nan", "-nan-spread"))
+        for blobs, suffix in (("3,10,0,1.0", ""), ("3,10,2,nan", "-nan-spread"),
+                              ("3,10,2,inf", "-inf-spread"))
     ])
     def test_blobs_without_a_feature_leave_no_out(self, tmp_path, capsys, command, blobs):
         err = self.assert_usage_error_in_process(
             capsys, command, "--blobs", blobs, "--out", str(tmp_path / "x"),
         )
-        assert err == "error: need k >= 2, per_class >= 1, dim >= 1, spread > 0\n"
+        assert err == "error: need k >= 2, per_class >= 1, dim >= 1, finite spread > 0\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["similarity", "train"])
@@ -744,6 +745,24 @@ class TestRuntimeExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, flags, names", [
+        ("train", [], ["epochs.jsonl", "model.ckpt"]),
+        ("gridsearch", ["--epsilons", "0,0.2", "--seeds", "0,1"], ["grid.json", "grid_curve.csv"]),
+    ], ids=["train", "gridsearch"])
+    def test_a_batch_past_the_train_rows_is_the_whole_split(self, tmp_path, command, flags,
+                                                             names):
+        # --blobs 3,30,2 leaves 63 train rows; a batch_size of 2**62 once
+        # trained epoch 0 and then asked numpy for 2**62 * k columns
+        outputs = []
+        for size in (63, 64, 2**62):
+            config = tmp_path / f"batch{size}.ini"
+            config.write_text(f"[train]\nepochs = 3\nbatch_size = {size}\n")
+            out = tmp_path / str(size)
+            assert run_cli(command, "--blobs", "3,30,2,1.0", "--config", str(config),
+                           *flags, "--out", str(out)) == 0
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_diverged_training_prints_one_line(self, tmp_path):
         # no RuntimeWarning from the overflowing epoch ahead of the error

@@ -316,6 +316,16 @@ class TestReaderProperties:
         assert load_csv_or_reject(head).endswith(": no data rows")
         assert capsys.readouterr().err == ""
 
+    def test_the_earliest_fault_is_named_at_its_physical_line(self):
+        head = b'x,label\n1,"a\nb"\n'  # a quoted cell over lines 2 and 3
+        assert load_csv_or_reject(head + b"2,c,d\n").endswith("line 4: expected 2 cells, got 3")
+        assert load_csv_or_reject(head + b"2x,c\n").endswith(
+            "line 4: non-numeric value '2x' in column 'x'")
+        assert load_csv_or_reject(head + b"nan,c\n").endswith(
+            "line 4: non-finite value nan in column 'x'")
+        assert load_csv_or_reject(b"x,label\nnan,a\n1,b\nabc,c\n").endswith(
+            "line 2: non-finite value nan in column 'x'")
+
 
 class TestGenBlobs:
     def test_degenerate_spread(self):
@@ -361,7 +371,7 @@ class TestGenBlobs:
         assert data.labels.tolist() == [c for c in range(k) for _ in range(per_class)]
         assert data.k == k
 
-    @pytest.mark.parametrize("spread", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("spread", [0.0, -1.0, float("nan"), float("inf")])
     def test_spread_must_be_positive(self, spread):
         with pytest.raises(ValueError, match="spread > 0"):
             gen_blobs(3, 4, 2, spread=spread)

@@ -296,7 +296,7 @@ class TestSimilarityFile:
         # rows sum to 1 but an off-diagonal entry is negative
         path = tmp_path / "sim.txt"
         path.write_text("3\n0 1.5 -0.5\n0.5 0 0.5\n0.5 0.5 0\n")
-        with pytest.raises(DataFormatError, match="sim.txt: off-diagonal"):
+        with pytest.raises(DataFormatError, match="sim.txt: line 2: off-diagonal"):
             load_similarity(path)
 
     def test_undecodable_bytes_rejected(self, tmp_path):

@@ -150,3 +150,14 @@ TABLE_BUILDERS = {
 def test_one_builder_per_table():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert rule_readers(sources, TABLE_BUILDERS) == TABLE_BUILDERS
+
+
+# the CSV reader: the header parse and the csv module's reader word every
+# fault; numpy's reader refuses a faulty file and words nothing
+CSV_READER = {"data.load_csv", "data._header", "data._loadtxt_rows", "data._csv_module_rows"}
+
+
+def test_only_the_csv_module_reader_words_a_csv_fault():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    readers = rule_readers(sources, ["DataFormatError"])["DataFormatError"]
+    assert readers & CSV_READER == {"data._header", "data._csv_module_rows"}
