@@ -74,7 +74,8 @@ def check_noise_fractions(fractions):
 
 
 def load_csv(path, label_column):
-    """Load a labeled dataset from a headered UTF-8 CSV file.
+    """Load a labeled dataset from a headered UTF-8 CSV file, which may
+    start with a byte-order mark.
 
     Feature columns parse as finite float64. String labels map to indices
     in first-appearance order; the mapping is returned alongside the
@@ -107,7 +108,7 @@ def _loadtxt_rows(path, label_column):
     """Feature names, features, labels and mapping through np.loadtxt; a ValueError,
     or a UserWarning for no rows, at a fault or where it may read apart from the csv module."""
     mapping = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         label_idx, names = _header(csv.reader(fh), path, label_column)
 
         def lines():
@@ -133,7 +134,7 @@ def _csv_module_rows(path, label_column):
     """Feature names, features, labels and mapping through the csv module."""
     rows, labels, mapping = [], [], {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             label_idx, names = _header(reader, path, label_column)
             for row in reader:
@@ -169,7 +170,7 @@ def _csv_module_rows(path, label_column):
     return names, np.array(rows), labels, mapping
 
 
-def read_exact(fh, size, nbytes, path, what):
+def _read_exact(fh, size, nbytes, path, what):
     """Read nbytes, checking first against the bytes left in the file."""
     left = size - fh.tell()
     if nbytes > left:
@@ -179,26 +180,22 @@ def read_exact(fh, size, nbytes, path, what):
     return fh.read(nbytes)
 
 
-def check_end(fh, size, path):
-    """Reject bytes past the last one the header declares."""
-    end = fh.tell()
-    if end != size:
-        raise DataFormatError(f"{path}: {size - end} bytes of trailing data at offset {end}")
-
-
 def _read_idx(path, magic, kind, ndims):
     """The header sizes and the body of one IDX file. The body's declared
-    size is bounded by the file size before anything is read."""
+    size is bounded by the file size before anything is read, and bytes
+    past the body are rejected."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = read_exact(fh, size, 4 * (1 + ndims), path, f"{kind} header")
+        head = _read_exact(fh, size, 4 * (1 + ndims), path, f"{kind} header")
         got, *dims = struct.unpack(f">{1 + ndims}I", head)
         if got != magic:
             raise DataFormatError(f"{path}: bad {kind} magic 0x{got:08x} at offset 0")
         if 0 in dims:
             raise DataFormatError(f"{path}: declares an empty {kind} set {dims}")
-        body = read_exact(fh, size, math.prod(dims), path, f"{kind} data")
-        check_end(fh, size, path)
+        body = _read_exact(fh, size, math.prod(dims), path, f"{kind} data")
+        end = fh.tell()
+    if end != size:
+        raise DataFormatError(f"{path}: {size - end} bytes of trailing data at offset {end}")
     return dims, body
 
 

@@ -168,31 +168,29 @@ def save_similarity(sim, path):
 
 
 def load_similarity(path):
+    """Read a file in format_similarity's format. Blank lines and # comment
+    lines may stand anywhere, and a UTF-8 byte-order mark may lead."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:  # decoded as utf-8-sig does, offsets from byte 0
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
-    filler = [not line.strip() or line.lstrip().startswith("#") for line in lines]
-    pos = 0
-    while pos < len(lines) and filler[pos]:
-        pos += 1
-    if pos >= len(lines):
+    lines = text.splitlines()
+    content = [(lineno, line) for lineno, line in enumerate(lines, start=1)
+               if line.strip() and not line.lstrip().startswith("#")]
+    if not content:
         raise DataFormatError(f"{path}: no content")
+    lineno, line = content[0]
     try:
-        k = int(lines[pos].strip())
+        k = int(line.strip())
     except ValueError:
         raise DataFormatError(
-            f"{path}: line {pos + 1}: expected the class count, got {lines[pos]!r}"
-        ) from None
+            f"{path}: line {lineno}: expected the class count, got {line!r}") from None
     if k < 2:
-        raise DataFormatError(f"{path}: line {pos + 1}: class count must be >= 2")
+        raise DataFormatError(f"{path}: line {lineno}: class count must be >= 2")
     rows = []
-    for i in range(k):
-        lineno = pos + 2 + i
-        if pos + 1 + i >= len(lines):
-            raise DataFormatError(f"{path}: line {lineno}: missing row {i}")
-        cells = lines[pos + 1 + i].split()
+    for i, (lineno, line) in enumerate(content[1:k + 1]):
+        cells = line.split()
         if len(cells) != k:
             raise DataFormatError(
                 f"{path}: line {lineno}: expected {k} values, got {len(cells)}"
@@ -216,9 +214,11 @@ def load_similarity(path):
                 f"{path}: line {lineno}: row sums to {total!r}, expected 1"
             )
         rows.append(row)
-    extra = [i for i in range(pos + 1 + k, len(lines)) if not filler[i]]
-    if extra:
-        raise DataFormatError(f"{path}: line {extra[0] + 1}: data after the {k} declared rows")
+    if len(rows) < k:
+        raise DataFormatError(f"{path}: line {len(lines) + 1}: missing row {len(rows)}")
+    if len(content) > k + 1:
+        raise DataFormatError(
+            f"{path}: line {content[k + 1][0]}: data after the {k} declared rows")
     # renormalize the sub-1e-9 residue so the type invariant (1e-12) holds
     return SimilarityMatrix.from_scores(rows)
 

@@ -10,14 +10,13 @@ predictions of each epoch and rebuild H on it.
 
 import itertools
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_end, check_fractions, read_exact
-from .errors import DataFormatError, DimensionError, TrainingDivergedError
+from .data import check_fractions
+from .errors import DimensionError, TrainingDivergedError
 from .lda import SimilarityMatrix
 from .losses import VARIANTS, batch_values, build_targets, check_loss, logit_grad, softmax
 
@@ -280,44 +279,3 @@ def save_checkpoint(model, path):
             fh.write(struct.pack("<II", rows, cols))
             fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
-        version, layers = struct.unpack("<II", read_exact(fh, size, 8, path, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise DataFormatError(f"{path}: unsupported version {version}")
-        if layers == 0:
-            raise DataFormatError(f"{path}: declares zero layers")
-        weights = []
-        biases = []
-        sizes = []
-        for _ in range(layers):
-            rows, cols = struct.unpack("<II", read_exact(fh, size, 8, path, "layer shape"))
-            if rows == 0 or cols == 0:
-                raise DataFormatError(f"{path}: layer {len(weights)} is empty ({rows}x{cols})")
-            if sizes and cols != sizes[-1]:
-                raise DataFormatError(
-                    f"{path}: layer {len(weights)} takes {cols} inputs, "
-                    f"the previous layer gives {sizes[-1]}"
-                )
-            nw = rows * cols
-            start = fh.tell()
-            body = read_exact(fh, size, (nw + rows) * 8, path, f"{rows}x{cols} layer")
-            values = np.frombuffer(body, dtype="<f8")
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                i = int(bad[0])
-                raise DataFormatError(f"{path}: layer {len(weights)}: non-finite value "
-                                      f"{float(values[i])!r} at offset {start + 8 * i}")
-            weights.append(values[:nw].reshape(rows, cols))
-            biases.append(values[nw:])
-            if not sizes:
-                sizes.append(cols)
-            sizes.append(rows)
-        check_end(fh, size, path)
-    return MlpModel(tuple(sizes), weights, biases)

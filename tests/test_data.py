@@ -1,3 +1,4 @@
+import codecs
 import csv
 import struct
 import tempfile
@@ -300,6 +301,17 @@ class TestReaderProperties:
                 fast = read_bytes_as(csv_outcome, raw)
             assert fast == load_csv_or_reject(raw)
         assert fast[3] == {'c"a#t': 0, "dog,\n too": 1}
+
+    def test_byte_order_mark(self):
+        # Excel's "CSV UTF-8" export and Notepad start a file with one
+        raw = codecs.BOM_UTF8 + b"label,x\ncat,1\ndog,2\n"
+        with mock.patch.object(datamod, "_csv_module_rows", side_effect=AssertionError):
+            fast = read_bytes_as(csv_outcome, raw)
+        assert fast == load_csv_or_reject(raw)  # the csv module reads it alike
+        assert fast[2:] == ([0, 1], {"cat": 0, "dog": 1}, ("x",))
+        # a byte number counts the mark's 3 bytes
+        assert load_csv_or_reject(codecs.BOM_UTF8 + b"label,x\xff\n").endswith(
+            "line 1, byte 11: not UTF-8")
 
     def test_csv_module_cases(self, capsys):
         head, row = b"x,y,label\n", b"1,2,a\n"

@@ -1,3 +1,4 @@
+import codecs
 import re
 import tempfile
 import warnings
@@ -252,6 +253,33 @@ class TestSimilarityFile:
         path.write_text("# similarity for a toy problem\n2\n0 1\n1 0\n\n  # done\n")
         sim = load_similarity(path)
         assert np.array_equal(sim.a, [[0, 1], [1, 0]])
+
+    def test_blank_and_comment_lines_between_rows(self, tmp_path):
+        path = tmp_path / "sim.txt"
+        path.write_text("3\n0 0.5 0.5\n0.25 0 0.75\n0.5 0.5 0\n")
+        want = load_similarity(path).a.tobytes()
+        for filler in ("# note\n", "\n", "  \n  # indented\n\n"):
+            path.write_text(f"3\n0 0.5 0.5\n{filler}0.25 0 0.75\n{filler}0.5 0.5 0\n")
+            assert load_similarity(path).a.tobytes() == want
+
+    @pytest.mark.parametrize("text,message", [
+        ("2\n0 1\n", "line 3: missing row 1"),
+        ("3\n0 0.5 0.5\n# row 1\n0.5 0 0.5\n\n", "line 6: missing row 2"),
+    ], ids=["at-the-end", "after-filler"])
+    def test_missing_row_names_the_line_past_the_last(self, tmp_path, text, message):
+        path = tmp_path / "sim.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=rf"sim.txt: {message}$"):
+            load_similarity(path)
+
+    def test_byte_order_mark(self, tmp_path):
+        # Notepad starts a UTF-8 file with one
+        path = tmp_path / "sim.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"2\n0 1\n1 0\n")
+        assert np.array_equal(load_similarity(path).a, [[0, 1], [1, 0]])
+        path.write_bytes(codecs.BOM_UTF8 + b"2\n0 1\n1 \xff0\n")
+        with pytest.raises(DataFormatError, match="sim.txt: not UTF-8 at byte offset 11$"):
+            load_similarity(path)
 
     def test_nonzero_diagonal_rejected(self, tmp_path):
         path = tmp_path / "sim.txt"

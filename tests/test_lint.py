@@ -1,6 +1,9 @@
 """Checks a linter would make, written with the standard library's ast."""
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -37,7 +40,6 @@ def test_unused_import_is_found():
 # definitions in src/mcel that no module of it reads, each with its reason
 UNREAD = {
     "cli.Parser.error": "argparse calls it",
-    "net.load_checkpoint": "the README's reader of model.ckpt, which no subcommand reads",
     "lda.uniform_similarity": "label smoothing's prior, kept for the studies ROADMAP.md plans",
 }
 
@@ -161,3 +163,35 @@ def test_only_the_csv_module_reader_words_a_csv_fault():
     sources = {path.stem: path.read_text() for path in MODULES}
     readers = rule_readers(sources, ["DataFormatError"])["DataFormatError"]
     assert readers & CSV_READER == {"data._header", "data._csv_module_rows"}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def unresolved_readme_names(text):
+    """The `module.name` and `mcel.module.name[.attr]` spans of a README,
+    a call's arguments allowed and file names (`net.py`) aside, that name
+    no attribute of mcel.<module>."""
+    modules = "|".join(path.stem for path in MODULES if path.stem != "__init__")
+    missing = []
+    for span, qualified in re.findall(
+            rf"`((?:mcel\.)?((?:{modules})(?:\.\w+)+))(?<!\.py)(?:\([^`]*\))?`", text):
+        module, *attrs = qualified.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"mcel.{module}"))
+        except AttributeError:
+            missing.append(span)
+    return missing
+
+
+def test_readme_names_only_code_that_exists():
+    assert unresolved_readme_names(README.read_text()) == []
+
+
+def test_unresolved_readme_name_is_found():
+    text = ("`net.init_model`, `mcel.net.load_model`, `mcel.cli.Parser.error`,\n"
+            "`mcel.net.TrainConfig.epsilons` (a None default), `data.LabeledDataset.n`,\n"
+            "`mcel.cli.load_config(path, seed=0)`, `harness.prepare_splits(x)`,\n"
+            "`lda.no_such(k)`, `mcel.net.MlpModel.nothing` and `losses.py`")
+    assert unresolved_readme_names(text) == [
+        "mcel.net.load_model", "lda.no_such", "mcel.net.MlpModel.nothing"]

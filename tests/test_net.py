@@ -1,16 +1,12 @@
 import struct
-import tempfile
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mcel.data import LabeledDataset, gen_blobs
-from mcel.errors import DataFormatError, DimensionError, TrainingDivergedError
+from mcel.errors import DimensionError, TrainingDivergedError
 from mcel.gradcheck import random_similarity
 from mcel.harness import run_training
 from mcel.lda import SimilarityMatrix
@@ -23,7 +19,6 @@ from mcel.net import (
     evaluate,
     forward_batch,
     init_model,
-    load_checkpoint,
     save_checkpoint,
 )
 
@@ -345,14 +340,15 @@ class TestTrainer:
         trainer.train_epoch(data)
         snapshot = model.copy()
         at_snapshot = flatten_params(model)
+        save_checkpoint(model, tmp_path / "at_snapshot.ckpt")
         trainer.train_epoch(data)
         assert np.array_equal(flatten_params(snapshot), at_snapshot)
         assert not np.array_equal(flatten_params(model), at_snapshot)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.layer_sizes == model.layer_sizes
-        assert np.array_equal(flatten_params(loaded), flatten_params(model))
+        save_checkpoint(snapshot, tmp_path / "snapshot.ckpt")
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        saved = (tmp_path / "at_snapshot.ckpt").read_bytes()
+        assert (tmp_path / "snapshot.ckpt").read_bytes() == saved
+        assert (tmp_path / "model.ckpt").read_bytes() != saved
 
     def test_relabel_equivariance(self):
         data = self.make_data(k=3, per_class=40, spread=1.0)
@@ -602,142 +598,26 @@ class TestEvaluate:
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = init_model((4, 7, 3), seed=13)
+    @pytest.mark.parametrize("sizes,seed", [((4, 7, 3), 13), ((2, 3), 0)], ids=["4-7-3", "2-3"])
+    def test_layout(self, tmp_path, sizes, seed):
+        """save_checkpoint's bytes, parsed by the layout the README states:
+        'MCEL', u32 version, u32 layer count, then per layer u32 rows, u32
+        cols, the row-major weights and the biases as little-endian f64."""
+        model = init_model(sizes, seed=seed)
+        for b in model.biases:  # non-zero, so a writer that drops them fails
+            b += np.arange(1, b.size + 1) / 8
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.layer_sizes == model.layer_sizes
-        for a, b in zip(loaded.weights, model.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded.biases, model.biases):
-            assert np.array_equal(a, b)
-
-    def test_magic_bytes(self, tmp_path):
-        model = init_model((2, 3), seed=0)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        assert path.read_bytes()[:4] == b"MCEL"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(DataFormatError, match="magic"):
-            load_checkpoint(path)
-
-    def test_truncated_header_rejected(self, tmp_path):
-        path = tmp_path / "short.ckpt"
-        path.write_bytes(b"MCEL\x01\x00")
-        with pytest.raises(DataFormatError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_truncated_layer_shape_rejected(self, tmp_path):
-        path = tmp_path / "short.ckpt"
-        path.write_bytes(b"MCEL" + struct.pack("<II", 1, 1) + b"\x02\x00")
-        with pytest.raises(DataFormatError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_oversized_layer_rejected(self, tmp_path):
-        path = tmp_path / "huge.ckpt"
-        path.write_bytes(b"MCEL" + struct.pack("<IIII", 1, 1, 2**31, 2**31) + b"\x00" * 64)
-        with pytest.raises(DataFormatError, match="needs"):
-            load_checkpoint(path)
-
-    def test_zero_layers_rejected(self, tmp_path):
-        path = tmp_path / "empty.ckpt"
-        path.write_bytes(b"MCEL" + struct.pack("<II", 1, 0))
-        with pytest.raises(DataFormatError, match="zero layers"):
-            load_checkpoint(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model((2, 16, 4), seed=0), path)
-        size = path.stat().st_size
-        path.write_bytes(path.read_bytes() + b"\x00" * 4)
-        with pytest.raises(DataFormatError,
-                           match=rf"model\.ckpt: 4 bytes of trailing data at offset {size}$"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("offset,value,message", [
-        (20, float("nan"), "layer 0: non-finite value nan at offset 20"),  # the first weight
-        (20 + 6 * 8, float("inf"), "layer 0: non-finite value inf at offset 68"),  # first bias
-    ], ids=["nan-weight", "inf-bias"])
-    def test_non_finite_value_rejected(self, tmp_path, offset, value, message):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model((2, 3), seed=0), path)
-        raw = bytearray(path.read_bytes())
-        raw[offset:offset + 8] = struct.pack("<d", value)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataFormatError, match=rf"model\.ckpt: {message}$"):
-            load_checkpoint(path)
-
-    def test_layer_chain_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model((4, 7, 3), seed=13), path)
-        raw = bytearray(path.read_bytes())
-        second = 12 + 8 + (7 * 4 + 7) * 8  # offset of the second layer's shape
-        raw[second:second + 8] = struct.pack("<II", 3, 6)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataFormatError, match="6 inputs"):
-            load_checkpoint(path)
-
-
-def saved_checkpoint():
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.ckpt"
-        save_checkpoint(init_model((3, 4, 2), seed=0), path)
-        return path.read_bytes()
-
-
-SAVED = saved_checkpoint()
-# version, layer count and both layer shapes, as u32 words; then every header byte
-HEADER_WORDS = [4, 8, 12, 16, 148, 152]
-HEADER_BYTES = [*range(20), *range(148, 156)]
-
-
-def load_bytes(raw):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.ckpt"
-        path.write_bytes(raw)
-        return load_checkpoint(path)
-
-
-def load_or_reject(raw):
-    """Load raw checkpoint bytes; a clean load must be a consistent model."""
-    try:
-        model = load_bytes(raw)
-    except DataFormatError:
-        return
-    sizes = model.layer_sizes
-    assert len(sizes) >= 2 and min(sizes) >= 1
-    assert [w.shape for w in model.weights] == list(zip(sizes[1:], sizes[:-1]))
-    assert [b.shape for b in model.biases] == [(s,) for s in sizes[1:]]
-    assert model.check_finite()
-
-
-class TestCheckpointProperties:
-    def test_every_truncation(self):
-        assert struct.unpack_from("<II", SAVED, 148) == (2, 4)  # second layer shape
-        for cut in range(len(SAVED)):
-            with pytest.raises(DataFormatError):
-                load_bytes(SAVED[:cut])
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.tuples(
-                    st.sampled_from(HEADER_WORDS),
-                    st.integers(0, 8) | st.integers(0, 2**32 - 1),  # near the true sizes, or any
-                    st.just("<I"),
-                ),
-                st.tuples(st.sampled_from(HEADER_BYTES), st.integers(0, 255), st.just("<B")),
-            ),
-            min_size=1, max_size=4,
-        )
-    )
-    def test_header_mutations(self, edits):
-        raw = bytearray(SAVED)
-        for offset, value, fmt in edits:
-            struct.pack_into(fmt, raw, offset, value)
-        load_or_reject(bytes(raw))
+        raw = path.read_bytes()
+        assert raw[:4] == b"MCEL"
+        assert struct.unpack_from("<II", raw, 4) == (1, len(sizes) - 1)
+        offset = 12
+        for w, b in zip(model.weights, model.biases):
+            rows, cols = struct.unpack_from("<II", raw, offset)
+            assert (rows, cols) == w.shape
+            weights = np.frombuffer(raw, "<f8", rows * cols, offset + 8)
+            biases = np.frombuffer(raw, "<f8", rows, offset + 8 + weights.nbytes)
+            assert weights.tobytes() == w.astype("<f8").tobytes()  # bit-equal
+            assert biases.tobytes() == b.astype("<f8").tobytes()
+            offset += 8 + weights.nbytes + biases.nbytes
+        assert offset == len(raw)  # no trailing bytes
