@@ -205,7 +205,6 @@ def cmd_similarity(args):
              for j, a_ij in enumerate(row))
     _write_table(out / "similarity_heatmap.csv", cells, ["i", "j", "a_ij"])
     print(f"similarity matrix for k={sim.k} written to {sim_path}")
-    print(f"asymmetry max|A-A^T| = {sim.asymmetry():.6g}")
     print(f"checksum = {similarity_checksum(sim)}")
     return EXIT_OK
 

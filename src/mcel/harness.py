@@ -67,12 +67,11 @@ def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
         "topk": min(cfg.topk, train.k),
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
-    mixing = VARIANTS[cfg.variant].learned_mixing
-    if mixing is not None:
-        # the final H, or the epsilons, which do not move
+    variant = VARIANTS[cfg.variant]
+    if variant.moves:
         eps = cfg.epsilons if cfg.epsilons is not None else (cfg.epsilon,) * train.k
-        report["learned_mixing"] = (trainer.targets.tolist() if mixing == "targets"
-                                    else [float(e) for e in eps])
+        report["learned_mixing"] = ([float(e) for e in eps] if variant.per_class
+                                    else trainer.targets.tolist())
         report["learned_similarity"] = trainer.sim.a.tolist()
     return report, best_model
 

@@ -5,6 +5,7 @@ vectors into the discriminant subspace, and turns their pairwise cosine
 distances into a row-stochastic, zero-diagonal similarity matrix.
 """
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,6 @@ class SimilarityMatrix:
         a = np.array(scores, dtype=float)
         np.fill_diagonal(a, 0.0)
         return cls(a / a.sum(axis=1, keepdims=True))
-
-    def asymmetry(self):
-        """Largest |A - A^T| entry; the row-normalized matrix need not be
-        symmetric even though the raw similarity scores are."""
-        return float(np.max(np.abs(self.a - self.a.T)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised
@@ -175,7 +171,8 @@ def load_similarity(path):
             text = fh.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
-    lines = text.splitlines()
+    # physical lines: split at \n, \r\n and \r only, as the CSV readers count them
+    lines = [line.rstrip("\r\n") for line in io.StringIO(text, newline="")]
     content = [(lineno, line) for lineno, line in enumerate(lines, start=1)
                if line.strip() and not line.lstrip().startswith("#")]
     if not content:

@@ -23,17 +23,17 @@ from .errors import DimensionError
 PROB_CLAMP = 1e-12
 
 # What each variant name means: whether it trains on a similarity A (ce
-# does not), takes per-class epsilons, re-estimates A after each epoch, and
-# what a run reports as learned_mixing. gmcel is mcel under the paper's
-# mixture-matrix name; gmcel-soft trains as sg-mcel-soft at one epsilon.
-Variant = namedtuple("Variant", "similarity per_class moves learned_mixing")
+# does not), takes per-class epsilons, and re-estimates A after each epoch.
+# gmcel is mcel under the paper's mixture-matrix name; gmcel-soft trains as
+# sg-mcel-soft at one epsilon.
+Variant = namedtuple("Variant", "similarity per_class moves")
 VARIANTS = {
-    "ce": Variant(False, False, False, None),
-    "mcel": Variant(True, False, False, None),
-    "sg-mcel": Variant(True, True, False, None),
-    "gmcel": Variant(True, False, False, None),
-    "sg-mcel-soft": Variant(True, True, True, "epsilons"),
-    "gmcel-soft": Variant(True, False, True, "targets"),  # the final H
+    "ce": Variant(False, False, False),
+    "mcel": Variant(True, False, False),
+    "sg-mcel": Variant(True, True, False),
+    "gmcel": Variant(True, False, False),
+    "sg-mcel-soft": Variant(True, True, True),
+    "gmcel-soft": Variant(True, False, True),
 }
 
 

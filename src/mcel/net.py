@@ -121,16 +121,16 @@ def forward_batch(model, x, out=None):
     return softmax(logits, out=out), acts
 
 
-def backprop(model, acts, grad_logits, out=None):
+def backprop(model, acts, grad_logits, out):
     """Parameter gradients given d(loss)/d(logits) for a batch.
 
-    Gradients are sums over the batch (no averaging here). out, a pair of
-    per-layer (grads_w, grads_b) arrays, is filled in place of fresh ones.
+    Gradients are sums over the batch (no averaging here). out is a pair
+    (grads_w, grads_b) of per-layer lists: an array entry is filled in
+    place, and a None entry is replaced by a fresh array.
     """
-    n = len(model.weights)
-    grads_w, grads_b = out if out is not None else ([None] * n, [None] * n)
+    grads_w, grads_b = out
     delta = grad_logits
-    for layer in range(n - 1, -1, -1):
+    for layer in reversed(range(len(model.weights))):
         grads_w[layer] = np.matmul(delta.T, acts[layer], out=grads_w[layer])
         grads_b[layer] = np.add.reduce(delta, axis=0, out=grads_b[layer])
         if layer > 0:

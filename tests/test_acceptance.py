@@ -175,7 +175,9 @@ def _param_gradient_error(targets_for):
 
     theta = _flatten(model)
     probs, acts = forward_batch(model, x)
-    grads_w, grads_b = backprop(model, acts, batch_loss(probs, targets_for(ys))[1])
+    n = len(model.weights)
+    grads_w, grads_b = backprop(model, acts, batch_loss(probs, targets_for(ys))[1],
+                                ([None] * n, [None] * n))
     analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
     numeric = np.empty_like(analytic)
     h = 1e-6
@@ -263,8 +265,7 @@ def test_soft_variants_learn_a_similarity(tmp_path):
                 final = SimilarityMatrix(a)
                 off = a[~np.eye(k, dtype=bool)]
                 eps = np.full(k, 0.2)
-                mixing = {"epsilons": eps, "targets": target_matrix(final, eps)}[
-                    VARIANTS[variant].learned_mixing]
+                mixing = eps if VARIANTS[variant].per_class else target_matrix(final, eps)
                 ok = ok and (
                     similarity_checksum(final) != run["similarity_checksum"]
                     and bool(np.all((off > 0.0) & (off < 1.0)))

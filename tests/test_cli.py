@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -21,8 +22,8 @@ from mcel import gradcheck, harness
 from mcel.cli import CONFIG_KEYS, FIELDS, load_config, main
 from mcel.data import gen_blobs, split
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
-from mcel.lda import load_similarity
-from mcel.losses import VARIANTS, batch_loss, build_targets
+from mcel.lda import SimilarityMatrix, load_similarity
+from mcel.losses import VARIANTS, batch_loss, build_targets, target_matrix
 from mcel.net import TrainConfig, Trainer
 
 
@@ -61,6 +62,16 @@ class TestSimilarityCommand:
         heatmap = (out / "similarity_heatmap.csv").read_text().splitlines()
         assert heatmap[0] == "i,j,a_ij"
         assert len(heatmap) == 1 + 4
+
+    def test_prints_the_path_and_the_checksum(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("similarity", "--blobs", "6,100,4,1.0", "--out", str(out)) == 0
+        # the checksum is similarity_checksum's: the sha256 of the written file
+        digest = hashlib.sha256((out / "similarity.txt").read_bytes()).hexdigest()
+        assert capsys.readouterr().out.splitlines() == [
+            f"similarity matrix for k=6 written to {out / 'similarity.txt'}",
+            f"checksum = {digest}",
+        ]
 
     def test_rerun_identical_output(self, tmp_path):
         outs = []
@@ -172,6 +183,30 @@ class TestTrainCommand:
         )
         report = json.loads((train_report(tmp_path, "s", str(path)) / "report.json").read_text())
         assert report["learned_mixing"] == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("variant,epsilons", [
+        ("ce", None), ("mcel", None), ("sg-mcel", None), ("gmcel", None),
+        ("sg-mcel-soft", None), ("sg-mcel-soft", (0.1, 0.2, 0.3, 0.4)), ("gmcel-soft", None),
+    ])
+    def test_learned_mixing_follows_from_per_class(self, tmp_path, variant, epsilons):
+        # a run whose A moves reports the configured epsilons if it takes
+        # per-class ones, else the final H on the final A, in report.json's bytes
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[train]\nepochs = 5\n[loss]\nvariant = {variant}\nepsilon = 0.2\n"
+                        + (f"epsilons = {','.join(map(str, epsilons))}\n" if epsilons else ""))
+        out = tmp_path / "out"
+        assert run_cli("train", "--blobs", "4,150,2,1.0", "--config", str(path),
+                       "--seed", "3", "--out", str(out)) == 0
+        text = (out / "report.json").read_text()
+        report = json.loads(text)
+        facts = VARIANTS[variant]
+        assert ("learned_mixing" in report) == ("learned_similarity" in report) == facts.moves
+        if not facts.moves:
+            return
+        eps = np.array(epsilons or (0.2,) * 4)
+        final = SimilarityMatrix(np.array(report["learned_similarity"]))
+        want = eps.tolist() if facts.per_class else target_matrix(final, eps).tolist()
+        assert f'"learned_mixing":{json.dumps(want, separators=(",", ":"))},' in text
 
     def test_epsilon_zero_matches_plain_ce(self, tmp_path):
         # mcel at epsilon 0 builds exactly the H of ce (I), so both train the

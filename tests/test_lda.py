@@ -225,7 +225,7 @@ class TestSimilarityMatrix:
                     s[i, j] = 1 / (1 + np.exp(d))
         assert np.allclose(s, s.T, atol=1e-12)
         sim = build_similarity_matrix(means)
-        assert sim.asymmetry() >= 0.0
+        assert np.allclose(sim.a, s / s.sum(axis=1, keepdims=True), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("means,message", [
         ([[1.0, np.nan], [0.0, 1.0]], "class 0 is not finite"),
@@ -261,6 +261,20 @@ class TestSimilarityFile:
         for filler in ("# note\n", "\n", "  \n  # indented\n\n"):
             path.write_text(f"3\n0 0.5 0.5\n{filler}0.25 0 0.75\n{filler}0.5 0.5 0\n")
             assert load_similarity(path).a.tobytes() == want
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_lines_are_physical(self, tmp_path, ending):
+        # only \n, \r\n and \r end a line; what else str.splitlines breaks at is inside one
+        path = tmp_path / "sim.txt"
+        for sep in ("\u2028", "\x85", "\x1c", "\x0c"):
+            path.write_bytes(f"2\n# note{sep}tail\n0 1\n1 0\n".replace("\n", ending).encode())
+            assert np.array_equal(load_similarity(path).a, [[0, 1], [1, 0]])
+            path.write_bytes(f"2\n0 1{sep}1 0\n".replace("\n", ending).encode())
+            with pytest.raises(DataFormatError, match="sim.txt: line 2: expected 2 values, got 4$"):
+                load_similarity(path)
+        path.write_bytes("2\n0 1\n1 0 0\n".replace("\n", ending).encode())
+        with pytest.raises(DataFormatError, match="sim.txt: line 3: expected 2 values, got 3$"):
+            load_similarity(path)
 
     @pytest.mark.parametrize("text,message", [
         ("2\n0 1\n", "line 3: missing row 1"),

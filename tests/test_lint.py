@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mcel
+from mcel.losses import Variant
 
 MODULES = sorted(Path(mcel.__file__).parent.glob("*.py"))
 
@@ -84,6 +85,35 @@ def test_unread_definition_is_found():
         "b": "from .a import C, used, unused\nused()\nC().called()\n",
     }
     assert unread_definitions(sources) == ["a.C.stored", "a.unused"]
+
+
+def variant_fields_read(source):
+    """The attributes a source reads off a losses.VARIANTS entry:
+    VARIANTS[...].field, or name.field where name was assigned VARIANTS[...]."""
+    tree = ast.parse(source)
+
+    def entry(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "VARIANTS")
+
+    bound = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and entry(node.value) for target in node.targets if isinstance(target, ast.Name)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and (entry(node.value) or isinstance(node.value, ast.Name) and node.value.id in bound)}
+
+
+def test_every_variant_field_is_read_outside_losses():
+    # a column that only losses.py reads says nothing the program acts on
+    read = set().union(*(variant_fields_read(path.read_text())
+                         for path in MODULES if path.stem != "losses"))
+    assert set(Variant._fields) <= read
+
+
+def test_unread_variant_field_is_found():
+    source = ("a = VARIANTS[name].similarity\nfacts = VARIANTS[name]\nb = facts.moves\n"
+              "c = args.per_class\nd = other.per_class\nVARIANTS[name].gone = 1\n")
+    assert variant_fields_read(source) == {"similarity", "moves"}
 
 
 # each rule that checks a value where it comes into the program, and the

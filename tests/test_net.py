@@ -128,6 +128,12 @@ def variant_targets(k, ys, variant, rng):
     return h[ys]
 
 
+def fresh_grads(model):
+    """backprop's out with no arrays in it: each gradient comes back fresh."""
+    n = len(model.weights)
+    return [None] * n, [None] * n
+
+
 BACKPROP_CASES = ["ce", "mcel", "sg", "gmcel"]
 
 
@@ -141,7 +147,7 @@ class TestBackprop:
         ys = rng.integers(3, size=4)
         targets = variant_targets(3, ys, variant, rng)
         probs, acts = forward_batch(model, x)
-        grads_w, grads_b = backprop(model, acts, batch_loss(probs, targets)[1])
+        grads_w, grads_b = backprop(model, acts, batch_loss(probs, targets)[1], fresh_grads(model))
         analytic = np.concatenate(
             [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
         )
@@ -181,9 +187,9 @@ class TestArgumentsUnchanged:
         kept = [probs.copy()] + [a.copy() for a in acts]
         _, grad_logits = batch_loss(probs, targets)
         grad_before = grad_logits.copy()
-        fresh = backprop(model, acts, grad_logits)
+        fresh = backprop(model, acts, grad_logits, fresh_grads(model))
         out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
-        filled = backprop(model, acts, grad_logits, out=out)
+        filled = backprop(model, acts, grad_logits, out)
 
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
         assert all(np.array_equal(a, b) for a, b in zip([probs] + acts, kept))
@@ -504,7 +510,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
             correct += int(np.sum(hit))
             for y, row in zip(ys[hit], probs[hit]):
                 sums[y] += row
-            grads_w, grads_b = backprop(model, acts, grad_logits)
+            grads_w, grads_b = backprop(model, acts, grad_logits, fresh_grads(model))
             scale = 1.0 / idx.shape[0]
             for layer in range(len(model.weights)):
                 g = grads_w[layer] * scale + cfg.weight_decay * model.weights[layer]
