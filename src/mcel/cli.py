@@ -142,7 +142,7 @@ FIELDS = {"hidden": "hidden_sizes", "fractions": "split_fractions"}
 
 def load_config(path=None, seed=0):
     """The run's TrainConfig, from each value the file sets."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
             read = parser.read(path)
@@ -340,7 +340,7 @@ def main(argv=None):
         if getattr(args, "data_csv", None) is not None and args.label_col is None:
             raise ValueError(f"mcel {args.command}: argument --label-col: required with --data-csv")
         return args.func(args)
-    except (McelError, MemoryError) as exc:
+    except (McelError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, OSError) as exc:

@@ -8,7 +8,7 @@ check_loss checks a run's loss settings, and check_epsilons is the one
 statement of the [0, 0.5) epsilon range. build_targets gives a variant's H
 on a similarity matrix. The trainer steps on logit_grad, softmax - H[y]
 (every H row sums to 1 within 1e-12), and sums each epoch's loss with
-batch_values; batch_loss is the two on one batch, and gradcheck verifies it.
+batch_values; gradcheck verifies the one against the other.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
@@ -102,11 +102,6 @@ def batch_values(probs, targets, size):
     if full < len(terms):
         sums = np.append(sums, np.add.reduce(terms[full:], axis=None))
     return np.negative(sums, out=sums)
-
-
-def batch_loss(probs, targets):
-    """(loss, logit gradient) of one batch: batch_values and logit_grad."""
-    return float(batch_values(probs, targets, len(probs))[0]), logit_grad(probs, targets)
 
 
 def softmax(logits, out=None):

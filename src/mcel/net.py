@@ -167,9 +167,6 @@ class Trainer:
         self.targets = build_targets(cfg.variant, model.num_classes, sim,
                                      cfg.epsilon, cfg.epsilons)
 
-    def learning_rate(self):
-        return self.cfg.learning_rate / (1.0 + self.cfg.lr_decay * self.epoch)
-
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence is raised
     def train_epoch(self, data):
         """One seeded-shuffled pass; returns mean loss and train accuracy.
@@ -189,7 +186,7 @@ class Trainer:
         h = self.targets
         k = self.model.num_classes
         probs, targets = np.empty((2, data.n, k))  # the epoch's buffers
-        lr = self.learning_rate()
+        lr = cfg.learning_rate / (1.0 + cfg.lr_decay * self.epoch)
         params, vel, g = self.model.params, self._vel, self._grad
         g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
         wd, momentum, size = cfg.weight_decay, cfg.momentum, min(cfg.batch_size, data.n)
@@ -251,17 +248,16 @@ def top1(model, data):
     return float(np.mean(pred == data.labels)), pred, probs
 
 
-def evaluate(model, data, topk=5):
+def evaluate(model, data, topk):
     """Top-1/top-k accuracy, the confusion matrix and the probabilities.
 
-    Top-k ties break toward the smaller class index.
+    Top-k ties break toward the smaller class index; a topk over k counts all k.
     """
     top1_acc, pred, probs = top1(model, data)
     k = model.num_classes
-    kprime = min(topk, k)
     # stable argsort on -probs: equal probabilities keep ascending class order
     ranked = np.argsort(-probs, axis=1, kind="stable")
-    in_topk = np.any(ranked[:, :kprime] == data.labels[:, None], axis=1)
+    in_topk = np.any(ranked[:, :topk] == data.labels[:, None], axis=1)
     topk_acc = float(np.mean(in_topk))
     confusion = np.bincount(data.labels * k + pred, minlength=k * k).reshape(k, k)
     return top1_acc, topk_acc, confusion, probs

@@ -19,7 +19,7 @@ from mcel.lda import (
     SimilarityMatrix, build_similarity_matrix, fit_lda, scatter_matrices,
     solve_generalized_symmetric_eig, uniform_similarity,
 )
-from mcel.losses import VARIANTS, batch_loss, build_targets, softmax, target_matrix
+from mcel.losses import VARIANTS, batch_values, build_targets, logit_grad, softmax, target_matrix
 from mcel.net import TrainConfig, backprop, forward_batch, init_model
 
 
@@ -43,7 +43,7 @@ def test_reduction_suite():
             e = build_targets("gmcel", k, sim, eps)
 
             def loss(h):
-                return batch_loss(probs, h[y])
+                return float(batch_values(probs, h[y], 1)[0]), logit_grad(probs, h[y])
 
             # the simple loss written out: (1-eps) * one-hot + eps * A[y]
             w = eps * sim.a[y[0]]
@@ -176,7 +176,7 @@ def _param_gradient_error(targets_for):
     theta = _flatten(model)
     probs, acts = forward_batch(model, x)
     n = len(model.weights)
-    grads_w, grads_b = backprop(model, acts, batch_loss(probs, targets_for(ys))[1],
+    grads_w, grads_b = backprop(model, acts, logit_grad(probs, targets_for(ys)),
                                 ([None] * n, [None] * n))
     analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
     numeric = np.empty_like(analytic)

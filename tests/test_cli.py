@@ -23,7 +23,7 @@ from mcel.cli import CONFIG_KEYS, FIELDS, load_config, main
 from mcel.data import gen_blobs, split
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
 from mcel.lda import SimilarityMatrix, load_similarity
-from mcel.losses import VARIANTS, batch_loss, build_targets, target_matrix
+from mcel.losses import VARIANTS, build_targets, logit_grad, target_matrix
 from mcel.net import TrainConfig, Trainer
 
 
@@ -31,9 +31,8 @@ SRC = str(Path(mcel.__file__).resolve().parents[1])
 CORRUPT_GRADCHECK = """
 import sys
 from mcel import cli, gradcheck
-batch_loss = gradcheck.batch_loss
-gradcheck.batch_loss = lambda probs, targets: (lambda v, g: (v, g + 1e-3))(
-    *batch_loss(probs, targets))
+logit_grad = gradcheck.logit_grad
+gradcheck.logit_grad = lambda probs, targets: logit_grad(probs, targets) + 1e-3
 sys.exit(cli.main(["gradcheck", "--trials", "3"]))
 """
 
@@ -307,6 +306,21 @@ class TestBadValues:
         )
         self.assert_clean_usage_error(proc)
         assert f"config file {path}: [train] epochs: wants an integer, got 'abc'" in proc.stderr
+
+    @pytest.mark.parametrize("text,line", [
+        ("[loss]\nvariant = mc%el\n", "unknown loss variant 'mc%el'; pick one of ("),
+        ("[train]\nepochs = %(x)s\n", "[train] epochs: wants an integer, got '%(x)s'"),
+    ], ids=["percent", "interpolation"])
+    def test_values_are_read_as_written(self, tmp_path, text, line):
+        # no configparser interpolation, whose errors would escape as a traceback
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        proc = run_python(
+            "-m", "mcel.cli", "train", "--blobs", "3,30,2,0.8", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        self.assert_clean_usage_error(proc)
+        assert proc.stderr.startswith(f"error: config file {path}: {line}")
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -834,6 +848,16 @@ class TestRuntimeExitCodes:
         captured = capsys.readouterr()
         assert captured.err == "error: Unable to allocate 1.46 TiB for an array\n"
 
+    @pytest.mark.parametrize("command", ["train", "similarity"])
+    def test_blobs_count_past_a_c_long_prints_one_line(self, tmp_path, command):
+        # np.repeat raises OverflowError before it allocates anything
+        out = tmp_path / "x"
+        proc = run_python("-m", "mcel.cli", command,
+                          "--blobs", "3,100000000000000000000000000,2,1.0", "--out", str(out))
+        self.assert_clean_data_error(proc)
+        assert proc.stderr == "error: Python int too large to convert to C long\n"
+        assert not out.exists()
+
     def test_blobs_spread_that_overflows_prints_one_line(self, tmp_path):
         proc = run_python("-m", "mcel.cli", "train", "--blobs", "3,10,2,1e308",
                           "--out", str(tmp_path / "x"))
@@ -1149,17 +1173,15 @@ class TestGradcheckCommand:
 
     def test_corrupted_gradient_detected(self, monkeypatch):
         def corrupted(probs, targets):
-            value, grad = batch_loss(probs, targets)
-            return value, grad + 1e-3
-        monkeypatch.setattr("mcel.gradcheck.batch_loss", corrupted)
+            return logit_grad(probs, targets) + 1e-3
+        monkeypatch.setattr("mcel.gradcheck.logit_grad", corrupted)
         assert run_cli("gradcheck", "--trials", "3") == 3
 
     def test_nan_gradient_fails(self, capsys, monkeypatch):
         # max(0.0, nan) is 0.0, so a NaN error must not pass through max
         def nan_gradient(probs, targets):
-            value, grad = batch_loss(probs, targets)
-            return value, grad * np.nan
-        monkeypatch.setattr("mcel.gradcheck.batch_loss", nan_gradient)
+            return logit_grad(probs, targets) * np.nan
+        monkeypatch.setattr("mcel.gradcheck.logit_grad", nan_gradient)
         assert all(np.isnan(err) for err in gradcheck.run_all(3, 2, 0).values())
         assert run_cli("gradcheck", "--trials", "3") == 3
         lines = capsys.readouterr().out.splitlines()

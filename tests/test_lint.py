@@ -1,14 +1,17 @@
-"""Checks a linter would make, written with the standard library's ast."""
+"""Checks a linter would make, written with the standard library's ast, and
+checks that the README's names and examples match the code."""
 
 import ast
 import functools
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import mcel
+from mcel.cli import build_parser, load_config
 from mcel.losses import Variant
 
 MODULES = sorted(Path(mcel.__file__).parent.glob("*.py"))
@@ -216,6 +219,41 @@ def unresolved_readme_names(text):
 
 def test_readme_names_only_code_that_exists():
     assert unresolved_readme_names(README.read_text()) == []
+
+
+def readme_blocks(text, lang):
+    """The bodies of a README's ```lang fenced blocks."""
+    return re.findall(rf"^```{lang}\n(.*?)^```$", text, re.M | re.S)
+
+
+def readme_commands(text):
+    """The arguments of each `mcel` line in a README's sh blocks, its `\\`
+    continuations joined."""
+    return [shlex.split(line, comments=True)[1:]
+            for body in readme_blocks(text, "sh")
+            for line in body.replace("\\\n", " ").splitlines() if line.startswith("mcel ")]
+
+
+def test_readme_config_examples_load(tmp_path):
+    blocks = readme_blocks(README.read_text(), "ini")
+    assert blocks
+    for i, body in enumerate(blocks):
+        path = tmp_path / f"example{i}.ini"
+        path.write_text(body)
+        load_config(path)
+
+
+def test_readme_commands_parse():
+    commands = readme_commands(README.read_text())
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_readme_command_continuations_are_joined():
+    text = "```sh\nmcel noise-exp --blobs 6,200,2,0.7 \\\n    --seeds 0,1 --out x\n# mcel no\n```\n"
+    assert readme_commands(text) == [
+        ["noise-exp", "--blobs", "6,200,2,0.7", "--seeds", "0,1", "--out", "x"]]
 
 
 def test_unresolved_readme_name_is_found():

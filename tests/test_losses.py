@@ -10,9 +10,10 @@ from mcel.gradcheck import central_diff, max_rel_error, random_similarity
 from mcel.lda import SimilarityMatrix, load_similarity, uniform_similarity
 from mcel.losses import (
     VARIANTS,
-    batch_loss,
+    batch_values,
     build_targets,
     check_loss,
+    logit_grad,
     softmax,
     target_matrix,
 )
@@ -46,15 +47,15 @@ def random_probs(rng, k, floor=1e-3):
 
 def loss_of(probs, y, h):
     """Value and probs-row logit gradient of one sample on target matrix h."""
-    value, grad = batch_loss(np.asarray(probs)[None, :], h[[y]])
-    return value, grad[0]
+    probs = np.asarray(probs)[None, :]
+    return float(batch_values(probs, h[[y]], 1)[0]), logit_grad(probs, h[[y]])[0]
 
 
 def logit_fd_error(logits, y, h):
     """FD relative error of the kernel's logit gradient for one sample."""
     targets = h[[y]]
-    _, grad = batch_loss(softmax(logits)[None, :], targets)
-    num = central_diff(lambda lg: batch_loss(softmax(lg)[None, :], targets)[0], logits)
+    grad = logit_grad(softmax(logits)[None, :], targets)
+    num = central_diff(lambda lg: batch_values(softmax(lg)[None, :], targets, 1)[0], logits)
     return max_rel_error(grad[0], num)
 
 
@@ -307,8 +308,7 @@ class TestReductionChain:
 
 
 def logit_gradient(logits, target_row):
-    _, grad = batch_loss(softmax(logits)[None, :], target_row[None, :])
-    return grad[0]
+    return logit_grad(softmax(logits)[None, :], target_row[None, :])[0]
 
 
 class TestLogitGradient:

@@ -10,7 +10,9 @@ from mcel.errors import DimensionError, TrainingDivergedError
 from mcel.gradcheck import random_similarity
 from mcel.harness import run_training
 from mcel.lda import SimilarityMatrix
-from mcel.losses import PROB_CLAMP, VARIANTS, batch_loss, build_targets, softmax, target_matrix
+from mcel.losses import (
+    PROB_CLAMP, VARIANTS, batch_values, build_targets, logit_grad, softmax, target_matrix,
+)
 from mcel.net import (
     MlpModel,
     TrainConfig,
@@ -147,7 +149,7 @@ class TestBackprop:
         ys = rng.integers(3, size=4)
         targets = variant_targets(3, ys, variant, rng)
         probs, acts = forward_batch(model, x)
-        grads_w, grads_b = backprop(model, acts, batch_loss(probs, targets)[1], fresh_grads(model))
+        grads_w, grads_b = backprop(model, acts, logit_grad(probs, targets), fresh_grads(model))
         analytic = np.concatenate(
             [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
         )
@@ -170,7 +172,7 @@ class TestBackprop:
 
 class TestArgumentsUnchanged:
     """The batch path works in place on its own temporaries only: the
-    trainer reads probs after batch_loss and acts after forward_batch."""
+    trainer reads probs after logit_grad and acts after forward_batch."""
 
     def test_batch_path_leaves_its_arguments_alone(self):
         rng = np.random.default_rng(21)
@@ -185,7 +187,7 @@ class TestArgumentsUnchanged:
         softmax(logits)
         probs, acts = forward_batch(model, x)
         kept = [probs.copy()] + [a.copy() for a in acts]
-        _, grad_logits = batch_loss(probs, targets)
+        grad_logits = logit_grad(probs, targets)
         grad_before = grad_logits.copy()
         fresh = backprop(model, acts, grad_logits, fresh_grads(model))
         out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
@@ -379,7 +381,7 @@ class TestTrainer:
             trainer = Trainer(model, cfg, similarity)
             for _ in range(5):
                 trainer.train_epoch(dataset)
-            return evaluate(model, dataset)[0]
+            return evaluate(model, dataset, cfg.topk)[0]
 
         base_acc = run(data, sim, permute_head=False)
         perm_acc = run(data_p, sim_p, permute_head=True)
@@ -446,7 +448,7 @@ class TestTrainer:
         trainer = Trainer(model, cfg, sim)
         for _ in range(2):
             probs, _ = forward_batch(model, data.features)
-            value, _ = batch_loss(probs, target_matrix(trainer.sim, eps)[data.labels])
+            value = batch_values(probs, target_matrix(trainer.sim, eps)[data.labels], data.n)[0]
             metrics = trainer.train_epoch(data)
             assert metrics["mean_loss"] == pytest.approx(value / data.n, rel=1e-12)
         assert not np.array_equal(trainer.sim.a, sim.a)
@@ -502,7 +504,8 @@ def reference_epochs(model, cfg, sim, data, epochs):
             idx = order[start:start + cfg.batch_size]
             ys = data.labels[idx]
             probs, acts = forward_batch(model, data.features[idx])
-            value, grad_logits = batch_loss(probs, h[ys])
+            value = float(batch_values(probs, h[ys], len(probs))[0])
+            grad_logits = logit_grad(probs, h[ys])
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch, batch)
             total += value
@@ -543,7 +546,7 @@ class TestEvaluate:
         k = 3
         feats = np.eye(k) * 10.0
         data = LabeledDataset(np.tile(feats, (4, 1)), np.tile(np.arange(k), 4), k)
-        top1, topk, confusion, _ = evaluate(logit_model(k), data)
+        top1, topk, confusion, _ = evaluate(logit_model(k), data, topk=k)
         assert top1 == 1.0
         assert np.array_equal(confusion, np.eye(k, dtype=int) * 4)
 
@@ -551,8 +554,11 @@ class TestEvaluate:
         k = 4
         rng = np.random.default_rng(0)
         data = LabeledDataset(rng.normal(size=(20, k)), rng.integers(k, size=20), k)
-        _, topk, _, _ = evaluate(logit_model(k), data, topk=k)
-        assert topk == 1.0
+        at_k = evaluate(logit_model(k), data, topk=k)
+        assert at_k[1] == 1.0
+        past_k = evaluate(logit_model(k), data, topk=k + 3)  # a topk over k counts all k
+        assert past_k[:2] == at_k[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(past_k[2:], at_k[2:]))
 
     def test_hand_counted_top2(self):
         # logits rank classes directly; true label in top-2 for rows 0,1,3
@@ -584,7 +590,7 @@ class TestEvaluate:
         val = LabeledDataset(np.zeros((7, 2)), np.array([0, 1, 2, 0, 1, 0, 2]), k)
         cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8, hidden_sizes=(4,))
         report, model = run_training(gen_blobs(k, 10, 2, seed=0), val, val, cfg)
-        top1 = evaluate(model, val)[0]
+        top1 = evaluate(model, val, cfg.topk)[0]
         assert top1 == 3 / 7  # every tie goes to class 0
         assert [r["val_acc"] for r in report["epochs"]] == [top1, top1]
 
@@ -595,7 +601,7 @@ class TestEvaluate:
         feats[:, 2] -= 100.0  # class 2 has samples but gets no prediction
         labels = rng.integers(k, size=40)
         assert np.any(labels == 2)
-        confusion = evaluate(logit_model(k), LabeledDataset(feats, labels, k))[2]
+        confusion = evaluate(logit_model(k), LabeledDataset(feats, labels, k), topk=1)[2]
         expected = np.zeros((k, k), dtype=int)
         np.add.at(expected, (labels, np.argmax(feats, axis=1)), 1)
         assert confusion.dtype == expected.dtype
