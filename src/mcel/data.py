@@ -222,6 +222,12 @@ def load_idx(images_path, labels_path):
     return LabeledDataset(images.astype(float) / 255.0, labels, int(labels.max()) + 1)
 
 
+def check_size(*dims):
+    """A float64 array of shape dims must fit numpy's index range; the MemoryError names it."""
+    if math.prod(dims) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"a {' x '.join(map(str, dims))} array is too large for numpy")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # LabeledDataset rejects what overflows
 def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     """Gaussian clusters, one per class, deterministic per seed.
@@ -231,6 +237,7 @@ def gen_blobs(k, per_class, dim, centers=None, spread=1.0, seed=0):
     """
     if k < 2 or per_class < 1 or dim < 1 or not 0 < spread < math.inf:  # NaN fails too
         raise ValueError("need k >= 2, per_class >= 1, dim >= 1, finite spread > 0")
+    check_size(k * per_class, dim)
     rng = np.random.default_rng(seed)
     if centers is None:
         centers = rng.uniform(-5.0, 5.0, size=(k, dim))

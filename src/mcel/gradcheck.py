@@ -7,6 +7,7 @@ both by the test suite and the `mcel gradcheck` CLI command.
 
 import numpy as np
 
+from .data import check_size
 from .lda import SimilarityMatrix
 from .losses import VARIANTS, batch_values, build_targets, logit_grad, softmax
 
@@ -64,6 +65,7 @@ def check_variant(variant, k, trials, seed):
 
 def run_all(k, trials, seed):
     """Max relative finite-difference error per loss variant."""
+    check_size(k, k)
     return {
         variant: check_variant(variant, k, trials, seed + i)
         for i, variant in enumerate(VARIANTS)

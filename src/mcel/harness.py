@@ -67,11 +67,8 @@ def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
         "topk": min(cfg.topk, train.k),
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
-    variant = VARIANTS[cfg.variant]
-    if variant.moves:
-        eps = cfg.epsilons if cfg.epsilons is not None else (cfg.epsilon,) * train.k
-        report["learned_mixing"] = ([float(e) for e in eps] if variant.per_class
-                                    else trainer.targets.tolist())
+    if VARIANTS[cfg.variant].moves:  # every such variant takes per-class epsilons
+        report["learned_mixing"] = [float(e) for e in cfg.epsilons or (cfg.epsilon,) * train.k]
         report["learned_similarity"] = trainer.sim.a.tolist()
     return report, best_model
 

@@ -22,19 +22,15 @@ from .errors import DimensionError
 
 PROB_CLAMP = 1e-12
 
-# What each variant name means: whether it trains on a similarity A (ce
-# does not), takes per-class epsilons, and re-estimates A after each epoch.
-# gmcel is mcel under the paper's mixture-matrix name; gmcel-soft trains as
-# sg-mcel-soft at one epsilon.
+# What each training means: whether it trains on a similarity A (ce does
+# not), takes per-class epsilons, and re-estimates A after each epoch. gmcel
+# and gmcel-soft, the paper's mixture-matrix names, are the rows of mcel and
+# sg-mcel-soft.
 Variant = namedtuple("Variant", "similarity per_class moves")
-VARIANTS = {
-    "ce": Variant(False, False, False),
-    "mcel": Variant(True, False, False),
-    "sg-mcel": Variant(True, True, False),
-    "gmcel": Variant(True, False, False),
-    "sg-mcel-soft": Variant(True, True, True),
-    "gmcel-soft": Variant(True, False, True),
-}
+MCEL, SOFT = Variant(True, False, False), Variant(True, True, True)
+VARIANTS = {"ce": Variant(False, False, False), "mcel": MCEL,
+            "sg-mcel": Variant(True, True, False), "gmcel": MCEL,
+            "sg-mcel-soft": SOFT, "gmcel-soft": SOFT}
 
 
 def target_matrix(sim, eps):

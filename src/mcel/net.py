@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_fractions
+from .data import check_fractions, check_size
 from .errors import DimensionError, TrainingDivergedError
 from .lda import SimilarityMatrix
 from .losses import VARIANTS, batch_values, build_targets, check_loss, logit_grad, softmax
@@ -73,7 +73,7 @@ class TrainConfig:
     seed: int = 0
     variant: str = "ce"  # one of losses.VARIANTS; *-soft variants move their similarity
     epsilon: float = 0.2
-    epsilons: tuple = None  # per-class epsilons, sg-mcel variants only
+    epsilons: tuple = None  # per-class epsilons, per_class variants only
     split_fractions: tuple = (0.7, 0.15, 0.15)  # train, validation, test
     standardize: bool = True  # by the train split's mean and std
 
@@ -98,6 +98,8 @@ def init_model(layer_sizes, seed=0):
     """Seeded He-style init: weights ~ N(0, 1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
     shapes = list(zip(layer_sizes[1:], layer_sizes))  # (fan_out, fan_in) per layer
+    for shape in shapes:
+        check_size(*shape)
     weights = [rng.standard_normal(shape) / np.sqrt(shape[1]) for shape in shapes]
     return MlpModel(tuple(layer_sizes), weights, [np.zeros(out) for out, _ in shapes])
 

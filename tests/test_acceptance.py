@@ -264,12 +264,10 @@ def test_soft_variants_learn_a_similarity(tmp_path):
                 k = a.shape[0]
                 final = SimilarityMatrix(a)
                 off = a[~np.eye(k, dtype=bool)]
-                eps = np.full(k, 0.2)
-                mixing = eps if VARIANTS[variant].per_class else target_matrix(final, eps)
                 ok = ok and (
                     similarity_checksum(final) != run["similarity_checksum"]
                     and bool(np.all((off > 0.0) & (off < 1.0)))
-                    and np.array_equal(run["learned_mixing"], mixing)
+                    and run["learned_mixing"] == [0.2] * k
                 )
         ce = float(np.mean(top1["ce"]))
         for variant in soft:

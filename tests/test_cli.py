@@ -22,8 +22,8 @@ from mcel import gradcheck, harness
 from mcel.cli import CONFIG_KEYS, FIELDS, load_config, main
 from mcel.data import gen_blobs, split
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
-from mcel.lda import SimilarityMatrix, load_similarity
-from mcel.losses import VARIANTS, build_targets, logit_grad, target_matrix
+from mcel.lda import load_similarity
+from mcel.losses import VARIANTS, build_targets, logit_grad
 from mcel.net import TrainConfig, Trainer
 
 
@@ -186,10 +186,11 @@ class TestTrainCommand:
     @pytest.mark.parametrize("variant,epsilons", [
         ("ce", None), ("mcel", None), ("sg-mcel", None), ("gmcel", None),
         ("sg-mcel-soft", None), ("sg-mcel-soft", (0.1, 0.2, 0.3, 0.4)), ("gmcel-soft", None),
+        ("gmcel-soft", (0.1, 0.2, 0.3, 0.4)),
     ])
     def test_learned_mixing_follows_from_per_class(self, tmp_path, variant, epsilons):
-        # a run whose A moves reports the configured epsilons if it takes
-        # per-class ones, else the final H on the final A, in report.json's bytes
+        # every variant whose A moves takes per-class epsilons, and reports
+        # the configured ones in report.json's bytes
         path = tmp_path / "cfg.ini"
         path.write_text(f"[train]\nepochs = 5\n[loss]\nvariant = {variant}\nepsilon = 0.2\n"
                         + (f"epsilons = {','.join(map(str, epsilons))}\n" if epsilons else ""))
@@ -202,9 +203,8 @@ class TestTrainCommand:
         assert ("learned_mixing" in report) == ("learned_similarity" in report) == facts.moves
         if not facts.moves:
             return
-        eps = np.array(epsilons or (0.2,) * 4)
-        final = SimilarityMatrix(np.array(report["learned_similarity"]))
-        want = eps.tolist() if facts.per_class else target_matrix(final, eps).tolist()
+        assert facts.per_class
+        want = list(epsilons or (0.2,) * 4)
         assert f'"learned_mixing":{json.dumps(want, separators=(",", ":"))},' in text
 
     def test_epsilon_zero_matches_plain_ce(self, tmp_path):
@@ -223,18 +223,28 @@ class TestTrainCommand:
         assert np.array_equal(h, build_targets("ce", 3, None, 0.0))
 
     def test_gmcel_variants_train_as_their_vector_twins(self, tmp_path):
-        # gmcel builds the H of mcel, and gmcel-soft that of sg-mcel-soft, so
-        # each pair trains the same model; only the reported mixing differs
-        def outputs(variant):
-            config = tmp_path / f"{variant}.ini"
-            config.write_text(CONFIG.format(variant=variant, epsilon=0.2))
-            out = train_report(tmp_path, variant, str(config))
+        # gmcel and gmcel-soft are the VARIANTS rows of mcel and sg-mcel-soft,
+        # so each pair gives the same files, and the same report but its name
+        def outputs(variant, epsilons):
+            config = tmp_path / "cfg.ini"
+            config.write_text(CONFIG.format(variant=variant, epsilon=0.2) + epsilons)
+            out = tmp_path / f"{variant}{len(epsilons)}"
+            assert run_cli("train", "--blobs", "4,80,2,0.8", "--config", str(config),
+                           "--seed", "5", "--out", str(out)) == 0
             report = json.loads((out / "report.json").read_text())
+            assert report["config"].pop("variant") == variant
             files = [(out / name).read_bytes() for name in ("model.ckpt", "epochs.jsonl")]
-            return files, report.get("learned_similarity")
+            return files, report
 
-        for matrix, vector in (("gmcel", "mcel"), ("gmcel-soft", "sg-mcel-soft")):
-            assert outputs(matrix) == outputs(vector), matrix
+        for matrix, vector, epsilons in (("gmcel", "mcel", ""), ("gmcel-soft", "sg-mcel-soft", ""),
+                                         ("gmcel-soft", "sg-mcel-soft",
+                                          "epsilons = 0.1,0.2,0.3,0.4\n")):
+            assert outputs(matrix, epsilons) == outputs(vector, epsilons), (matrix, epsilons)
+
+    def test_gmcel_names_are_rows_of_their_vector_twins(self):
+        assert VARIANTS["gmcel"] is VARIANTS["mcel"]
+        assert VARIANTS["gmcel-soft"] is VARIANTS["sg-mcel-soft"]
+        assert len({id(row) for row in VARIANTS.values()}) == 4
 
     def test_missing_similarity_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "mcel", 0.2)
@@ -454,7 +464,7 @@ class TestBadValues:
         ("batch-size", "[train]\nbatch_size = 0\n[loss]\nvariant = mcel\n",
          "batch_size must be >= 1, got 0"),
         ("gmcel-epsilons", "[loss]\nvariant = gmcel\nepsilons = 0.1,0.2,0.3,0.4\n",
-         "per-class epsilons need sg-mcel or sg-mcel-soft, not 'gmcel'"),
+         "per-class epsilons need sg-mcel or sg-mcel-soft or gmcel-soft, not 'gmcel'"),
         ("epsilon", "[loss]\nvariant = mcel\nepsilon = 0.7\n", "epsilon 0.7 outside [0, 0.5)"),
         ("epsilons-value", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2,0.6,0.3\n",
          "epsilons value 0.6 outside [0, 0.5)"),
@@ -850,13 +860,43 @@ class TestRuntimeExitCodes:
 
     @pytest.mark.parametrize("command", ["train", "similarity"])
     def test_blobs_count_past_a_c_long_prints_one_line(self, tmp_path, command):
-        # np.repeat raises OverflowError before it allocates anything
+        # the size is checked before numpy is asked for anything
         out = tmp_path / "x"
         proc = run_python("-m", "mcel.cli", command,
                           "--blobs", "3,100000000000000000000000000,2,1.0", "--out", str(out))
         self.assert_clean_data_error(proc)
-        assert proc.stderr == "error: Python int too large to convert to C long\n"
+        assert proc.stderr == ("error: a 300000000000000000000000000 x 2 array is too large "
+                               "for numpy\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,hidden,shape", [
+        (["similarity", "--blobs", "3,4611686018427387904,2,1.0"], None,
+         "13835058055282163712 x 2"),
+        (["similarity", "--blobs", "4611686018427387904,2,2,1.0"], None,
+         "9223372036854775808 x 2"),
+        (["similarity", "--blobs", "3,2,4611686018427387904,1.0"], None,
+         "6 x 4611686018427387904"),
+        (["similarity", "--blobs", "100000000000000000000000000,30,2,1.0"], None,
+         "3000000000000000000000000000 x 2"),
+        (["train", "--blobs", "3,100000000000000000000000000,2,1.0"], None,
+         "300000000000000000000000000 x 2"),
+        (["train", "--blobs", "3,30,2,1.0"], 2**62, f"{2**62} x 2"),
+        (["train", "--blobs", "3,30,2,1.0"], 10**30, f"{10**30} x 2"),
+        (["gradcheck", "--k", "100000000000000000000000000"], None,
+         "100000000000000000000000000 x 100000000000000000000000000"),
+    ], ids=["blobs-rows", "blobs-k", "blobs-dim", "blobs-k-past-c-long",
+            "blobs-count-past-c-long", "hidden", "hidden-past-c-long", "gradcheck-k"])
+    def test_a_size_too_large_for_numpy_names_the_shape(self, tmp_path, argv, hidden, shape):
+        # each of these once wrapped, or ended in numpy's own words with exit 1
+        if argv[0] != "gradcheck":
+            argv = [*argv, "--out", str(tmp_path / "x")]
+        if hidden is not None:
+            config = tmp_path / "big.ini"
+            config.write_text(f"[train]\nhidden = {hidden}\n")
+            argv = [*argv, "--config", str(config)]
+        proc = run_python("-m", "mcel.cli", *argv)
+        self.assert_clean_data_error(proc)
+        assert proc.stderr == f"error: a {shape} array is too large for numpy\n"
 
     def test_blobs_spread_that_overflows_prints_one_line(self, tmp_path):
         proc = run_python("-m", "mcel.cli", "train", "--blobs", "3,10,2,1e308",

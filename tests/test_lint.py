@@ -4,6 +4,7 @@ checks that the README's names and examples match the code."""
 import ast
 import functools
 import importlib
+import itertools
 import re
 import shlex
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import mcel
 from mcel.cli import build_parser, load_config
-from mcel.losses import Variant
+from mcel.losses import VARIANTS, Variant
 
 MODULES = sorted(Path(mcel.__file__).parent.glob("*.py"))
 
@@ -263,3 +264,30 @@ def test_unresolved_readme_name_is_found():
             "`lda.no_such(k)`, `mcel.net.MlpModel.nothing` and `losses.py`")
     assert unresolved_readme_names(text) == [
         "mcel.net.load_model", "lda.no_such", "mcel.net.MlpModel.nothing"]
+
+
+def variant_table_faults(text, variants):
+    """Each (got, want) row where the README's `| variant | per-class
+    epsilons | A moves |` table and the rows of `variants` differ, in table
+    order; a missing row reads None. A is "no A" for a variant on no A."""
+    table = re.search(r"^ *\| variant +\| per-class `epsilons` +\| A moves +\|\n *\|[-|]+\|\n"
+                      r"((?: *\|.*\|\n)*)", text, re.M)
+    got = [tuple(cell.strip().strip("`") for cell in row.strip().strip("|").split("|"))
+           for row in (table.group(1).splitlines() if table else [])]
+    want = [(name, "yes" if v.per_class else "no",
+             ("yes" if v.moves else "no") if v.similarity else "no A")
+            for name, v in variants.items()]
+    return [(g, w) for g, w in itertools.zip_longest(got, want) if g != w]
+
+
+def test_readme_variant_table_matches_variants():
+    assert variant_table_faults(README.read_text(), VARIANTS) == []
+
+
+def test_wrong_variant_row_is_found():
+    text = ("  | variant | per-class `epsilons` | A moves |\n  |---|---|---|\n"
+            "  | `ce` | no | no A |\n  | `soft` | no | yes |\n\n  | `mcel` | no | no |\n")
+    variants = {"ce": Variant(False, False, False), "soft": Variant(True, True, True),
+                "mcel": Variant(True, False, False)}
+    assert variant_table_faults(text, variants) == [
+        (("soft", "no", "yes"), ("soft", "yes", "yes")), (None, ("mcel", "no", "no"))]
