@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import lda as ldamod
-from .errors import McelError
+from .errors import DimensionError, McelError
 from .gradcheck import REL_TOL, run_all
 from .harness import (
     dumps_report,
@@ -28,7 +28,7 @@ from .harness import (
     similarity_checksum,
     similarity_from_dataset,
 )
-from .losses import VARIANTS, build_targets, check_epsilons
+from .losses import VARIANTS, check_epsilons
 from .net import TrainConfig, save_checkpoint
 
 EXIT_OK = 0
@@ -167,14 +167,6 @@ def load_config(path=None, seed=0):
         raise ValueError(f"config file {path}: {exc}") from None
 
 
-def obtain_similarity(args, tc, train):
-    if args.similarity:
-        return ldamod.load_similarity(args.similarity)
-    if not VARIANTS[tc.variant].similarity:
-        return None
-    return similarity_from_dataset(train, args.lda_components, args.ridge)
-
-
 def _outdir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,19 +210,26 @@ def cmd_train(args):
     if tc.epsilons is not None and len(tc.epsilons) != dataset.k:
         raise ValueError(f"config file {args.config}: [loss] epsilons has "
                          f"{len(tc.epsilons)} values, the data has {dataset.k} classes")
+    sim = ldamod.load_similarity(args.similarity) if args.similarity else None
+    if sim is not None and sim.k != dataset.k:
+        raise DimensionError(f"similarity matrix is {sim.k} x {sim.k}, "
+                             f"the model has {dataset.k} classes")
     train, val, test = prepare_splits(dataset, tc)
-    sim = obtain_similarity(args, tc, train)
-    build_targets(tc.variant, dataset.k, sim, tc.epsilon, tc.epsilons)  # a sim of another k fails
-    out = _outdir(args)
+    if sim is None and VARIANTS[tc.variant].similarity:
+        sim = similarity_from_dataset(train, args.lda_components, args.ridge)
+    out = Path(args.out)
 
-    with open(out / "epochs.jsonl", "w") as stream:
-        def on_epoch(record):
+    def on_epoch(record):
+        # the first finished epoch makes --out; each epoch is on disk as it ends
+        first = record["epoch"] == 0
+        if first:
+            _outdir(args)
+        with open(out / "epochs.jsonl", "w" if first else "a") as stream:
             stream.write(json.dumps(record, sort_keys=True) + "\n")
-            stream.flush()
 
-        started = time.monotonic()
-        report, model = run_training(train, val, test, tc, sim, on_epoch)
-        _write_meta(out, started)
+    started = time.monotonic()
+    report, model = run_training(train, val, test, tc, sim, on_epoch)
+    _write_meta(out, started)
     (out / "report.json").write_text(dumps_report(report))
     save_checkpoint(model, out / "model.ckpt")
     print(

@@ -6,9 +6,11 @@ target_matrix(A, eps) for the rest. VARIANTS says what each name means.
 
 check_loss checks a run's loss settings, and check_epsilons is the one
 statement of the [0, 0.5) epsilon range. build_targets gives a variant's H
-on a similarity matrix. The trainer steps on logit_grad, softmax - H[y]
-(every H row sums to 1 within 1e-12), and sums each epoch's loss with
-batch_values; gradcheck verifies the one against the other.
+on a similarity matrix; like target_matrix, it trusts that the matrix and
+the epsilons have the model's k, which cli.cmd_train checks. The trainer
+steps on logit_grad, softmax - H[y] (every H row sums to 1 within 1e-12),
+and sums each epoch's loss with batch_values; gradcheck verifies the one
+against the other.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
@@ -17,8 +19,6 @@ is straight float64.
 from collections import namedtuple
 
 import numpy as np
-
-from .errors import DimensionError
 
 PROB_CLAMP = 1e-12
 
@@ -36,8 +36,6 @@ VARIANTS = {"ce": Variant(False, False, False), "mcel": MCEL,
 def target_matrix(sim, eps):
     """Target matrix H: row y is eps_y * A[y] with 1 - eps_y on the diagonal."""
     k = sim.k
-    if eps.shape != (k,):
-        raise DimensionError(f"need {k} epsilons, got {eps.size}")
     h = eps[:, None] * sim.a
     h[np.arange(k), np.arange(k)] = 1.0 - eps
     return h
@@ -68,15 +66,12 @@ def build_targets(variant, k, sim, epsilon, epsilons=None):
 
     ce trains on H = I. Every other variant trains on target_matrix(sim,
     eps), where eps holds k per-class epsilons: every one is epsilon,
-    unless a per_class variant gets its own epsilons. The settings are
-    not checked here: TrainConfig ran check_loss on them when it was made.
+    unless a per_class variant gets its own epsilons. Nothing is checked
+    here: TrainConfig ran check_loss on the settings when it was made, and
+    a similarity variant gets a sim, and epsilons if any, of the model's k.
     """
     if not VARIANTS[variant].similarity:
         return np.eye(k)
-    if sim is None:
-        raise ValueError(f"loss variant {variant!r} needs a similarity matrix")
-    if sim.k != k:
-        raise DimensionError(f"similarity matrix is {sim.k} x {sim.k}, the model has {k} classes")
     eps = np.full(k, float(epsilon)) if epsilons is None else np.array(epsilons, dtype=float)
     return target_matrix(sim, eps)
 

@@ -21,6 +21,7 @@ import mcel
 from mcel import gradcheck, harness
 from mcel.cli import CONFIG_KEYS, FIELDS, load_config, main
 from mcel.data import gen_blobs, split
+from mcel.errors import TrainingDivergedError
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
 from mcel.lda import load_similarity
 from mcel.losses import VARIANTS, build_targets, logit_grad
@@ -265,9 +266,10 @@ class TestTrainCommand:
         assert code == 1
 
     def test_similarity_of_another_k_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+        # the file's k is checked against the data before the split
         def fail(*args, **kwargs):
-            raise AssertionError("trained before the similarity file was rejected")
-        monkeypatch.setattr(Trainer, "train_epoch", fail)
+            raise AssertionError("split before the similarity file was rejected")
+        monkeypatch.setattr("mcel.data.split", fail)
         sim = tmp_path / "sim.txt"
         sim.write_text("3\n0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n")
         code = run_cli(
@@ -847,16 +849,34 @@ class TestRuntimeExitCodes:
         )
         self.assert_clean_data_error(proc)
         assert proc.stderr == "error: training diverged at epoch 0, batch 0\n"
-        assert command == "train" or not out.exists()
+        assert not out.exists()
+
+    def test_training_that_diverges_later_keeps_its_finished_epochs(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        train_epoch = Trainer.train_epoch
+
+        def diverge_at_epoch_2(trainer, data):
+            if trainer.epoch == 2:
+                raise TrainingDivergedError(2, 0)
+            return train_epoch(trainer, data)
+        monkeypatch.setattr(Trainer, "train_epoch", diverge_at_epoch_2)
+        out = tmp_path / "x"
+        assert run_cli("train", *BLOBS, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: training diverged at epoch 2, batch 0\n"
+        records = [json.loads(line) for line in (out / "epochs.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in records] == [0, 1]
+        assert sorted(p.name for p in out.iterdir()) == ["epochs.jsonl"]
 
     def test_allocation_failure_prints_one_line(self, tmp_path, capsys, monkeypatch):
         # no real huge allocation: how much a machine overcommits differs
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.46 TiB for an array")
         monkeypatch.setattr("mcel.harness.init_model", refuse)
-        assert run_cli("train", *BLOBS, "--out", str(tmp_path / "x")) == 2
+        out = tmp_path / "x"
+        assert run_cli("train", *BLOBS, "--out", str(out)) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: Unable to allocate 1.46 TiB for an array\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "similarity"])
     def test_blobs_count_past_a_c_long_prints_one_line(self, tmp_path, command):
@@ -888,8 +908,9 @@ class TestRuntimeExitCodes:
             "blobs-count-past-c-long", "hidden", "hidden-past-c-long", "gradcheck-k"])
     def test_a_size_too_large_for_numpy_names_the_shape(self, tmp_path, argv, hidden, shape):
         # each of these once wrapped, or ended in numpy's own words with exit 1
+        out = tmp_path / "x"
         if argv[0] != "gradcheck":
-            argv = [*argv, "--out", str(tmp_path / "x")]
+            argv = [*argv, "--out", str(out)]
         if hidden is not None:
             config = tmp_path / "big.ini"
             config.write_text(f"[train]\nhidden = {hidden}\n")
@@ -897,6 +918,7 @@ class TestRuntimeExitCodes:
         proc = run_python("-m", "mcel.cli", *argv)
         self.assert_clean_data_error(proc)
         assert proc.stderr == f"error: a {shape} array is too large for numpy\n"
+        assert not out.exists()
 
     def test_blobs_spread_that_overflows_prints_one_line(self, tmp_path):
         proc = run_python("-m", "mcel.cli", "train", "--blobs", "3,10,2,1e308",

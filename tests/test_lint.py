@@ -163,6 +163,21 @@ def test_entry_rules_are_read_only_at_entry():
     assert rule_readers(sources, ENTRY_RULES) == ENTRY_RULES
 
 
+# the definitions that may raise a shape fault: where a dataset, a similarity
+# matrix or a model is made, and train, which checks a --similarity file's k
+# against the data. The library behind them trusts the shapes it is given.
+SHAPE_CHECKERS = {
+    "DimensionError": {"data.LabeledDataset.__post_init__", "data.gen_blobs",
+                       "lda.SimilarityMatrix.__post_init__", "net.MlpModel.__post_init__",
+                       "cli.cmd_train"},
+}
+
+
+def test_shapes_are_checked_only_where_they_come_in():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert rule_readers(sources, SHAPE_CHECKERS) == SHAPE_CHECKERS
+
+
 def test_rule_reader_is_found():
     sources = {
         "a": ("def rule(v):\n    pass\n\nRULE = rule\n\ndef entry(v):\n    rule(v)\n\n"
