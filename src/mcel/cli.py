@@ -220,18 +220,21 @@ def cmd_train(args):
     out = Path(args.out)
 
     def on_epoch(record):
-        # the first finished epoch makes --out; each epoch is on disk as it ends
+        # the first finished epoch makes --out and clears an earlier run's
+        # files; each epoch is on disk as it ends
         first = record["epoch"] == 0
         if first:
             _outdir(args)
+            for name in ("report.json", "model.ckpt", "meta.json"):
+                (out / name).unlink(missing_ok=True)
         with open(out / "epochs.jsonl", "w" if first else "a") as stream:
             stream.write(json.dumps(record, sort_keys=True) + "\n")
 
     started = time.monotonic()
     report, model = run_training(train, val, test, tc, sim, on_epoch)
     _write_meta(out, started)
-    (out / "report.json").write_text(dumps_report(report))
     save_checkpoint(model, out / "model.ckpt")
+    (out / "report.json").write_text(dumps_report(report))  # last: it marks a finished run
     print(
         f"best val acc {report['best_val_acc']:.4f} at epoch {report['best_epoch']}; "
         f"test top-1 {report['test_top1']:.4f}, top-{report['topk']} {report['test_topk']:.4f}"
@@ -261,6 +264,8 @@ def cmd_noise_exp(args):
     result = run_noise_experiment(dataset, args.pairs, args.fractions, args.seeds, base,
                                   args.epsilon_candidates, args.lda_components)
     out = _outdir(args)
+    for stale in out.glob("noise_mask_f*_s*.txt"):  # an earlier run's cells
+        stale.unlink()
     _write_table(out / "noise.csv", result["rows"],
                  ["fraction", "seed", "variant", "epsilon", "test_top1"])
     for (fraction, seed), idx in result["masks"].items():

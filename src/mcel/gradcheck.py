@@ -42,10 +42,10 @@ def random_similarity(rng, k):
 
 
 def random_targets(variant, rng, k):
-    """Target matrix H of one variant at a random similarity matrix and a
-    random epsilon, or random per-class epsilons for the per_class variants."""
+    """Target matrix H of one variant at a random similarity matrix and k
+    random per-class epsilons; ce, whose H is I, draws no epsilons."""
     sim = random_similarity(rng, k)
-    epsilons = rng.uniform(0.05, 0.45, size=k) if VARIANTS[variant].per_class else None
+    epsilons = rng.uniform(0.05, 0.45, size=k) if VARIANTS[variant].similarity else None
     return build_targets(variant, k, sim, float(rng.uniform(0.05, 0.45)), epsilons)
 
 

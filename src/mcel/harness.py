@@ -67,7 +67,7 @@ def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
         "topk": min(cfg.topk, train.k),
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
-    if VARIANTS[cfg.variant].moves:  # every such variant takes per-class epsilons
+    if VARIANTS[cfg.variant].moves:
         report["learned_mixing"] = [float(e) for e in cfg.epsilons or (cfg.epsilon,) * train.k]
         report["learned_similarity"] = trainer.sim.a.tolist()
     return report, best_model

@@ -23,13 +23,11 @@ import numpy as np
 PROB_CLAMP = 1e-12
 
 # What each training means: whether it trains on a similarity A (ce does
-# not), takes per-class epsilons, and re-estimates A after each epoch. gmcel
-# and gmcel-soft, the paper's mixture-matrix names, are the rows of mcel and
-# sg-mcel-soft.
-Variant = namedtuple("Variant", "similarity per_class moves")
-MCEL, SOFT = Variant(True, False, False), Variant(True, True, True)
-VARIANTS = {"ce": Variant(False, False, False), "mcel": MCEL,
-            "sg-mcel": Variant(True, True, False), "gmcel": MCEL,
+# not) and re-estimates A after each epoch. Six names cover three trainings:
+# sg-mcel and gmcel are names of mcel's row, gmcel-soft of sg-mcel-soft's.
+Variant = namedtuple("Variant", "similarity moves")
+MCEL, SOFT = Variant(True, False), Variant(True, True)
+VARIANTS = {"ce": Variant(False, False), "mcel": MCEL, "sg-mcel": MCEL, "gmcel": MCEL,
             "sg-mcel-soft": SOFT, "gmcel-soft": SOFT}
 
 
@@ -49,13 +47,9 @@ def check_epsilons(epsilons, what):
 
 
 def check_loss(variant, epsilon, epsilons=None):
-    """The loss settings of a run: a known variant, per-class epsilons only
-    on a per_class variant, and every epsilon in range."""
+    """The loss settings of a run: a known variant and every epsilon in range."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}; pick one of {tuple(VARIANTS)}")
-    if epsilons is not None and not VARIANTS[variant].per_class:
-        per_class = " or ".join(name for name, v in VARIANTS.items() if v.per_class)
-        raise ValueError(f"per-class epsilons need {per_class}, not {variant!r}")
     check_epsilons((epsilon,), "epsilon")
     if epsilons is not None:
         check_epsilons(epsilons, "epsilons value")
@@ -65,8 +59,8 @@ def build_targets(variant, k, sim, epsilon, epsilons=None):
     """Target matrix H of a `variant` run on the similarity matrix sim.
 
     ce trains on H = I. Every other variant trains on target_matrix(sim,
-    eps), where eps holds k per-class epsilons: every one is epsilon,
-    unless a per_class variant gets its own epsilons. Nothing is checked
+    eps), where eps holds k per-class epsilons: the run's own epsilons if
+    it has any, else epsilon for every class. Nothing is checked
     here: TrainConfig ran check_loss on the settings when it was made, and
     a similarity variant gets a sim, and epsilons if any, of the model's k.
     """

@@ -73,7 +73,7 @@ class TrainConfig:
     seed: int = 0
     variant: str = "ce"  # one of losses.VARIANTS; *-soft variants move their similarity
     epsilon: float = 0.2
-    epsilons: tuple = None  # per-class epsilons, per_class variants only
+    epsilons: tuple = None  # per-class epsilons in place of epsilon; ce ignores both
     split_fractions: tuple = (0.7, 0.15, 0.15)  # train, validation, test
     standardize: bool = True  # by the train split's mean and std
 

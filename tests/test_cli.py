@@ -190,8 +190,8 @@ class TestTrainCommand:
         ("gmcel-soft", (0.1, 0.2, 0.3, 0.4)),
     ])
     def test_learned_mixing_follows_from_per_class(self, tmp_path, variant, epsilons):
-        # every variant whose A moves takes per-class epsilons, and reports
-        # the configured ones in report.json's bytes
+        # every variant whose A moves reports its per-class epsilons, the
+        # configured ones or epsilon k times, in report.json's bytes
         path = tmp_path / "cfg.ini"
         path.write_text(f"[train]\nepochs = 5\n[loss]\nvariant = {variant}\nepsilon = 0.2\n"
                         + (f"epsilons = {','.join(map(str, epsilons))}\n" if epsilons else ""))
@@ -204,7 +204,6 @@ class TestTrainCommand:
         assert ("learned_mixing" in report) == ("learned_similarity" in report) == facts.moves
         if not facts.moves:
             return
-        assert facts.per_class
         want = list(epsilons or (0.2,) * 4)
         assert f'"learned_mixing":{json.dumps(want, separators=(",", ":"))},' in text
 
@@ -224,8 +223,9 @@ class TestTrainCommand:
         assert np.array_equal(h, build_targets("ce", 3, None, 0.0))
 
     def test_gmcel_variants_train_as_their_vector_twins(self, tmp_path):
-        # gmcel and gmcel-soft are the VARIANTS rows of mcel and sg-mcel-soft,
-        # so each pair gives the same files, and the same report but its name
+        # sg-mcel and gmcel are the VARIANTS row of mcel, gmcel-soft that of
+        # sg-mcel-soft, so each pair gives the same files, and the same report
+        # but its name, per-class epsilons included
         def outputs(variant, epsilons):
             config = tmp_path / "cfg.ini"
             config.write_text(CONFIG.format(variant=variant, epsilon=0.2) + epsilons)
@@ -237,15 +237,18 @@ class TestTrainCommand:
             files = [(out / name).read_bytes() for name in ("model.ckpt", "epochs.jsonl")]
             return files, report
 
-        for matrix, vector, epsilons in (("gmcel", "mcel", ""), ("gmcel-soft", "sg-mcel-soft", ""),
-                                         ("gmcel-soft", "sg-mcel-soft",
-                                          "epsilons = 0.1,0.2,0.3,0.4\n")):
-            assert outputs(matrix, epsilons) == outputs(vector, epsilons), (matrix, epsilons)
+        epsilons = "epsilons = 0.1,0.2,0.3,0.4\n"
+        for name, row, extra in (("gmcel", "mcel", ""), ("gmcel", "mcel", epsilons),
+                                 ("sg-mcel", "mcel", ""), ("sg-mcel", "mcel", epsilons),
+                                 ("gmcel-soft", "sg-mcel-soft", ""),
+                                 ("gmcel-soft", "sg-mcel-soft", epsilons)):
+            assert outputs(name, extra) == outputs(row, extra), (name, extra)
 
     def test_gmcel_names_are_rows_of_their_vector_twins(self):
         assert VARIANTS["gmcel"] is VARIANTS["mcel"]
+        assert VARIANTS["sg-mcel"] is VARIANTS["mcel"]
         assert VARIANTS["gmcel-soft"] is VARIANTS["sg-mcel-soft"]
-        assert len({id(row) for row in VARIANTS.values()}) == 4
+        assert len({id(row) for row in VARIANTS.values()}) == 3
 
     def test_missing_similarity_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "mcel", 0.2)
@@ -356,15 +359,15 @@ class TestBadValues:
             self.assert_clean_usage_error(proc)
             assert f"unknown key '{key}' in [{section}]" in proc.stderr
 
-    def test_epsilons_need_an_sg_variant(self, tmp_path):
-        path = tmp_path / "bad.ini"
-        path.write_text("[loss]\nvariant = gmcel\nepsilons = 0.1,0.2,0.3\n")
-        proc = run_python(
-            "-m", "mcel.cli", "train", "--blobs", "3,30,2,0.8", "--config", str(path),
-            "--out", str(tmp_path / "x"),
-        )
-        self.assert_clean_usage_error(proc)
-        assert "per-class epsilons" in proc.stderr
+    def test_gmcel_takes_epsilons(self, tmp_path):
+        # every similarity variant takes per-class epsilons
+        path = tmp_path / "cfg.ini"
+        path.write_text("[train]\nepochs = 2\n[loss]\nvariant = gmcel\nepsilons = 0.1,0.2,0.3\n")
+        out = tmp_path / "x"
+        assert run_cli("train", "--blobs", "3,30,2,0.8", "--config", str(path),
+                       "--out", str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["epsilons"] == [
+            0.1, 0.2, 0.3]
 
     @pytest.mark.parametrize("command", ["train", "gridsearch", "noise-exp"])
     @pytest.mark.parametrize("fractions,part", [("0.85,0.15,0", 2), ("0.85,0,0.15", 1)])
@@ -465,8 +468,6 @@ class TestBadValues:
          "[loss] epsilons has 2 values, the data has 4 classes"),
         ("batch-size", "[train]\nbatch_size = 0\n[loss]\nvariant = mcel\n",
          "batch_size must be >= 1, got 0"),
-        ("gmcel-epsilons", "[loss]\nvariant = gmcel\nepsilons = 0.1,0.2,0.3,0.4\n",
-         "per-class epsilons need sg-mcel or sg-mcel-soft or gmcel-soft, not 'gmcel'"),
         ("epsilon", "[loss]\nvariant = mcel\nepsilon = 0.7\n", "epsilon 0.7 outside [0, 0.5)"),
         ("epsilons-value", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2,0.6,0.3\n",
          "epsilons value 0.6 outside [0, 0.5)"),
@@ -867,6 +868,39 @@ class TestRuntimeExitCodes:
         assert [r["epoch"] for r in records] == [0, 1]
         assert sorted(p.name for p in out.iterdir()) == ["epochs.jsonl"]
 
+    def test_rerun_that_diverges_later_clears_the_finished_run(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the rerun's first epoch deletes the earlier run's files, so no
+        # report.json claims a run that did not finish
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x"
+        assert run_cli("train", *BLOBS, "--config", cfg, "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "epochs.jsonl", "meta.json", "model.ckpt", "report.json"]
+        train_epoch = Trainer.train_epoch
+
+        def diverge_at_epoch_2(trainer, data):
+            if trainer.epoch == 2:
+                raise TrainingDivergedError(2, 0)
+            return train_epoch(trainer, data)
+        monkeypatch.setattr(Trainer, "train_epoch", diverge_at_epoch_2)
+        assert run_cli("train", *BLOBS, "--config", cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: training diverged at epoch 2, batch 0\n"
+        records = [json.loads(line) for line in (out / "epochs.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in records] == [0, 1]
+        assert sorted(p.name for p in out.iterdir()) == ["epochs.jsonl"]
+
+    def test_failed_checkpoint_write_leaves_no_report(self, tmp_path, capsys, monkeypatch):
+        # report.json is written last: it marks a finished run
+        def refuse(model, path):
+            raise OSError(f"cannot write {path.name}")
+        monkeypatch.setattr("mcel.cli.save_checkpoint", refuse)
+        out = tmp_path / "x"
+        assert run_cli("train", *BLOBS, "--config", write_config(tmp_path),
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: cannot write model.ckpt\n"
+        assert not (out / "report.json").exists()
+
     def test_allocation_failure_prints_one_line(self, tmp_path, capsys, monkeypatch):
         # no real huge allocation: how much a machine overcommits differs
         def refuse(*args, **kwargs):
@@ -1208,6 +1242,17 @@ class TestNoiseExperiment:
         rows = (out / "noise.csv").read_text().splitlines()
         assert rows[0] == "fraction,seed,variant,epsilon,test_top1"
         assert len(rows) == 3  # header + ce + mcel
+
+    def test_rerun_leaves_only_its_own_masks(self, tmp_path):
+        # a rerun with fewer seeds deletes the masks of the cells it did not run
+        out = tmp_path / "noise"
+        for seeds in ("0,1,2", "0"):
+            assert run_cli("noise-exp", "--blobs", "4,60,2,0.8", "--seeds", seeds,
+                           "--out", str(out)) == 0
+        rows = json.loads((out / "noise.json").read_text())["rows"]
+        cells = {f"noise_mask_f{row['fraction']}_s{row['seed']}.txt" for row in rows}
+        assert cells == {"noise_mask_f0.3_s0.txt"}
+        assert {p.name for p in out.glob("noise_mask_*")} == cells
 
     def test_full_swap_collapses_accuracy(self, tmp_path):
         out = tmp_path / "collapse"

@@ -282,15 +282,14 @@ def test_unresolved_readme_name_is_found():
 
 
 def variant_table_faults(text, variants):
-    """Each (got, want) row where the README's `| variant | per-class
-    epsilons | A moves |` table and the rows of `variants` differ, in table
-    order; a missing row reads None. A is "no A" for a variant on no A."""
-    table = re.search(r"^ *\| variant +\| per-class `epsilons` +\| A moves +\|\n *\|[-|]+\|\n"
+    """Each (got, want) row where the README's `| variant | A moves |` table
+    and the rows of `variants` differ, in table order; a missing row reads
+    None. A is "no A" for a variant on no A."""
+    table = re.search(r"^ *\| variant +\| A moves +\|\n *\|[-|]+\|\n"
                       r"((?: *\|.*\|\n)*)", text, re.M)
     got = [tuple(cell.strip().strip("`") for cell in row.strip().strip("|").split("|"))
            for row in (table.group(1).splitlines() if table else [])]
-    want = [(name, "yes" if v.per_class else "no",
-             ("yes" if v.moves else "no") if v.similarity else "no A")
+    want = [(name, ("yes" if v.moves else "no") if v.similarity else "no A")
             for name, v in variants.items()]
     return [(g, w) for g, w in itertools.zip_longest(got, want) if g != w]
 
@@ -300,9 +299,9 @@ def test_readme_variant_table_matches_variants():
 
 
 def test_wrong_variant_row_is_found():
-    text = ("  | variant | per-class `epsilons` | A moves |\n  |---|---|---|\n"
-            "  | `ce` | no | no A |\n  | `soft` | no | yes |\n\n  | `mcel` | no | no |\n")
-    variants = {"ce": Variant(False, False, False), "soft": Variant(True, True, True),
-                "mcel": Variant(True, False, False)}
+    text = ("  | variant | A moves |\n  |---|---|\n"
+            "  | `ce` | no A |\n  | `soft` | no |\n\n  | `mcel` | no |\n")
+    variants = {"ce": Variant(False, False), "soft": Variant(True, True),
+                "mcel": Variant(True, False)}
     assert variant_table_faults(text, variants) == [
-        (("soft", "no", "yes"), ("soft", "yes", "yes")), (None, ("mcel", "no", "no"))]
+        (("soft", "no"), ("soft", "yes")), (None, ("mcel", "no"))]

@@ -73,16 +73,13 @@ class TestMixingSpecs:
             build_targets(variant, 2, sim, 0.0)
 
     def test_per_class_range(self):
-        for variant in variants("per_class"):
+        # every variant takes per-class epsilons in range (ce ignores them)
+        for variant in VARIANTS:
+            check_loss(variant, 0.2, [0.1, 0.2])
             with pytest.raises(ValueError):
                 check_loss(variant, 0.2, [0.1, 0.5])
             with pytest.raises(ValueError):
                 check_loss(variant, 0.2, [0.1, float("nan")])
-
-    def test_per_class_only_for_sg_variants(self):
-        for variant in variants("per_class", False):
-            with pytest.raises(ValueError, match="per-class"):
-                check_loss(variant, 0.2, [0.1, 0.2])
 
     def test_variant_states(self):
         # every variant's H: I for ce, the simple loss's H for the rest
@@ -161,7 +158,7 @@ class TestTargetMatrix:
             sims.append(load_similarity(path))
         for sim in sims:
             for eps in (0.0, 0.4999, float(rng.uniform(0.0, 0.5))):
-                per_class = rng.uniform(0.0, 0.5, sim.k) if VARIANTS[variant].per_class else None
+                per_class = rng.uniform(0.0, 0.5, sim.k) if VARIANTS[variant].similarity else None
                 h = build_targets(variant, sim.k, sim, eps, per_class)
                 assert np.all(np.abs(h.sum(axis=1) - 1.0) <= 1e-12)
 

@@ -314,7 +314,7 @@ class TestTrainer:
         cfg = TrainConfig(
             learning_rate=0.1, momentum=0.9, weight_decay=1e-2, batch_size=8,
             lr_decay=0.5, seed=14, variant=variant, epsilon=0.2,
-            epsilons=(0.1, 0.25, 0.4) if VARIANTS[variant].per_class else None,
+            epsilons=(0.1, 0.25, 0.4) if VARIANTS[variant].similarity else None,
         )
         model = init_model((2, 6, 5, 3), seed=14)
         expected = model.copy()
@@ -425,7 +425,7 @@ class TestTrainer:
         data = self.make_data(k=5, per_class=30, spread=2.0)
         cfg = TrainConfig(
             learning_rate=0.05, batch_size=16, seed=16, variant=variant, epsilon=0.4999,
-            epsilons=(0.0, 0.1, 0.3, 0.45, 0.4999) if VARIANTS[variant].per_class else None,
+            epsilons=(0.0, 0.1, 0.3, 0.45, 0.4999),
         )
         sim = random_similarity(np.random.default_rng(16), 5)
         trainer = Trainer(init_model((2, 8, 5), seed=16), cfg, sim)
