@@ -11,12 +11,12 @@ predictions of each epoch and rebuild H on it.
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .data import check_fractions, check_size
-from .errors import DimensionError, TrainingDivergedError
+from .errors import TrainingDivergedError
 from .lda import SimilarityMatrix
 from .losses import VARIANTS, batch_values, build_targets, check_loss, logit_grad, softmax
 
@@ -26,33 +26,32 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class MlpModel:
-    """An MLP whose parameters live in one flat vector, params: the
-    constructor copies the weights (first) and the biases into it and keeps
-    shaped views of it as weights and biases, so one numpy call can step
-    or scan every parameter. Use copy() for a snapshot that training does
-    not change."""
+    """An MLP whose parameters live in one flat vector, params: every
+    weight, each (out, in), then every bias. weights and biases are shaped
+    views of it, so one numpy call can step or scan every parameter. Use
+    copy() for a snapshot that training does not change."""
     layer_sizes: tuple
-    weights: list  # per layer, shape (out, in)
-    biases: list  # per layer, shape (out,)
+    params: np.ndarray
+    biases: InitVar[list] = None  # given, params holds per-layer weights; both are copied in
 
-    def __post_init__(self):
-        layers = [*self.weights, *self.biases]
-        sizes, shapes = tuple(self.layer_sizes), [p.shape for p in layers]
-        # (out, in) per weight, then (out,) per bias
-        want = [*zip(sizes[1:], sizes), *((out,) for out in sizes[1:])]
-        if shapes != want:
-            raise DimensionError(f"layer sizes {sizes} need the shapes {want}, got {shapes}")
-        self.params = np.concatenate([p.ravel() for p in layers])
-        ends = itertools.accumulate(p.size for p in layers)
-        views = [self.params[end - p.size:end].reshape(p.shape) for end, p in zip(ends, layers)]
-        self.weights, self.biases = views[:len(self.weights)], views[len(self.weights):]
+    def __post_init__(self, biases):
+        sizes = self.layer_sizes
+        shapes = [*zip(sizes[1:], sizes), *((out,) for out in sizes[1:])]
+        ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        layers = () if biases is None else [*self.params, *biases]
+        if biases is not None:
+            self.params = np.empty(ends[-1])
+        views = [self.params[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
+        for view, layer in zip(views, layers):
+            view[...] = layer
+        self.weights, self.biases = views[:len(sizes) - 1], views[len(sizes) - 1:]
 
     @property
     def num_classes(self):
         return self.layer_sizes[-1]
 
     def copy(self):
-        return MlpModel(self.layer_sizes, self.weights, self.biases)
+        return MlpModel(self.layer_sizes, self.params.copy())
 
     def check_finite(self):
         return np.isfinite(self.params).all()
@@ -100,8 +99,10 @@ def init_model(layer_sizes, seed=0):
     shapes = list(zip(layer_sizes[1:], layer_sizes))  # (fan_out, fan_in) per layer
     for shape in shapes:
         check_size(*shape)
-    weights = [rng.standard_normal(shape) / np.sqrt(shape[1]) for shape in shapes]
-    return MlpModel(tuple(layer_sizes), weights, [np.zeros(out) for out, _ in shapes])
+    model = MlpModel(tuple(layer_sizes), np.zeros(sum((i + 1) * out for out, i in shapes)))
+    for w in model.weights:
+        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
+    return model
 
 
 def forward_batch(model, x, out=None):
@@ -123,22 +124,21 @@ def forward_batch(model, x, out=None):
     return softmax(logits, out=out), acts
 
 
-def backprop(model, acts, grad_logits, out):
+def backprop(model, acts, grad_logits, grads):
     """Parameter gradients given d(loss)/d(logits) for a batch.
 
-    Gradients are sums over the batch (no averaging here). out is a pair
-    (grads_w, grads_b) of per-layer lists: an array entry is filled in
-    place, and a None entry is replaced by a fresh array.
+    grads is a gradient MlpModel of model's layer sizes; its views are
+    filled in place, every entry overwritten, and grads is returned.
+    Gradients are sums over the batch (no averaging here).
     """
-    grads_w, grads_b = out
     delta = grad_logits
     for layer in reversed(range(len(model.weights))):
-        grads_w[layer] = np.matmul(delta.T, acts[layer], out=grads_w[layer])
-        grads_b[layer] = np.add.reduce(delta, axis=0, out=grads_b[layer])
+        np.matmul(delta.T, acts[layer], out=grads.weights[layer])
+        np.add.reduce(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
             delta = delta @ model.weights[layer]
             delta *= acts[layer] > 0.0
-    return grads_w, grads_b
+    return grads
 
 
 def _target_rows(h, ys, out):
@@ -151,8 +151,7 @@ class Trainer:
     """Owns one model plus the optimizer state for a full training run.
 
     The momentum step runs over the model's flat params at once, and
-    backprop fills a flat gradient vector of the same layout through its
-    shaped views.
+    backprop fills the params of a gradient MlpModel of the same layout.
     """
 
     def __init__(self, model, cfg, sim=None):
@@ -162,8 +161,7 @@ class Trainer:
         self.epoch = 0
         self._num_weights = sum(w.size for w in model.weights)
         # the gradient buffer, in the model's layout; backprop overwrites every entry
-        grads = MlpModel(model.layer_sizes, model.weights, model.biases)
-        self._grad, self._grads = grads.params, (grads.weights, grads.biases)
+        self._grads = MlpModel(model.layer_sizes, np.empty_like(model.params))
         self._vel = np.zeros_like(model.params)
         # the target matrix H; only _step_mixing rebuilds it
         self.targets = build_targets(cfg.variant, model.num_classes, sim,
@@ -189,7 +187,7 @@ class Trainer:
         k = self.model.num_classes
         probs, targets = np.empty((2, data.n, k))  # the epoch's buffers
         lr = cfg.learning_rate / (1.0 + cfg.lr_decay * self.epoch)
-        params, vel, g = self.model.params, self._vel, self._grad
+        params, vel, g = self.model.params, self._vel, self._grads.params
         g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
         wd, momentum, size = cfg.weight_decay, cfg.momentum, min(cfg.batch_size, data.n)
         for start in range(0, data.n, size):
@@ -197,7 +195,7 @@ class Trainer:
             batch_probs, acts = forward_batch(self.model, xs[start:stop], out=probs[start:stop])
             batch_targets = _target_rows(h, ys_all[start:stop], out=targets[start:stop])
             grad_logits = logit_grad(batch_probs, batch_targets)
-            backprop(self.model, acts, grad_logits, out=self._grads)
+            backprop(self.model, acts, grad_logits, self._grads)
             g *= 1.0 / len(grad_logits)
             g_w += wd * p_w
             vel *= momentum

@@ -20,7 +20,7 @@ from mcel.lda import (
     solve_generalized_symmetric_eig, uniform_similarity,
 )
 from mcel.losses import VARIANTS, batch_values, build_targets, logit_grad, softmax, target_matrix
-from mcel.net import TrainConfig, backprop, forward_batch, init_model
+from mcel.net import MlpModel, TrainConfig, backprop, forward_batch, init_model
 
 
 def report(name, ok, detail):
@@ -175,10 +175,8 @@ def _param_gradient_error(targets_for):
 
     theta = _flatten(model)
     probs, acts = forward_batch(model, x)
-    n = len(model.weights)
-    grads_w, grads_b = backprop(model, acts, logit_grad(probs, targets_for(ys)),
-                                ([None] * n, [None] * n))
-    analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
+    grads = MlpModel(model.layer_sizes, np.empty_like(model.params))
+    analytic = _flatten(backprop(model, acts, logit_grad(probs, targets_for(ys)), grads))
     numeric = np.empty_like(analytic)
     h = 1e-6
     for i in range(theta.size):

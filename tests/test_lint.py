@@ -163,13 +163,12 @@ def test_entry_rules_are_read_only_at_entry():
     assert rule_readers(sources, ENTRY_RULES) == ENTRY_RULES
 
 
-# the definitions that may raise a shape fault: where a dataset, a similarity
-# matrix or a model is made, and train, which checks a --similarity file's k
+# the definitions that may raise a shape fault: where a dataset or a
+# similarity matrix is made, and train, which checks a --similarity file's k
 # against the data. The library behind them trusts the shapes it is given.
 SHAPE_CHECKERS = {
     "DimensionError": {"data.LabeledDataset.__post_init__", "data.gen_blobs",
-                       "lda.SimilarityMatrix.__post_init__", "net.MlpModel.__post_init__",
-                       "cli.cmd_train"},
+                       "lda.SimilarityMatrix.__post_init__", "cli.cmd_train"},
 }
 
 
@@ -190,9 +189,11 @@ def test_rule_reader_is_found():
 
 # each table's one builder: a LabeledDataset is made from its four fields only
 # where a dataset first comes in (the rest derive one by dataclasses.replace),
-# and one function writes every CSV table
+# an MlpModel, whose constructor checks no shape, only where its vector is
+# sized from layer_sizes, and one function writes every CSV table
 TABLE_BUILDERS = {
     "LabeledDataset": {"data.load_csv", "data.load_idx", "data.gen_blobs"},
+    "MlpModel": {"net.init_model", "net.MlpModel.copy", "net.Trainer.__init__"},
     "DictWriter": {"cli._write_table"},
     "writer": {"cli._write_table"},
 }

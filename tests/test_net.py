@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mcel.data import LabeledDataset, gen_blobs
-from mcel.errors import DimensionError, TrainingDivergedError
+from mcel.errors import TrainingDivergedError
 from mcel.gradcheck import random_similarity
 from mcel.harness import run_training
 from mcel.lda import SimilarityMatrix
@@ -44,18 +44,13 @@ class TestInit:
         var = model.weights[0].var()
         assert abs(var - 1.0 / fan_in) <= 0.2 / fan_in
 
-
-    @pytest.mark.parametrize("layer_sizes,weights,biases", [
-        ((2, 3), [np.ones((4, 2))], [np.zeros(4)]),
-        ((2, 4, 3), [np.ones((5, 2)), np.ones((3, 5))], [np.zeros(5), np.zeros(3)]),
-        ((2, 4, 3), [np.ones((4, 2)), np.ones((3, 5))], [np.zeros(4), np.zeros(3)]),
-        ((2, 3), [np.ones((3, 2))], [np.zeros(4)]),
-        ((2, 3), [np.ones((3, 2))], []),
-    ], ids=["outputs", "hidden", "inputs", "bias", "no-bias"])
-    def test_layer_sizes_must_match_the_weights(self, layer_sizes, weights, biases):
-        # each would end in a numpy error in the first forward pass
-        with pytest.raises(DimensionError, match=r"layer sizes \(2, .*need the shapes"):
-            MlpModel(layer_sizes, weights, biases)
+    def test_params_hold_every_weight_then_every_bias(self):
+        model = init_model((3, 5, 4, 3), seed=0)
+        assert np.array_equal(model.params, np.concatenate(
+            [w.ravel() for w in model.weights] + [b.ravel() for b in model.biases]))
+        model.weights[1][2, 3] = 7.0  # the views write through to params
+        assert model.params[5 * 3 + 2 * 5 + 3] == 7.0
+        assert not np.shares_memory(model.params, model.copy().params)
 
 
 class TestForward:
@@ -131,9 +126,8 @@ def variant_targets(k, ys, variant, rng):
 
 
 def fresh_grads(model):
-    """backprop's out with no arrays in it: each gradient comes back fresh."""
-    n = len(model.weights)
-    return [None] * n, [None] * n
+    """A gradient model for backprop, made as the Trainer makes its buffer."""
+    return MlpModel(model.layer_sizes, np.empty_like(model.params))
 
 
 BACKPROP_CASES = ["ce", "mcel", "sg", "gmcel"]
@@ -149,10 +143,8 @@ class TestBackprop:
         ys = rng.integers(3, size=4)
         targets = variant_targets(3, ys, variant, rng)
         probs, acts = forward_batch(model, x)
-        grads_w, grads_b = backprop(model, acts, logit_grad(probs, targets), fresh_grads(model))
-        analytic = np.concatenate(
-            [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
-        )
+        grads = backprop(model, acts, logit_grad(probs, targets), fresh_grads(model))
+        analytic = flatten_params(grads)
         flat = flatten_params(model)
         h = 1e-6
         numeric = np.zeros_like(flat)
@@ -189,17 +181,16 @@ class TestArgumentsUnchanged:
         kept = [probs.copy()] + [a.copy() for a in acts]
         grad_logits = logit_grad(probs, targets)
         grad_before = grad_logits.copy()
-        fresh = backprop(model, acts, grad_logits, fresh_grads(model))
-        out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
-        filled = backprop(model, acts, grad_logits, out)
+        grads = MlpModel(model.layer_sizes, np.full_like(model.params, np.nan))
+        filled = backprop(model, acts, grad_logits, grads)
 
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
         assert all(np.array_equal(a, b) for a, b in zip([probs] + acts, kept))
         assert np.array_equal(grad_logits, grad_before)
         assert np.array_equal(flatten_params(model), params)
-        # out is filled, not replaced, and holds the fresh arrays' values
-        assert all(f is o for f, o in zip(filled[0] + filled[1], out[0] + out[1]))
-        assert all(np.array_equal(f, o) for f, o in zip(fresh[0] + fresh[1], out[0] + out[1]))
+        # grads is filled in place, every entry of it: the Trainer's buffer is np.empty_like
+        assert filled is grads
+        assert np.isfinite(grads.params).all()
 
 
 class TestTrainer:
@@ -513,13 +504,13 @@ def reference_epochs(model, cfg, sim, data, epochs):
             correct += int(np.sum(hit))
             for y, row in zip(ys[hit], probs[hit]):
                 sums[y] += row
-            grads_w, grads_b = backprop(model, acts, grad_logits, fresh_grads(model))
+            grads = backprop(model, acts, grad_logits, fresh_grads(model))
             scale = 1.0 / idx.shape[0]
             for layer in range(len(model.weights)):
-                g = grads_w[layer] * scale + cfg.weight_decay * model.weights[layer]
+                g = grads.weights[layer] * scale + cfg.weight_decay * model.weights[layer]
                 vel_w[layer] = cfg.momentum * vel_w[layer] - lr * g
                 model.weights[layer] += vel_w[layer]
-                gb = grads_b[layer] * scale
+                gb = grads.biases[layer] * scale
                 vel_b[layer] = cfg.momentum * vel_b[layer] - lr * gb
                 model.biases[layer] += vel_b[layer]
         metrics.append({"mean_loss": total / data.n, "accuracy": correct / data.n})
@@ -538,7 +529,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
 
 def logit_model(k):
     """Single-layer model whose logits equal its input features."""
-    return MlpModel((k, k), [np.eye(k)], [np.zeros(k)])
+    return MlpModel((k, k), np.concatenate([np.eye(k).ravel(), np.zeros(k)]))
 
 
 class TestEvaluate:
