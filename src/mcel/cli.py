@@ -192,7 +192,7 @@ def cmd_similarity(args):
     sim = similarity_from_dataset(dataset, args.lda_components, args.ridge)
     out = _outdir(args)
     sim_path = out / "similarity.txt"
-    ldamod.save_similarity(sim, sim_path)
+    sim_path.write_text(ldamod.format_similarity(sim), encoding="utf-8")
     cells = ({"i": i, "j": j, "a_ij": a_ij} for i, row in enumerate(sim.a.tolist())
              for j, a_ij in enumerate(row))
     _write_table(out / "similarity_heatmap.csv", cells, ["i", "j", "a_ij"])

@@ -16,6 +16,20 @@ from .errors import DataFormatError, DimensionError, SingularScatterError
 ROW_SUM_TOL = 1e-9
 
 
+def row_fault(row, i, tol=1e-12):
+    """The first rule of a similarity matrix that row i breaks, worded, or
+    None: a zero diagonal entry, positive off-diagonal entries and a sum of
+    1 within tol. Every test is written so that a NaN fails it."""
+    if not row[i] == 0.0:
+        return f"diagonal entry must be 0, got {float(row[i])!r}"
+    if not (np.all(row[:i] > 0.0) and np.all(row[i + 1:] > 0.0)):
+        return "off-diagonal entries must be strictly positive"
+    total = float(row.sum())
+    if not abs(total - 1.0) <= tol:
+        return f"row sums to {total!r}, expected 1"
+    return None
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Row-stochastic k x k matrix with zero diagonal; row i is the
@@ -27,16 +41,10 @@ class SimilarityMatrix:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"matrix must be square, got shape {a.shape}")
-        # every check is written so that a NaN fails it
-        if not np.all(np.diag(a) == 0.0):
-            raise ValueError("diagonal entries must be exactly zero")
-        off = a[~np.eye(len(a), dtype=bool)]
-        if not np.all(off > 0.0):
-            raise ValueError("off-diagonal entries must be strictly positive")
-        sums = a.sum(axis=1)
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12))
-        if bad.size:
-            raise ValueError(f"row {int(bad[0])} sums to {sums[bad[0]]!r}, expected 1")
+        for i, row in enumerate(a):
+            fault = row_fault(row, i)
+            if fault:
+                raise ValueError(f"row {i}: {fault}")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -154,18 +162,15 @@ def build_similarity_matrix(means):
 
 def format_similarity(sim):
     """Plain-text format: line 1 is k, then k rows of k numbers at full
-    double precision. Round trips exactly."""
+    double precision (%.17g), so load_similarity reads back the same bits."""
     return f"{sim.k}\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in sim.a)
-
-
-def save_similarity(sim, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_similarity(sim))
 
 
 def load_similarity(path):
     """Read a file in format_similarity's format. Blank lines and # comment
-    lines may stand anywhere, and a UTF-8 byte-order mark may lead."""
+    lines may stand anywhere, and a UTF-8 byte-order mark may lead. Each row
+    meets row_fault at ROW_SUM_TOL. The rows load as written, unless one sums
+    to 1 only within that: then from_scores renormalises every row."""
     try:
         with open(path, "rb") as fh:  # decoded as utf-8-sig does, offsets from byte 0
             text = fh.read().decode("utf-8").removeprefix("\ufeff")
@@ -193,31 +198,24 @@ def load_similarity(path):
                 f"{path}: line {lineno}: expected {k} values, got {len(cells)}"
             )
         try:
-            row = [float(c) for c in cells]
+            row = np.array([float(c) for c in cells])
         except ValueError:
             raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
         if not np.all(np.isfinite(row)):
             raise DataFormatError(f"{path}: line {lineno}: non-finite value")
-        if row[i] != 0.0:
-            raise DataFormatError(
-                f"{path}: line {lineno}: diagonal entry must be 0, got {row[i]!r}"
-            )
-        if min(row[:i] + row[i + 1:]) <= 0.0:
-            raise DataFormatError(
-                f"{path}: line {lineno}: off-diagonal entries must be strictly positive")
-        total = sum(row)
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise DataFormatError(
-                f"{path}: line {lineno}: row sums to {total!r}, expected 1"
-            )
+        fault = row_fault(row, i, ROW_SUM_TOL)
+        if fault:
+            raise DataFormatError(f"{path}: line {lineno}: {fault}")
         rows.append(row)
     if len(rows) < k:
         raise DataFormatError(f"{path}: line {len(lines) + 1}: missing row {len(rows)}")
     if len(content) > k + 1:
         raise DataFormatError(
             f"{path}: line {content[k + 1][0]}: data after the {k} declared rows")
-    # renormalize the sub-1e-9 residue so the type invariant (1e-12) holds
-    return SimilarityMatrix.from_scores(rows)
+    try:
+        return SimilarityMatrix(rows)
+    except ValueError:  # a row sums to 1 within ROW_SUM_TOL, not 1e-12
+        return SimilarityMatrix.from_scores(rows)
 
 
 def uniform_similarity(k):

@@ -224,19 +224,17 @@ class Trainer:
         """Re-estimate the similarity matrix A from one epoch's sums.
 
         sums[y] is the summed softmax output of the training samples of
-        class y that the model classified correctly. Row y of A becomes the
-        off-diagonal part of sums[y] normalised to sum to 1; a row keeps its
-        previous value if an off-diagonal entry is not > 0, which includes a
-        class with no correct sample. The epsilons do not move; the target
-        matrix H is rebuilt on the new A.
+        class y that the model classified correctly. Row y of A becomes
+        sums[y] as SimilarityMatrix.from_scores normalises it, its diagonal
+        zeroed and the rest scaled to sum to 1; a row keeps its previous
+        value if an off-diagonal entry is not > 0, which includes a class
+        with no correct sample. The epsilons do not move; the target matrix
+        H is rebuilt on the new A.
         """
         k = sums.shape[0]
-        diag = np.eye(k, dtype=bool)
-        off = np.where(diag, 0.0, sums)
-        ok = np.all((off > 0.0) | diag, axis=1)
-        a = self.sim.a.copy()
-        a[ok] = off[ok] / off[ok].sum(axis=1, keepdims=True)
-        self.sim = SimilarityMatrix(a)
+        ok = np.all((sums > 0.0) | np.eye(k, dtype=bool), axis=1)[:, None]
+        fresh = SimilarityMatrix.from_scores(np.where(ok, sums, 1.0)).a
+        self.sim = SimilarityMatrix(np.where(ok, fresh, self.sim.a))
         cfg = self.cfg
         self.targets = build_targets(cfg.variant, k, self.sim, cfg.epsilon, cfg.epsilons)
 

@@ -73,6 +73,19 @@ class TestSimilarityCommand:
             f"checksum = {digest}",
         ]
 
+    def test_train_reports_the_printed_checksum(self, tmp_path, capsys):
+        # train --similarity trains on the matrix as similarity wrote it
+        out = tmp_path / "sim"
+        assert run_cli("similarity", "--blobs", "4,100,3,1.5", "--out", str(out)) == 0
+        printed = capsys.readouterr().out.splitlines()[-1].removeprefix("checksum = ")
+        config = tmp_path / "cfg.ini"
+        config.write_text("[train]\nepochs = 1\n[loss]\nvariant = mcel\n")
+        assert run_cli("train", "--blobs", "4,100,3,1.5", "--config", str(config),
+                       "--similarity", str(out / "similarity.txt"),
+                       "--out", str(tmp_path / "train")) == 0
+        report = json.loads((tmp_path / "train" / "report.json").read_text())
+        assert report["similarity_checksum"] == printed
+
     def test_rerun_identical_output(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import DataFormatError, DimensionError, SingularScatterError
+from mcel.harness import similarity_checksum
 from mcel.lda import (
     SimilarityMatrix,
     build_similarity_matrix,
     fit_lda,
+    format_similarity,
     load_similarity,
-    save_similarity,
     scatter_matrices,
     solve_generalized_symmetric_eig,
     uniform_similarity,
@@ -241,12 +242,16 @@ class TestSimilarityMatrix:
 
 class TestSimilarityFile:
     def test_round_trip(self, tmp_path):
-        data = gen_blobs(6, 40, 4, seed=12)
-        sim = build_similarity_matrix(fit_lda(data))
+        # a fitted prior loads back bit for bit, so train --similarity
+        # reports the checksum that similarity printed
         path = tmp_path / "sim.txt"
-        save_similarity(sim, path)
-        loaded = load_similarity(path)
-        assert np.max(np.abs(loaded.a - sim.a)) <= 1e-15
+        for k in (3, 4, 6, 10):
+            for seed in (0, 1, 2, 12):
+                sim = build_similarity_matrix(fit_lda(gen_blobs(k, 40, 4, seed=seed)))
+                path.write_text(format_similarity(sim))
+                loaded = load_similarity(path)
+                assert np.array_equal(loaded.a, sim.a), (k, seed)
+                assert similarity_checksum(loaded) == similarity_checksum(sim), (k, seed)
 
     def test_comments_allowed(self, tmp_path):
         path = tmp_path / "sim.txt"
@@ -305,13 +310,31 @@ class TestSimilarityFile:
         data = gen_blobs(3, 30, 3, seed=13)
         sim = build_similarity_matrix(fit_lda(data))
         path = tmp_path / "sim.txt"
-        save_similarity(sim, path)
+        path.write_text(format_similarity(sim))
         lines = path.read_text().splitlines()
         cells = lines[2].split()
         cells[0] = repr(float(cells[0]) - 0.1)
         lines[2] = " ".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="line 3.*sums"):
+            load_similarity(path)
+
+    @pytest.mark.parametrize("row,fault,file_fault", [
+        ([0.5, 0.1, 0.4], "diagonal entry must be 0, got 0.1", None),
+        ([1.5, 0.0, -0.5], "off-diagonal entries must be strictly positive", None),
+        ([0.5, 0.0, 0.6], "row sums to 1.1, expected 1", None),
+        ([np.nan, 0.0, 0.5], "off-diagonal entries must be strictly positive",
+         "non-finite value"),
+    ], ids=["diagonal", "off-diagonal", "row-sum", "nan"])
+    def test_type_and_file_word_one_rule(self, tmp_path, row, fault, file_fault):
+        # row 1 of the matrix is line 3 of the file; a NaN cell is read as non-finite
+        a = [[0.0, 0.5, 0.5], row, [0.5, 0.5, 0.0]]
+        with pytest.raises(ValueError, match=f"^row 1: {re.escape(fault)}$"):
+            SimilarityMatrix(np.array(a))
+        path = tmp_path / "sim.txt"
+        path.write_text("3\n" + "".join(" ".join(map(repr, r)) + "\n" for r in a))
+        with pytest.raises(DataFormatError,
+                           match=f"sim.txt: line 3: {re.escape(file_fault or fault)}$"):
             load_similarity(path)
 
     def test_row_after_the_declared_rows_rejected(self, tmp_path):

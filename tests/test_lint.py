@@ -187,6 +187,16 @@ def test_rule_reader_is_found():
     assert rule_readers(sources, ["rule"]) == {"rule": {"a", "a.entry", "a.C", "a.C.again"}}
 
 
+# the rules of a similarity matrix's rows: the type checks every matrix
+# with them, and the file reader words them at the file's line
+SIMILARITY_RULES = {"row_fault": {"lda.SimilarityMatrix.__post_init__", "lda.load_similarity"}}
+
+
+def test_similarity_rules_are_read_where_a_matrix_is_made():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert rule_readers(sources, SIMILARITY_RULES) == SIMILARITY_RULES
+
+
 # each table's one builder: a LabeledDataset is made from its four fields only
 # where a dataset first comes in (the rest derive one by dataclasses.replace),
 # an MlpModel, whose constructor checks no shape, only where its vector is
