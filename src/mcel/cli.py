@@ -214,6 +214,7 @@ def cmd_train(args):
     if sim is not None and sim.k != dataset.k:
         raise DimensionError(f"similarity matrix is {sim.k} x {sim.k}, "
                              f"the model has {dataset.k} classes")
+    started = time.monotonic()
     train, val, test = prepare_splits(dataset, tc)
     if sim is None and VARIANTS[tc.variant].similarity:
         sim = similarity_from_dataset(train, args.lda_components, args.ridge)
@@ -230,7 +231,6 @@ def cmd_train(args):
         with open(out / "epochs.jsonl", "w" if first else "a") as stream:
             stream.write(json.dumps(record, sort_keys=True) + "\n")
 
-    started = time.monotonic()
     report, model = run_training(train, val, test, tc, sim, on_epoch)
     _write_meta(out, started)
     save_checkpoint(model, out / "model.ckpt")

@@ -26,25 +26,29 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class MlpModel:
-    """An MLP whose parameters live in one flat vector, params: every
-    weight, each (out, in), then every bias. weights and biases are shaped
-    views of it, so one numpy call can step or scan every parameter. Use
-    copy() for a snapshot that training does not change."""
+    """An MLP whose parameters live in one flat vector, params: every weight,
+    each (out, in), then every bias; without params, zeros after check_size
+    on each weight shape and the whole vector. weights, biases and weight_params
+    (the weights' span) are views of it; copy() is a snapshot training does not change."""
     layer_sizes: tuple
-    params: np.ndarray
+    params: np.ndarray = None
     biases: InitVar[list] = None  # given, params holds per-layer weights; both are copied in
 
     def __post_init__(self, biases):
         sizes = self.layer_sizes
         shapes = [*zip(sizes[1:], sizes), *((out,) for out in sizes[1:])]
         ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        n = len(sizes) - 1  # the weights come first
         layers = () if biases is None else [*self.params, *biases]
-        if biases is not None:
-            self.params = np.empty(ends[-1])
+        if self.params is None or biases is not None:
+            for shape in [*shapes[:n], ends[-1:]]:  # each weight, then the whole vector
+                check_size(*shape)
+            self.params = np.zeros(ends[-1])
         views = [self.params[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
         for view, layer in zip(views, layers):
             view[...] = layer
-        self.weights, self.biases = views[:len(sizes) - 1], views[len(sizes) - 1:]
+        self.weights, self.biases = views[:n], views[n:]
+        self.weight_params = self.params[:ends[n]]
 
     @property
     def num_classes(self):
@@ -96,10 +100,7 @@ class TrainConfig:
 def init_model(layer_sizes, seed=0):
     """Seeded He-style init: weights ~ N(0, 1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
-    shapes = list(zip(layer_sizes[1:], layer_sizes))  # (fan_out, fan_in) per layer
-    for shape in shapes:
-        check_size(*shape)
-    model = MlpModel(tuple(layer_sizes), np.zeros(sum((i + 1) * out for out, i in shapes)))
+    model = MlpModel(tuple(layer_sizes))
     for w in model.weights:
         w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
     return model
@@ -151,17 +152,15 @@ class Trainer:
     """Owns one model plus the optimizer state for a full training run.
 
     The momentum step runs over the model's flat params at once, and
-    backprop fills the params of a gradient MlpModel of the same layout.
-    """
+    backprop fills the params of a gradient MlpModel of the same layout."""
 
     def __init__(self, model, cfg, sim=None):
         self.model = model
         self.cfg = cfg
         self.sim = sim
         self.epoch = 0
-        self._num_weights = sum(w.size for w in model.weights)
         # the gradient buffer, in the model's layout; backprop overwrites every entry
-        self._grads = MlpModel(model.layer_sizes, np.empty_like(model.params))
+        self._grads = MlpModel(model.layer_sizes)
         self._vel = np.zeros_like(model.params)
         # the target matrix H; only _step_mixing rebuilds it
         self.targets = build_targets(cfg.variant, model.num_classes, sim,
@@ -188,7 +187,7 @@ class Trainer:
         probs, targets = np.empty((2, data.n, k))  # the epoch's buffers
         lr = cfg.learning_rate / (1.0 + cfg.lr_decay * self.epoch)
         params, vel, g = self.model.params, self._vel, self._grads.params
-        g_w, p_w = g[:self._num_weights], params[:self._num_weights]  # no decay on the biases
+        g_w, p_w = self._grads.weight_params, self.model.weight_params  # no decay on the biases
         wd, momentum, size = cfg.weight_decay, cfg.momentum, min(cfg.batch_size, data.n)
         for start in range(0, data.n, size):
             stop = start + size

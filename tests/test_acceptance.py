@@ -175,7 +175,7 @@ def _param_gradient_error(targets_for):
 
     theta = _flatten(model)
     probs, acts = forward_batch(model, x)
-    grads = MlpModel(model.layer_sizes, np.empty_like(model.params))
+    grads = MlpModel(model.layer_sizes)
     analytic = _flatten(backprop(model, acts, logit_grad(probs, targets_for(ys)), grads))
     numeric = np.empty_like(analytic)
     h = 1e-6

@@ -61,6 +61,30 @@ def test_one_epoch_traces_every_batch(variant):
     assert parents == {"net.train_epoch"}
 
 
+@pytest.mark.parametrize("command,flags,runs", [
+    ("gridsearch", ["--epsilons", "0.0,0.2", "--seeds", "0,1"], 2 * 2),
+    # each cell trains epsilon 0 and the one default candidate
+    ("noise-exp", ["--fractions", "0.1,0.3", "--seeds", "0,1"], 2 * 2 * 2),
+])
+def test_samples_trained_are_runs_times_epochs_times_train_rows(tmp_path, command, flags,
+                                                                runs):
+    # samples_per_s divides by what bench/worker.py on_epoch sums: the train
+    # split's n at each Trainer.train_epoch call. A call that trained several
+    # runs at once would count its rows once and fail here.
+    config = tmp_path / "short.ini"
+    config.write_text("[train]\nepochs = 3\n")
+    samples = [0]
+
+    def on_epoch(args, result):
+        samples[0] += args[1].n
+
+    with tracer.Tracer(("net.train_epoch",), {"net.train_epoch": on_epoch}):
+        assert main([command, "--blobs", "4,30,2,1.0", *flags, "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    train_rows = round(0.7 * 4 * 30)  # the default train share of the 120 rows
+    assert samples[0] == runs * 3 * train_rows
+
+
 def test_soft_report_fields_the_train_soft_checks_read(tmp_path):
     # bench/run.py soft_outputs: learned_mixing holds the k configured
     # epsilons, learned_similarity the final A, and epochs.jsonl the epochs

@@ -7,10 +7,12 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -485,6 +487,7 @@ class TestBadValues:
         ("epsilons-value", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2,0.6,0.3\n",
          "epsilons value 0.6 outside [0, 0.5)"),
         ("hidden", "[train]\nhidden = 0\n", "hidden layer sizes must be >= 1, got 0"),
+        ("momentum", "[train]\nmomentum = 1.5\n", "momentum must be in [0, 1)"),
         # a NaN or infinite rate fails its check, not the training's first batch
         *[(f"{key.replace('_', '-')}-{value}", f"[train]\n{key} = {value}\n",
            f"{key} must be in [0, inf), got {value}")
@@ -512,6 +515,19 @@ class TestBadValues:
             "--out", str(tmp_path / "x"),
         )
         assert err == f"error: config file {path}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "noise-exp"])
+    def test_a_class_missing_from_the_train_split(self, tmp_path, capsys, no_lda, no_training,
+                                                  command):
+        # 20 rows at a train share of 0.05 leave one train row, of one class
+        path = tmp_path / "frac.ini"
+        path.write_text("[split]\nfractions = 0.05,0.5,0.45\n")
+        err = self.assert_usage_error_in_process(
+            capsys, command, "--blobs", "5,4,2,1.0", "--config", str(path),
+            "--out", str(tmp_path / "x"),
+        )
+        assert err == "error: class 0 has no samples in the train split\n"
+        assert not (tmp_path / "x").exists()
 
     # (command, list flag, form, a list with a gap)
     LIST_FLAGS = [
@@ -666,6 +682,8 @@ class TestBadValues:
         ("noise-exp", ["--seeds", "1,0,1"], "mcel noise-exp: argument --seeds: seed 1 repeats"),
         ("noise-exp", ["--fractions", "0.1,0.3,0.1"],
          "mcel noise-exp: argument --fractions: noise fraction 0.1 repeats"),
+        ("noise-exp", ["--pairs", "0:0"],
+         "mcel noise-exp: argument --pairs: pair (0,0) repeats a class"),
     ]
 
     @pytest.mark.parametrize("command,flags,line", VALUE_ERRORS)
@@ -730,12 +748,18 @@ class TestOneExitPath:
          "argument --ridge: ridge must be in [0, inf), got nan"),
         ("ridge-inf", ["gridsearch", *BLOBS, "--ridge", "inf"],
          "argument --ridge: ridge must be in [0, inf), got inf"),
+        ("missing-config", ["train", *BLOBS, "--config", "{tmp}/missing.ini"],
+         "config file {tmp}/missing.ini not found"),
+        ("config-without-a-header", ["train", *BLOBS, "--config", "{tmp}/noheader.ini"],
+         "config file {tmp}/noheader.ini: File contains no section headers. "
+         "file: '{tmp}/noheader.ini', line: 1 '[train\\n'"),
     ]
 
     @staticmethod
     def argv(tmp_path, argv):
         (tmp_path / "file").write_text("")
         (tmp_path / "mcel.ini").write_text("[loss]\nvariant = mcel\n")
+        (tmp_path / "noheader.ini").write_text("[train\nepochs = 2\n")
         (tmp_path / "sim3.txt").write_text("3\n0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         if argv and argv[0] != "gradcheck" and "--out" not in argv:
@@ -949,10 +973,13 @@ class TestRuntimeExitCodes:
          "300000000000000000000000000 x 2"),
         (["train", "--blobs", "3,30,2,1.0"], 2**62, f"{2**62} x 2"),
         (["train", "--blobs", "3,30,2,1.0"], 10**30, f"{10**30} x 2"),
+        # each layer fits numpy, the whole parameter vector does not
+        (["train", "--blobs", "2,30,2,1.0"], 2**58, f"{2**58 * 2 * 2 + 2**58 + 2}"),
         (["gradcheck", "--k", "100000000000000000000000000"], None,
          "100000000000000000000000000 x 100000000000000000000000000"),
     ], ids=["blobs-rows", "blobs-k", "blobs-dim", "blobs-k-past-c-long",
-            "blobs-count-past-c-long", "hidden", "hidden-past-c-long", "gradcheck-k"])
+            "blobs-count-past-c-long", "hidden", "hidden-past-c-long", "hidden-params",
+            "gradcheck-k"])
     def test_a_size_too_large_for_numpy_names_the_shape(self, tmp_path, argv, hidden, shape):
         # each of these once wrapped, or ended in numpy's own words with exit 1
         out = tmp_path / "x"
@@ -1094,6 +1121,26 @@ class TestOneLinePerRun:
             assert lines == []
         else:
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", []), ("gridsearch", ["--epsilons", "0.0,0.2"]), ("noise-exp", []),
+])
+def test_wall_seconds_starts_before_the_first_split(tmp_path, monkeypatch, command, flags):
+    # meta.json's wall_seconds spans the same work in every command
+    events = []
+    real_split = mcel.data.split
+    monkeypatch.setattr("mcel.data.split",
+                        lambda *args: events.append("split") or real_split(*args))
+    clock = SimpleNamespace(monotonic=lambda: events.append("clock") or 0.0,
+                            strftime=time.strftime)
+    monkeypatch.setattr("mcel.cli.time", clock)  # the cli's clock only
+    config = tmp_path / "short.ini"
+    config.write_text("[train]\nepochs = 1\n")
+    assert run_cli(command, "--blobs", "4,30,2,1.0", *flags, "--config", str(config),
+                   "--out", str(tmp_path / "out")) == 0
+    assert events[:2] == ["clock", "split"]
+    assert events[-1] == "clock"  # read once more as meta.json is written
 
 
 def test_cli_import_loads_no_scipy():

@@ -24,7 +24,7 @@ from mcel.data import (
     split,
     standardize,
 )
-from mcel.errors import DataFormatError
+from mcel.errors import DataFormatError, DimensionError
 
 
 def save_csv(data, path):
@@ -396,6 +396,22 @@ def named_blobs(k=4, per_class=30, seed=0):
     """Blobs carrying feature names, as a CSV load gives them."""
     blobs = gen_blobs(k, per_class, len(NAMES), seed=seed)
     return LabeledDataset(blobs.features, blobs.labels, k, NAMES)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("features,labels,error,message", [
+        (np.zeros(3), [0, 1, 0], DimensionError,
+         r"features must be n x d with n, d >= 1, got \(3,\)"),
+        (np.zeros((3, 0)), [0, 1, 0], DimensionError,
+         r"features must be n x d with n, d >= 1, got \(3, 0\)"),
+        (np.zeros((3, 2)), [0, 1], DimensionError, "labels length must match feature rows"),
+        (np.zeros((3, 2)), [0, 2, 1], ValueError, r"labels must lie in \[0, 2\)"),
+        (np.zeros((3, 2)), [0, -1, 1], ValueError, r"labels must lie in \[0, 2\)"),
+    ], ids=["1-D", "no-feature", "label-count", "label-past-k", "negative-label"])
+    def test_faults_are_raised_where_a_dataset_is_made(self, features, labels, error,
+                                                       message):
+        with pytest.raises(error, match=f"^{message}$"):
+            LabeledDataset(features, np.array(labels), 2)
 
 
 class TestDerivedDatasetsKeepTheirFields:

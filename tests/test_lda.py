@@ -291,6 +291,15 @@ class TestSimilarityFile:
         with pytest.raises(DataFormatError, match=rf"sim.txt: {message}$"):
             load_similarity(path)
 
+    @pytest.mark.parametrize("text,line", [("1\n0\n", 1), ("# none\n0\n", 2)],
+                             ids=["one", "zero"])
+    def test_class_count_below_two_rejected(self, tmp_path, text, line):
+        path = tmp_path / "sim.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError,
+                           match=f"sim.txt: line {line}: class count must be >= 2$"):
+            load_similarity(path)
+
     def test_byte_order_mark(self, tmp_path):
         # Notepad starts a UTF-8 file with one
         path = tmp_path / "sim.txt"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mcel
-from mcel.cli import build_parser, load_config
+from mcel.cli import CONFIG_KEYS, build_parser, load_config
 from mcel.losses import VARIANTS, Variant
 
 MODULES = sorted(Path(mcel.__file__).parent.glob("*.py"))
@@ -199,8 +199,9 @@ def test_similarity_rules_are_read_where_a_matrix_is_made():
 
 # each table's one builder: a LabeledDataset is made from its four fields only
 # where a dataset first comes in (the rest derive one by dataclasses.replace),
-# an MlpModel, whose constructor checks no shape, only where its vector is
-# sized from layer_sizes, and one function writes every CSV table
+# an MlpModel (its constructor alone sizes, checks and splits the vector by
+# layer_sizes) only from layer_sizes or from a copy of a model's params, and
+# one function writes every CSV table
 TABLE_BUILDERS = {
     "LabeledDataset": {"data.load_csv", "data.load_idx", "data.gen_blobs"},
     "MlpModel": {"net.init_model", "net.MlpModel.copy", "net.Trainer.__init__"},
@@ -290,6 +291,37 @@ def test_unresolved_readme_name_is_found():
             "`lda.no_such(k)`, `mcel.net.MlpModel.nothing` and `losses.py`")
     assert unresolved_readme_names(text) == [
         "mcel.net.load_model", "lda.no_such", "mcel.net.MlpModel.nothing"]
+
+
+def config_key_faults(text, config_keys):
+    """Each (section, README keys, code keys) where the README sentence
+    "Every config section accepts only its known keys (...)" and
+    config_keys differ, by section name; a section one side lacks reads []."""
+    found = re.search(r"Every\s+config\s+section\s+accepts\s+only\s+its\s+known\s+keys\s+"
+                      r"\(([^)]*)\)", text)
+    listed = {}
+    for part in found.group(1).split(";") if found else ():
+        section, keys = part.split(":", 1)
+        listed[section.strip().strip("`[]")] = re.findall(r"`(\w+)`", keys)
+    want = {section: list(keys) for section, keys in config_keys.items()}
+    return [(section, listed.get(section, []), want.get(section, []))
+            for section in sorted(listed.keys() | want.keys())
+            if listed.get(section, []) != want.get(section, [])]
+
+
+def test_readme_config_keys_match_config_keys():
+    assert config_key_faults(README.read_text(), CONFIG_KEYS) == []
+
+
+def test_missing_readme_config_key_is_found():
+    text = ("Every config section accepts only its known keys (`[train]`: `epochs`,\n"
+            "`hidden`; `[loss]`: `variant`). Any other key")
+    keys = {"train": {"epochs": int, "hidden": int}, "loss": {"variant": str, "epsilon": float},
+            "split": {"fractions": float}}
+    assert config_key_faults(text, keys) == [
+        ("loss", ["variant"], ["variant", "epsilon"]), ("split", [], ["fractions"])]
+    assert config_key_faults("no such sentence", {"train": {"epochs": int}}) == [
+        ("train", [], ["epochs"])]
 
 
 def variant_table_faults(text, variants):

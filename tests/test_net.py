@@ -52,6 +52,15 @@ class TestInit:
         assert model.params[5 * 3 + 2 * 5 + 3] == 7.0
         assert not np.shares_memory(model.params, model.copy().params)
 
+    def test_without_params_the_model_is_zeros_that_say_where_the_biases_start(self):
+        model = MlpModel((3, 5, 4, 3))
+        num_weights = 5 * 3 + 4 * 5 + 3 * 4
+        assert np.array_equal(model.params, np.zeros(num_weights + 5 + 4 + 3))
+        assert model.weight_params.size == num_weights
+        model.weight_params[...] = 1.0  # a view: it writes every weight and no bias
+        assert all(np.all(w == 1.0) for w in model.weights)
+        assert all(np.all(b == 0.0) for b in model.biases)
+
 
 class TestForward:
     def test_zero_weights_uniform(self):
@@ -127,7 +136,7 @@ def variant_targets(k, ys, variant, rng):
 
 def fresh_grads(model):
     """A gradient model for backprop, made as the Trainer makes its buffer."""
-    return MlpModel(model.layer_sizes, np.empty_like(model.params))
+    return MlpModel(model.layer_sizes)
 
 
 BACKPROP_CASES = ["ce", "mcel", "sg", "gmcel"]
