@@ -134,7 +134,7 @@ CONFIG_KEYS = {
         "learning_rate": NUMBER, "momentum": NUMBER, "weight_decay": NUMBER, "epochs": INTEGER,
         "batch_size": INTEGER, "lr_decay": NUMBER, "hidden": INTEGERS, "topk": INTEGER,
     },
-    "loss": {"variant": str, "epsilon": NUMBER, "epsilons": NUMBERS},
+    "loss": {"variant": str, "epsilon": NUMBERS},
     "split": {"fractions": NUMBERS, "standardize": BOOLEAN},
 }
 FIELDS = {"hidden": "hidden_sizes", "fractions": "split_fractions"}
@@ -207,9 +207,9 @@ def cmd_train(args):
         raise ValueError(f"mcel train: argument --similarity: loss variant {tc.variant!r} "
                          "takes no similarity matrix")
     dataset = load_dataset(args)
-    if tc.epsilons is not None and len(tc.epsilons) != dataset.k:
-        raise ValueError(f"config file {args.config}: [loss] epsilons has "
-                         f"{len(tc.epsilons)} values, the data has {dataset.k} classes")
+    if len(tc.epsilon) not in (1, dataset.k):
+        raise ValueError(f"config file {args.config}: [loss] epsilon has "
+                         f"{len(tc.epsilon)} values, the data has {dataset.k} classes")
     sim = ldamod.load_similarity(args.similarity) if args.similarity else None
     if sim is not None and sim.k != dataset.k:
         raise DimensionError(f"similarity matrix is {sim.k} x {sim.k}, "

@@ -45,8 +45,8 @@ def random_targets(variant, rng, k):
     """Target matrix H of one variant at a random similarity matrix and k
     random per-class epsilons; ce, whose H is I, draws no epsilons."""
     sim = random_similarity(rng, k)
-    epsilons = rng.uniform(0.05, 0.45, size=k) if VARIANTS[variant].similarity else None
-    return build_targets(variant, k, sim, float(rng.uniform(0.05, 0.45)), epsilons)
+    epsilon = rng.uniform(0.05, 0.45, size=k) if VARIANTS[variant].similarity else ()
+    return build_targets(variant, k, sim, epsilon)
 
 
 def check_variant(variant, k, trials, seed):

@@ -68,7 +68,7 @@ def run_training(train, val, test, cfg, sim=None, epoch_callback=None):
         "similarity_checksum": similarity_checksum(sim) if sim is not None else None,
     }
     if VARIANTS[cfg.variant].moves:
-        report["learned_mixing"] = [float(e) for e in cfg.epsilons or (cfg.epsilon,) * train.k]
+        report["learned_mixing"] = np.broadcast_to(cfg.epsilon, train.k).tolist()
         report["learned_similarity"] = trainer.sim.a.tolist()
     return report, best_model
 
@@ -97,7 +97,7 @@ def sweep(train, val, test, cfg, epsilons, lda_components=None, ridge=None):
     results = {}
     for eps in epsilons:
         if eps not in results:
-            run_cfg = replace(cfg, variant="mcel", epsilon=eps, epsilons=None)
+            run_cfg = replace(cfg, variant="mcel", epsilon=(eps,))
             report, _ = run_training(train, val, test, run_cfg, sim)
             results[eps] = (report["best_val_acc"], report["test_top1"])
     return results

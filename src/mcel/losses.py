@@ -6,11 +6,11 @@ target_matrix(A, eps) for the rest. VARIANTS says what each name means.
 
 check_loss checks a run's loss settings, and check_epsilons is the one
 statement of the [0, 0.5) epsilon range. build_targets gives a variant's H
-on a similarity matrix; like target_matrix, it trusts that the matrix and
-the epsilons have the model's k, which cli.cmd_train checks. The trainer
-steps on logit_grad, softmax - H[y] (every H row sums to 1 within 1e-12),
-and sums each epoch's loss with batch_values; gradcheck verifies the one
-against the other.
+on a similarity matrix; like target_matrix, it trusts that the matrix has
+the model's k and that there is one epsilon or k, which cli.cmd_train
+checks. The trainer steps on logit_grad, softmax - H[y] (every H row sums
+to 1 within 1e-12), and sums each epoch's loss with batch_values;
+gradcheck verifies the one against the other.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
@@ -39,35 +39,32 @@ def target_matrix(sim, eps):
     return h
 
 
-def check_epsilons(epsilons, what):
+def check_epsilons(values, what):
     """Every epsilon must lie in [0, 0.5); the error names the first that does not."""
-    for eps in epsilons:
+    for eps in values:
         if not 0.0 <= eps < 0.5:
             raise ValueError(f"{what} {eps} outside [0, 0.5)")
 
 
-def check_loss(variant, epsilon, epsilons=None):
+def check_loss(variant, epsilon):
     """The loss settings of a run: a known variant and every epsilon in range."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}; pick one of {tuple(VARIANTS)}")
-    check_epsilons((epsilon,), "epsilon")
-    if epsilons is not None:
-        check_epsilons(epsilons, "epsilons value")
+    check_epsilons(epsilon, "epsilon")
 
 
-def build_targets(variant, k, sim, epsilon, epsilons=None):
+def build_targets(variant, k, sim, epsilon):
     """Target matrix H of a `variant` run on the similarity matrix sim.
 
     ce trains on H = I. Every other variant trains on target_matrix(sim,
-    eps), where eps holds k per-class epsilons: the run's own epsilons if
-    it has any, else epsilon for every class. Nothing is checked
-    here: TrainConfig ran check_loss on the settings when it was made, and
-    a similarity variant gets a sim, and epsilons if any, of the model's k.
+    eps), where eps is epsilon broadcast to k: one value for every class,
+    or one per class. Nothing is checked here: TrainConfig ran check_loss
+    on the settings when it was made, and a similarity variant gets a sim
+    of the model's k and one epsilon or k.
     """
     if not VARIANTS[variant].similarity:
         return np.eye(k)
-    eps = np.full(k, float(epsilon)) if epsilons is None else np.array(epsilons, dtype=float)
-    return target_matrix(sim, eps)
+    return target_matrix(sim, np.broadcast_to(epsilon, k))
 
 
 def logit_grad(probs, targets):

@@ -75,8 +75,7 @@ class TrainConfig:
     topk: int = 5
     seed: int = 0
     variant: str = "ce"  # one of losses.VARIANTS; *-soft variants move their similarity
-    epsilon: float = 0.2
-    epsilons: tuple = None  # per-class epsilons in place of epsilon; ce ignores both
+    epsilon: tuple = (0.2,)  # one for every class, or one per class; ce ignores it
     split_fractions: tuple = (0.7, 0.15, 0.15)  # train, validation, test
     standardize: bool = True  # by the train split's mean and std
 
@@ -93,7 +92,7 @@ class TrainConfig:
         if any(size < 1 for size in self.hidden_sizes):
             sizes = ",".join(str(size) for size in self.hidden_sizes)
             raise ValueError(f"hidden layer sizes must be >= 1, got {sizes}")
-        check_loss(self.variant, self.epsilon, self.epsilons)
+        check_loss(self.variant, self.epsilon)
         check_fractions(self.split_fractions)
 
 
@@ -163,8 +162,7 @@ class Trainer:
         self._grads = MlpModel(model.layer_sizes)
         self._vel = np.zeros_like(model.params)
         # the target matrix H; only _step_mixing rebuilds it
-        self.targets = build_targets(cfg.variant, model.num_classes, sim,
-                                     cfg.epsilon, cfg.epsilons)
+        self.targets = build_targets(cfg.variant, model.num_classes, sim, cfg.epsilon)
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence is raised
     def train_epoch(self, data):
@@ -234,8 +232,7 @@ class Trainer:
         ok = np.all((sums > 0.0) | np.eye(k, dtype=bool), axis=1)[:, None]
         fresh = SimilarityMatrix.from_scores(np.where(ok, sums, 1.0)).a
         self.sim = SimilarityMatrix(np.where(ok, fresh, self.sim.a))
-        cfg = self.cfg
-        self.targets = build_targets(cfg.variant, k, self.sim, cfg.epsilon, cfg.epsilons)
+        self.targets = build_targets(self.cfg.variant, k, self.sim, self.cfg.epsilon)
 
 
 def top1(model, data):

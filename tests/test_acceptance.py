@@ -204,13 +204,13 @@ def test_end_to_end_training():
                        epochs=200, batch_size=32, topk=2, seed=0)
     ce, _ = run_training(train, val, test, base)
     from dataclasses import replace
-    mixed_cfg = replace(base, variant="mcel", epsilon=0.2)
+    mixed_cfg = replace(base, variant="mcel", epsilon=(0.2,))
     mixed, _ = run_training(train, val, test, mixed_cfg, sim)
 
     k = 3
     sim3 = random_similarity(np.random.default_rng(5), k)
     eps_vec = np.array([0.1, 0.25, 0.4])
-    mix3 = build_targets("gmcel", k, sim3, 0.3)
+    mix3 = build_targets("gmcel", k, sim3, (0.3,))
     variants = {
         "ce": lambda ys: np.eye(k)[ys],
         "simple": lambda ys: target_matrix(sim3, np.full(k, 0.2))[ys],
@@ -325,7 +325,7 @@ def test_determinism():
     dataset = gen_blobs(3, 80, 2, spread=0.8, seed=2)
     cfg = TrainConfig(learning_rate=0.1, momentum=0.1, weight_decay=1e-3,
                       epochs=15, batch_size=16, hidden_sizes=(8,), topk=2, seed=3,
-                      variant="mcel", epsilon=0.2)
+                      variant="mcel", epsilon=(0.2,))
     payloads = []
     for _ in range(2):
         train, val, test = split(dataset, (0.7, 0.15, 0.15), seed=3)

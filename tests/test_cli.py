@@ -177,13 +177,12 @@ class TestTrainCommand:
         assert (out / "meta.json").exists()
 
     def test_config_echo_names_the_variant(self, tmp_path):
-        cfg = write_config(tmp_path, "sg-mcel", 0.2, "epsilons = 0.1,0.2,0.3\n")
+        cfg = write_config(tmp_path, "sg-mcel", "0.1,0.2,0.3")
         report = json.loads((train_report(tmp_path, "e", cfg) / "report.json").read_text())
         config = report["config"]
-        assert config["variant"] == "sg-mcel" and config["epsilon"] == 0.2
-        assert config["epsilons"] == [0.1, 0.2, 0.3]
+        assert config["variant"] == "sg-mcel" and config["epsilon"] == [0.1, 0.2, 0.3]
         assert set(config) == {
-            "batch_size", "epochs", "epsilon", "epsilons", "hidden_sizes", "learning_rate",
+            "batch_size", "epochs", "epsilon", "hidden_sizes", "learning_rate",
             "lr_decay", "momentum", "seed", "split_fractions", "standardize", "topk",
             "variant", "weight_decay",
         }
@@ -194,7 +193,7 @@ class TestTrainCommand:
         path = tmp_path / "soft.ini"
         path.write_text(
             "[train]\nepochs = 2\nlearning_rate = 0.0\n"
-            "[loss]\nvariant = sg-mcel-soft\nepsilons = 0.1,0.2,0.3\n"
+            "[loss]\nvariant = sg-mcel-soft\nepsilon = 0.1,0.2,0.3\n"
         )
         report = json.loads((train_report(tmp_path, "s", str(path)) / "report.json").read_text())
         assert report["learned_mixing"] == [0.1, 0.2, 0.3]
@@ -202,14 +201,16 @@ class TestTrainCommand:
     @pytest.mark.parametrize("variant,epsilons", [
         ("ce", None), ("mcel", None), ("sg-mcel", None), ("gmcel", None),
         ("sg-mcel-soft", None), ("sg-mcel-soft", (0.1, 0.2, 0.3, 0.4)), ("gmcel-soft", None),
-        ("gmcel-soft", (0.1, 0.2, 0.3, 0.4)),
+        ("gmcel-soft", (0.1, 0.2, 0.3, 0.4)), ("mcel", (0.1, 0.2, 0.3, 0.4)),
     ])
     def test_learned_mixing_follows_from_per_class(self, tmp_path, variant, epsilons):
-        # every variant whose A moves reports its per-class epsilons, the
-        # configured ones or epsilon k times, in report.json's bytes
+        # config.epsilon is the list the file gives; every variant whose A
+        # moves reports its per-class epsilons, config.epsilon broadcast to
+        # k, in report.json's bytes
+        epsilons = epsilons or (0.2,)
         path = tmp_path / "cfg.ini"
-        path.write_text(f"[train]\nepochs = 5\n[loss]\nvariant = {variant}\nepsilon = 0.2\n"
-                        + (f"epsilons = {','.join(map(str, epsilons))}\n" if epsilons else ""))
+        path.write_text(f"[train]\nepochs = 5\n[loss]\nvariant = {variant}\n"
+                        f"epsilon = {','.join(map(str, epsilons))}\n")
         out = tmp_path / "out"
         assert run_cli("train", "--blobs", "4,150,2,1.0", "--config", str(path),
                        "--seed", "3", "--out", str(out)) == 0
@@ -217,9 +218,10 @@ class TestTrainCommand:
         report = json.loads(text)
         facts = VARIANTS[variant]
         assert ("learned_mixing" in report) == ("learned_similarity" in report) == facts.moves
+        assert report["config"]["epsilon"] == list(epsilons) and "epsilons" not in report["config"]
         if not facts.moves:
             return
-        want = list(epsilons or (0.2,) * 4)
+        want = np.broadcast_to(report["config"]["epsilon"], 4).tolist()
         assert f'"learned_mixing":{json.dumps(want, separators=(",", ":"))},' in text
 
     def test_epsilon_zero_matches_plain_ce(self, tmp_path):
@@ -234,17 +236,17 @@ class TestTrainCommand:
         for name in ("model.ckpt", "epochs.jsonl"):
             assert (ce_out / name).read_bytes() == (mcel_out / name).read_bytes()
         sim = similarity_from_dataset(gen_blobs(3, 80, 2, spread=0.8, seed=0))
-        h = build_targets("mcel", 3, sim, 0.0)
-        assert np.array_equal(h, build_targets("ce", 3, None, 0.0))
+        h = build_targets("mcel", 3, sim, (0.0,))
+        assert np.array_equal(h, build_targets("ce", 3, None, (0.0,)))
 
     def test_gmcel_variants_train_as_their_vector_twins(self, tmp_path):
         # sg-mcel and gmcel are the VARIANTS row of mcel, gmcel-soft that of
         # sg-mcel-soft, so each pair gives the same files, and the same report
         # but its name, per-class epsilons included
-        def outputs(variant, epsilons):
+        def outputs(variant, epsilon):
             config = tmp_path / "cfg.ini"
-            config.write_text(CONFIG.format(variant=variant, epsilon=0.2) + epsilons)
-            out = tmp_path / f"{variant}{len(epsilons)}"
+            config.write_text(CONFIG.format(variant=variant, epsilon=epsilon))
+            out = tmp_path / f"{variant}{len(epsilon)}"
             assert run_cli("train", "--blobs", "4,80,2,0.8", "--config", str(config),
                            "--seed", "5", "--out", str(out)) == 0
             report = json.loads((out / "report.json").read_text())
@@ -252,12 +254,12 @@ class TestTrainCommand:
             files = [(out / name).read_bytes() for name in ("model.ckpt", "epochs.jsonl")]
             return files, report
 
-        epsilons = "epsilons = 0.1,0.2,0.3,0.4\n"
-        for name, row, extra in (("gmcel", "mcel", ""), ("gmcel", "mcel", epsilons),
-                                 ("sg-mcel", "mcel", ""), ("sg-mcel", "mcel", epsilons),
-                                 ("gmcel-soft", "sg-mcel-soft", ""),
-                                 ("gmcel-soft", "sg-mcel-soft", epsilons)):
-            assert outputs(name, extra) == outputs(row, extra), (name, extra)
+        per_class = "0.1,0.2,0.3,0.4"
+        for name, row, epsilon in (("gmcel", "mcel", "0.2"), ("gmcel", "mcel", per_class),
+                                   ("sg-mcel", "mcel", "0.2"), ("sg-mcel", "mcel", per_class),
+                                   ("gmcel-soft", "sg-mcel-soft", "0.2"),
+                                   ("gmcel-soft", "sg-mcel-soft", per_class)):
+            assert outputs(name, epsilon) == outputs(row, epsilon), (name, epsilon)
 
     def test_gmcel_names_are_rows_of_their_vector_twins(self):
         assert VARIANTS["gmcel"] is VARIANTS["mcel"]
@@ -377,11 +379,11 @@ class TestBadValues:
     def test_gmcel_takes_epsilons(self, tmp_path):
         # every similarity variant takes per-class epsilons
         path = tmp_path / "cfg.ini"
-        path.write_text("[train]\nepochs = 2\n[loss]\nvariant = gmcel\nepsilons = 0.1,0.2,0.3\n")
+        path.write_text("[train]\nepochs = 2\n[loss]\nvariant = gmcel\nepsilon = 0.1,0.2,0.3\n")
         out = tmp_path / "x"
         assert run_cli("train", "--blobs", "3,30,2,0.8", "--config", str(path),
                        "--out", str(out)) == 0
-        assert json.loads((out / "report.json").read_text())["config"]["epsilons"] == [
+        assert json.loads((out / "report.json").read_text())["config"]["epsilon"] == [
             0.1, 0.2, 0.3]
 
     @pytest.mark.parametrize("command", ["train", "gridsearch", "noise-exp"])
@@ -429,9 +431,9 @@ class TestBadValues:
         ("train", "hidden", "16,x", "a list of integers"),
         ("train", "hidden", "", "a list of integers"),
         ("train", "hidden", "8,,8", "a list of integers"),
-        ("loss", "epsilon", "big", "a number"),
-        ("loss", "epsilons", "0.1,one", "a list of numbers"),
-        ("loss", "epsilons", "0.1,,0.2,0.3", "a list of numbers"),
+        ("loss", "epsilon", "big", "a list of numbers"),
+        ("loss", "epsilon", "0.1,one", "a list of numbers"),
+        ("loss", "epsilon", "0.1,,0.2", "a list of numbers"),
         ("split", "fractions", "0.7,0.15,a", "a list of numbers"),
         ("split", "fractions", "0.7,0.15,0.15,", "a list of numbers"),
     ])
@@ -475,17 +477,19 @@ class TestBadValues:
         monkeypatch.setattr("mcel.cli.similarity_from_dataset", fail)
         monkeypatch.setattr("mcel.harness.similarity_from_dataset", fail)
 
-    # (id, config, message); gridsearch and noise-exp ignore [loss] epsilons
+    # (id, config, message); gridsearch and noise-exp ignore [loss] epsilon
     # but still reject an invalid one. The count of epsilons is checked
     # against the data, by train only.
     CONFIG_ERRORS = [
-        ("epsilons-count", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2\n",
-         "[loss] epsilons has 2 values, the data has 4 classes"),
+        ("epsilons-count", "[loss]\nvariant = sg-mcel\nepsilon = 0.1,0.2\n",
+         "[loss] epsilon has 2 values, the data has 4 classes"),
+        ("epsilons-key", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2,0.3,0.4\n",
+         "unknown key 'epsilons' in [loss]"),
         ("batch-size", "[train]\nbatch_size = 0\n[loss]\nvariant = mcel\n",
          "batch_size must be >= 1, got 0"),
         ("epsilon", "[loss]\nvariant = mcel\nepsilon = 0.7\n", "epsilon 0.7 outside [0, 0.5)"),
-        ("epsilons-value", "[loss]\nvariant = sg-mcel\nepsilons = 0.1,0.2,0.6,0.3\n",
-         "epsilons value 0.6 outside [0, 0.5)"),
+        ("epsilons-value", "[loss]\nvariant = sg-mcel\nepsilon = 0.1,0.2,0.6,0.3\n",
+         "epsilon 0.6 outside [0, 0.5)"),
         ("hidden", "[train]\nhidden = 0\n", "hidden layer sizes must be >= 1, got 0"),
         ("momentum", "[train]\nmomentum = 1.5\n", "momentum must be in [0, 1)"),
         # a NaN or infinite rate fails its check, not the training's first batch
@@ -1083,7 +1087,7 @@ TRAIN_VALUES = st.fixed_dictionaries({
 })
 LOSS_VALUES = st.fixed_dictionaries({
     "variant": st.sampled_from(list(VARIANTS)),
-    "epsilon": st.sampled_from([0.0, 0.2, 0.45, 0.5, math.nan]),
+    "epsilon": st.sampled_from([0.0, 0.2, 0.45, 0.5, math.nan, "0.1,0.2,0.3,0.4", "0.1,0.2"]),
 })
 # the defaults the drawn keys replace, for the examples
 DEFAULT_TRAIN = {"learning_rate": 0.1, "momentum": 0.1, "weight_decay": 1e-3,
@@ -1253,7 +1257,7 @@ class TestSweep:
         dataset = gen_blobs(3, 40, 2, spread=0.8, seed=1)
         base = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(4,), topk=2)
         result = run_grid_search(dataset, base, (0.2, 0.0, 0.2), (5, 6))
-        assert trainings == [0.2, 0.0] * 2
+        assert trainings == [(0.2,), (0.0,)] * 2
         assert [row["epsilon"] for row in result["grid"]] == [0.2, 0.0, 0.2]
         assert result["grid"][0] == result["grid"][2]
         assert [(r["epsilon"], r["seed"]) for r in result["runs"]] == [

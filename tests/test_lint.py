@@ -286,7 +286,7 @@ def test_readme_command_continuations_are_joined():
 
 def test_unresolved_readme_name_is_found():
     text = ("`net.init_model`, `mcel.net.load_model`, `mcel.cli.Parser.error`,\n"
-            "`mcel.net.TrainConfig.epsilons` (a None default), `data.LabeledDataset.n`,\n"
+            "`mcel.net.TrainConfig.epsilon` (a tuple default), `data.LabeledDataset.n`,\n"
             "`mcel.cli.load_config(path, seed=0)`, `harness.prepare_splits(x)`,\n"
             "`lda.no_such(k)`, `mcel.net.MlpModel.nothing` and `losses.py`")
     assert unresolved_readme_names(text) == [

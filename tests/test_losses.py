@@ -64,37 +64,37 @@ class TestMixingSpecs:
         sim = two_class_sim()
         for variant in variants("similarity"):
             with pytest.raises(ValueError):
-                check_loss(variant, 0.5)
+                check_loss(variant, (0.5,))
             with pytest.raises(ValueError):
-                check_loss(variant, -0.01)
+                check_loss(variant, (-0.01,))
             with pytest.raises(ValueError):
-                check_loss(variant, float("nan"))
-            check_loss(variant, 0.0)  # cross-entropy limit is admitted
-            build_targets(variant, 2, sim, 0.0)
+                check_loss(variant, (float("nan"),))
+            check_loss(variant, (0.0,))  # cross-entropy limit is admitted
+            build_targets(variant, 2, sim, (0.0,))
 
     def test_per_class_range(self):
         # every variant takes per-class epsilons in range (ce ignores them)
         for variant in VARIANTS:
-            check_loss(variant, 0.2, [0.1, 0.2])
+            check_loss(variant, (0.1, 0.2))
+            with pytest.raises(ValueError, match="epsilon 0.5 outside"):
+                check_loss(variant, (0.1, 0.5))
             with pytest.raises(ValueError):
-                check_loss(variant, 0.2, [0.1, 0.5])
-            with pytest.raises(ValueError):
-                check_loss(variant, 0.2, [0.1, float("nan")])
+                check_loss(variant, (0.1, float("nan")))
 
     def test_variant_states(self):
         # every variant's H: I for ce, the simple loss's H for the rest
         sim = random_similarity(np.random.default_rng(3), 4)
         for variant in variants("similarity", False):
-            assert np.array_equal(build_targets(variant, 4, None, 0.2), np.eye(4))
+            assert np.array_equal(build_targets(variant, 4, None, (0.2,)), np.eye(4))
         simple = target_matrix(sim, np.full(4, 0.2))
         for variant in variants("similarity"):
-            assert np.array_equal(build_targets(variant, 4, sim, 0.2), simple)
-        h = build_targets("sg-mcel", 4, sim, 0.2, (0.1, 0.2, 0.3, 0.4))
+            assert np.array_equal(build_targets(variant, 4, sim, (0.2,)), simple)
+        h = build_targets("sg-mcel", 4, sim, (0.1, 0.2, 0.3, 0.4))
         assert np.array_equal(h, target_matrix(sim, np.array([0.1, 0.2, 0.3, 0.4])))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            check_loss("focal", 0.2)
+            check_loss("focal", (0.2,))
 
     def test_only_losses_tests_variant_names(self):
         # what a variant name means is read from VARIANTS, never from the name
@@ -157,9 +157,8 @@ class TestTargetMatrix:
                                                 for row in rows))
             sims.append(load_similarity(path))
         for sim in sims:
-            for eps in (0.0, 0.4999, float(rng.uniform(0.0, 0.5))):
-                per_class = rng.uniform(0.0, 0.5, sim.k) if VARIANTS[variant].similarity else None
-                h = build_targets(variant, sim.k, sim, eps, per_class)
+            for eps in ((0.0,), (0.4999,), rng.uniform(0.0, 0.5, sim.k)):
+                h = build_targets(variant, sim.k, sim, eps)
                 assert np.all(np.abs(h.sum(axis=1) - 1.0) <= 1e-12)
 
 
@@ -255,7 +254,7 @@ class TestGmcel:
         rng = np.random.default_rng(1)
         sim = random_similarity(rng, 4)
         eps = 0.25
-        e = build_targets("gmcel", 4, sim, eps)
+        e = build_targets("gmcel", 4, sim, (eps,))
         probs = random_probs(rng, 4)
         for y in range(4):
             a, _ = loss_of(probs, y, e)
@@ -278,7 +277,7 @@ class TestReductionChain:
             probs = random_probs(rng, k)
             y = int(rng.integers(k))
             eps = float(rng.uniform(0.01, 0.49))
-            base, _ = loss_of(probs, y, build_targets("gmcel", k, sim, eps))
+            base, _ = loss_of(probs, y, build_targets("gmcel", k, sim, (eps,)))
             per_class = rng.uniform(0.01, 0.49, k)
             per_class[y] = eps
             assert abs(loss_of(probs, y, target_matrix(sim, per_class))[0] - base) <= 1e-12

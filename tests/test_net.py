@@ -313,8 +313,8 @@ class TestTrainer:
         sim = random_similarity(np.random.default_rng(14), 3)
         cfg = TrainConfig(
             learning_rate=0.1, momentum=0.9, weight_decay=1e-2, batch_size=8,
-            lr_decay=0.5, seed=14, variant=variant, epsilon=0.2,
-            epsilons=(0.1, 0.25, 0.4) if VARIANTS[variant].similarity else None,
+            lr_decay=0.5, seed=14, variant=variant,
+            epsilon=(0.1, 0.25, 0.4) if VARIANTS[variant].similarity else (0.2,),
         )
         model = init_model((2, 6, 5, 3), seed=14)
         expected = model.copy()
@@ -376,7 +376,7 @@ class TestTrainer:
                 model.biases[-1][:] = model.biases[-1][inv]
             cfg = TrainConfig(
                 learning_rate=0.05, epochs=5, batch_size=10, seed=9,
-                variant="mcel", epsilon=0.2,
+                variant="mcel", epsilon=(0.2,),
             )
             trainer = Trainer(model, cfg, similarity)
             for _ in range(5):
@@ -394,7 +394,7 @@ class TestTrainer:
         model = init_model((2, 6, 3), seed=10)
         cfg = TrainConfig(
             learning_rate=0.05, epochs=5, batch_size=10, seed=10,
-            variant="sg-mcel-soft", epsilon=0.2,
+            variant="sg-mcel-soft", epsilon=(0.2,),
         )
         trainer = Trainer(model, cfg, sim)
         for _ in range(5):
@@ -410,7 +410,7 @@ class TestTrainer:
         model = init_model((2, 6, 3), seed=11)
         cfg = TrainConfig(
             learning_rate=0.05, epochs=4, batch_size=10, seed=11,
-            variant="gmcel-soft", epsilon=0.2,
+            variant="gmcel-soft", epsilon=(0.2,),
         )
         trainer = Trainer(model, cfg, sim)
         for _ in range(4):
@@ -424,8 +424,8 @@ class TestTrainer:
         # logit_grad is probs - targets only because this holds
         data = self.make_data(k=5, per_class=30, spread=2.0)
         cfg = TrainConfig(
-            learning_rate=0.05, batch_size=16, seed=16, variant=variant, epsilon=0.4999,
-            epsilons=(0.0, 0.1, 0.3, 0.45, 0.4999),
+            learning_rate=0.05, batch_size=16, seed=16, variant=variant,
+            epsilon=(0.0, 0.1, 0.3, 0.45, 0.4999),
         )
         sim = random_similarity(np.random.default_rng(16), 5)
         trainer = Trainer(init_model((2, 8, 5), seed=16), cfg, sim)
@@ -443,7 +443,7 @@ class TestTrainer:
         eps = np.array([0.1, 0.2, 0.3])
         cfg = TrainConfig(
             learning_rate=0.01, momentum=0.0, weight_decay=0.0, epochs=2,
-            batch_size=data.n, seed=12, variant="sg-mcel-soft", epsilons=tuple(eps),
+            batch_size=data.n, seed=12, variant="sg-mcel-soft", epsilon=tuple(eps),
         )
         trainer = Trainer(model, cfg, sim)
         for _ in range(2):
@@ -469,7 +469,7 @@ class TestTrainer:
         data = LabeledDataset(features, labels, 4)
         sim = random_similarity(np.random.default_rng(13), 4)
         cfg = TrainConfig(learning_rate=0.0, batch_size=3, seed=13,
-                          variant="gmcel-soft", epsilon=0.2)
+                          variant="gmcel-soft", epsilon=(0.2,))
         trainer = Trainer(logit_model(4), cfg, sim)
         trainer.train_epoch(data)
         expected = sim.a.copy()
@@ -495,7 +495,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
     vel_b = [np.zeros_like(b) for b in model.biases]
     metrics = []
     for epoch in range(epochs):
-        h = build_targets(cfg.variant, k, sim, cfg.epsilon, cfg.epsilons)
+        h = build_targets(cfg.variant, k, sim, cfg.epsilon)
         order = np.random.default_rng((cfg.seed, epoch)).permutation(data.n)
         lr = cfg.learning_rate / (1.0 + cfg.lr_decay * epoch)
         total, correct = 0.0, 0
