@@ -8,9 +8,9 @@ check_loss checks a run's loss settings, and check_epsilons is the one
 statement of the [0, 0.5) epsilon range. build_targets gives a variant's H
 on a similarity matrix; like target_matrix, it trusts that the matrix has
 the model's k and that there is one epsilon or k, which cli.cmd_train
-checks. The trainer steps on logit_grad, softmax - H[y] (every H row sums
-to 1 within 1e-12), and sums each epoch's loss with batch_values;
-gradcheck verifies the one against the other.
+checks. logit_grad, softmax - H[y] (every H row sums to 1 within 1e-12),
+is the logit gradient of batch_values, which sums each epoch's loss; the
+trainer's step, net.batch_gradient, runs it, and gradcheck verifies that step.
 
 Probabilities are clamped to [1e-12, 1] inside logs; all other arithmetic
 is straight float64.
@@ -47,9 +47,11 @@ def check_epsilons(values, what):
 
 
 def check_loss(variant, epsilon):
-    """The loss settings of a run: a known variant and every epsilon in range."""
+    """The loss settings of a run: a known variant and one or more epsilons, each in range."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}; pick one of {tuple(VARIANTS)}")
+    if np.ndim(epsilon) != 1 or len(epsilon) == 0:
+        raise ValueError(f"epsilon must be a sequence of one number or more, got {epsilon!r}")
     check_epsilons(epsilon, "epsilon")
 
 

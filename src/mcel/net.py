@@ -5,7 +5,8 @@ Hidden layers are ReLU; the output layer is a max-shifted softmax. The
 trainer runs any loss variant on its target matrix H from
 losses.build_targets: the fixed variants just change the target rows, the
 *-soft variants also re-estimate their similarity matrix from the correct
-predictions of each epoch and rebuild H on it.
+predictions of each epoch and rebuild H on it. Each batch steps on
+batch_gradient, the one function gradcheck verifies.
 """
 
 import itertools
@@ -141,6 +142,17 @@ def backprop(model, acts, grad_logits, grads):
     return grads
 
 
+def batch_gradient(model, x, targets, weight_decay, grads, out=None):
+    """Fill grads, a gradient MlpModel of model's layout, with the gradient of
+    batch_values / len(x) + weight_decay/2 * |weight_params|^2: the step that
+    gradcheck verifies. Returns the batch's probabilities, into out if given."""
+    probs, acts = forward_batch(model, x, out=out)
+    backprop(model, acts, logit_grad(probs, targets), grads)
+    grads.params *= 1.0 / len(x)
+    grads.weight_params += weight_decay * model.weight_params
+    return probs
+
+
 def _target_rows(h, ys, out):
     """Per-sample target rows: the rows of the target matrix H for labels ys.
     "clip" fills out directly ("raise" buffers); LabeledDataset keeps ys in [0, k)."""
@@ -151,14 +163,14 @@ class Trainer:
     """Owns one model plus the optimizer state for a full training run.
 
     The momentum step runs over the model's flat params at once, and
-    backprop fills the params of a gradient MlpModel of the same layout."""
+    batch_gradient fills the params of a gradient MlpModel of the same layout."""
 
     def __init__(self, model, cfg, sim=None):
         self.model = model
         self.cfg = cfg
         self.sim = sim
         self.epoch = 0
-        # the gradient buffer, in the model's layout; backprop overwrites every entry
+        # the gradient buffer, in the model's layout; batch_gradient overwrites every entry
         self._grads = MlpModel(model.layer_sizes)
         self._vel = np.zeros_like(model.params)
         # the target matrix H; only _step_mixing rebuilds it
@@ -185,16 +197,11 @@ class Trainer:
         probs, targets = np.empty((2, data.n, k))  # the epoch's buffers
         lr = cfg.learning_rate / (1.0 + cfg.lr_decay * self.epoch)
         params, vel, g = self.model.params, self._vel, self._grads.params
-        g_w, p_w = self._grads.weight_params, self.model.weight_params  # no decay on the biases
         wd, momentum, size = cfg.weight_decay, cfg.momentum, min(cfg.batch_size, data.n)
         for start in range(0, data.n, size):
             stop = start + size
-            batch_probs, acts = forward_batch(self.model, xs[start:stop], out=probs[start:stop])
-            batch_targets = _target_rows(h, ys_all[start:stop], out=targets[start:stop])
-            grad_logits = logit_grad(batch_probs, batch_targets)
-            backprop(self.model, acts, grad_logits, self._grads)
-            g *= 1.0 / len(grad_logits)
-            g_w += wd * p_w
+            rows = _target_rows(h, ys_all[start:stop], out=targets[start:stop])
+            batch_gradient(self.model, xs[start:stop], rows, wd, self._grads, out=probs[start:stop])
             vel *= momentum
             g *= lr
             vel -= g

@@ -20,7 +20,7 @@ from mcel.lda import (
     solve_generalized_symmetric_eig, uniform_similarity,
 )
 from mcel.losses import VARIANTS, batch_values, build_targets, logit_grad, softmax, target_matrix
-from mcel.net import MlpModel, TrainConfig, backprop, forward_batch, init_model
+from mcel.net import TrainConfig
 
 
 def report(name, ok, detail):
@@ -67,7 +67,9 @@ def test_reduction_suite():
 
 
 def test_gradient_suite():
-    """All analytic gradients match central finite differences within 1e-5."""
+    """The trainer's whole batch step, net.batch_gradient (logit gradient,
+    backprop, 1/n scale and weight decay), matches central finite differences
+    of its objective over the net's params within 1e-5, for every variant."""
     started = time.monotonic()
     results = run_all(k=5, trials=200, seed=0)
     elapsed = time.monotonic() - started
@@ -75,7 +77,7 @@ def test_gradient_suite():
     report(
         "gradient suite",
         worst <= 1e-5 and elapsed < 10.0,
-        f"max relative error {worst:.3e} over {sorted(results)} "
+        f"batch_gradient max relative error {worst:.3e} over {sorted(results)} "
         f"(tol 1e-5), {elapsed:.2f}s (budget 10s)",
     )
 
@@ -150,50 +152,8 @@ def test_label_smoothing_equivalence():
     )
 
 
-def _flatten(model):
-    return np.concatenate([a.ravel() for a in model.weights + model.biases])
-
-
-def _set_params(model, flat):
-    pos = 0
-    for arr in model.weights + model.biases:
-        arr[...] = flat[pos:pos + arr.size].reshape(arr.shape)
-        pos += arr.size
-
-
-def _param_gradient_error(targets_for):
-    """Max FD relative error of model-parameter gradients on a 2-3-3 net."""
-    model = init_model((2, 3, 3), seed=7)
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((4, 2))
-    ys = rng.integers(3, size=4)
-
-    def total_loss(flat):
-        _set_params(model, flat)
-        probs, _ = forward_batch(model, x)
-        return -float(np.sum(targets_for(ys) * np.log(probs)))
-
-    theta = _flatten(model)
-    probs, acts = forward_batch(model, x)
-    grads = MlpModel(model.layer_sizes)
-    analytic = _flatten(backprop(model, acts, logit_grad(probs, targets_for(ys)), grads))
-    numeric = np.empty_like(analytic)
-    h = 1e-6
-    for i in range(theta.size):
-        bump = theta.copy()
-        bump[i] += h
-        up = total_loss(bump)
-        bump[i] -= 2 * h
-        down = total_loss(bump)
-        numeric[i] = (up - down) / (2 * h)
-    _set_params(model, theta)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
 def test_end_to_end_training():
-    """Both plain CE and the mixed loss solve well-separated 4-class blobs,
-    and whole-network gradients match finite differences for every variant."""
+    """Both plain CE and the mixed loss solve well-separated 4-class blobs."""
     started = time.monotonic()
     centers = np.array([[3.0, 3.0], [3.0, -3.0], [-3.0, 3.0], [-3.0, -3.0]])
     dataset = gen_blobs(4, 500, 2, centers=centers, spread=1.0, seed=0)
@@ -206,33 +166,13 @@ def test_end_to_end_training():
     from dataclasses import replace
     mixed_cfg = replace(base, variant="mcel", epsilon=(0.2,))
     mixed, _ = run_training(train, val, test, mixed_cfg, sim)
-
-    k = 3
-    sim3 = random_similarity(np.random.default_rng(5), k)
-    eps_vec = np.array([0.1, 0.25, 0.4])
-    mix3 = build_targets("gmcel", k, sim3, (0.3,))
-    variants = {
-        "ce": lambda ys: np.eye(k)[ys],
-        "simple": lambda ys: target_matrix(sim3, np.full(k, 0.2))[ys],
-        "per-class": lambda ys: target_matrix(sim3, eps_vec)[ys],
-        "matrix": lambda ys: mix3[ys],
-    }
-    grad_errs = {name: _param_gradient_error(fn) for name, fn in variants.items()}
-    worst_grad = max(grad_errs.values())
     elapsed = time.monotonic() - started
-    ok = (
-        ce["test_top1"] >= 0.95
-        and mixed["test_top1"] >= 0.95
-        and worst_grad <= 1e-5
-        and elapsed < 60.0
-    )
+    ok = ce["test_top1"] >= 0.95 and mixed["test_top1"] >= 0.95 and elapsed < 60.0
     report(
         "end-to-end training",
         ok,
         f"test top-1 ce {ce['test_top1']:.4f}, mixed "
-        f"{mixed['test_top1']:.4f} (need >= 0.95); backprop FD error "
-        f"{worst_grad:.3e} (tol 1e-5) across {sorted(grad_errs)}; "
-        f"{elapsed:.1f}s (budget 60s)",
+        f"{mixed['test_top1']:.4f} (need >= 0.95); {elapsed:.1f}s (budget 60s)",
     )
 
 

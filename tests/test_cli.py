@@ -27,15 +27,15 @@ from mcel.errors import TrainingDivergedError
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
 from mcel.lda import load_similarity
 from mcel.losses import VARIANTS, build_targets, logit_grad
-from mcel.net import TrainConfig, Trainer
+from mcel.net import TrainConfig, Trainer, batch_gradient
 
 
 SRC = str(Path(mcel.__file__).resolve().parents[1])
 CORRUPT_GRADCHECK = """
 import sys
-from mcel import cli, gradcheck
-logit_grad = gradcheck.logit_grad
-gradcheck.logit_grad = lambda probs, targets: logit_grad(probs, targets) + 1e-3
+from mcel import cli, net
+logit_grad = net.logit_grad
+net.logit_grad = lambda probs, targets: logit_grad(probs, targets) + 1e-3
 sys.exit(cli.main(["gradcheck", "--trials", "3"]))
 """
 
@@ -1342,17 +1342,34 @@ class TestGradcheckCommand:
     def test_minimal_k(self):
         assert run_cli("gradcheck", "--k", "2", "--trials", "5") == 0
 
+    def test_no_batch_reaches_the_log_clamp(self):
+        # rows of scale 2 gave this seed's fourth ce batch a probability below
+        # 1e-12, where batch_values is flat and the step's gradient is not
+        assert run_cli("gradcheck", "--seed", "26", "--trials", "4") == 0
+
     def test_corrupted_gradient_detected(self, monkeypatch):
         def corrupted(probs, targets):
             return logit_grad(probs, targets) + 1e-3
-        monkeypatch.setattr("mcel.gradcheck.logit_grad", corrupted)
+        monkeypatch.setattr("mcel.net.logit_grad", corrupted)
         assert run_cli("gradcheck", "--trials", "3") == 3
+
+    @pytest.mark.parametrize("fault", ["no weight decay", "no 1/n"])
+    def test_faulty_step_detected(self, capsys, monkeypatch, fault):
+        def faulty(model, x, targets, weight_decay, grads, out=None):
+            probs = batch_gradient(model, x, targets, 0.0, grads, out)
+            if fault == "no 1/n":  # the batch's sum, not its mean, then the decay
+                grads.params *= len(x)
+                grads.weight_params += weight_decay * model.weight_params
+            return probs
+        monkeypatch.setattr("mcel.gradcheck.batch_gradient", faulty)
+        assert run_cli("gradcheck", "--trials", "3") == 3
+        assert capsys.readouterr().out.count("[FAIL]") == len(VARIANTS)
 
     def test_nan_gradient_fails(self, capsys, monkeypatch):
         # max(0.0, nan) is 0.0, so a NaN error must not pass through max
         def nan_gradient(probs, targets):
             return logit_grad(probs, targets) * np.nan
-        monkeypatch.setattr("mcel.gradcheck.logit_grad", nan_gradient)
+        monkeypatch.setattr("mcel.net.logit_grad", nan_gradient)
         assert all(np.isnan(err) for err in gradcheck.run_all(3, 2, 0).values())
         assert run_cli("gradcheck", "--trials", "3") == 3
         lines = capsys.readouterr().out.splitlines()

@@ -215,6 +215,20 @@ def test_one_builder_per_table():
     assert rule_readers(sources, TABLE_BUILDERS) == TABLE_BUILDERS
 
 
+# the trainer steps on the one function gradcheck verifies, and only that
+# function runs the logit gradient and backprop
+STEP = {
+    "batch_gradient": {"net.Trainer.train_epoch", "gradcheck.step_error"},
+    "logit_grad": {"net.batch_gradient"},
+    "backprop": {"net.batch_gradient"},
+}
+
+
+def test_the_trainer_steps_on_the_checked_gradient():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert rule_readers(sources, STEP) == STEP
+
+
 # the CSV reader: the header parse and the csv module's reader word every
 # fault; numpy's reader refuses a faulty file and words nothing
 CSV_READER = {"data.load_csv", "data._header", "data._loadtxt_rows", "data._csv_module_rows"}

@@ -80,6 +80,9 @@ class TestMixingSpecs:
                 check_loss(variant, (0.1, 0.5))
             with pytest.raises(ValueError):
                 check_loss(variant, (0.1, float("nan")))
+            for bad in ((), 0.2):  # no epsilon; a number where one or more go
+                with pytest.raises(ValueError, match="^epsilon must be"):
+                    check_loss(variant, bad)
 
     def test_variant_states(self):
         # every variant's H: I for ce, the simple loss's H for the rest

@@ -1,3 +1,4 @@
+import math
 import struct
 import warnings
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 
 from mcel.data import LabeledDataset, gen_blobs
 from mcel.errors import TrainingDivergedError
-from mcel.gradcheck import random_similarity
+from mcel.gradcheck import random_similarity, step_error
 from mcel.harness import run_training
 from mcel.lda import SimilarityMatrix
 from mcel.losses import (
@@ -18,6 +19,7 @@ from mcel.net import (
     TrainConfig,
     Trainer,
     backprop,
+    batch_gradient,
     evaluate,
     forward_batch,
     init_model,
@@ -100,22 +102,6 @@ class TestForward:
                 LabeledDataset(np.array([[bad, 1.0], [0.0, 2.0]]), np.array([0, 1]), 2)
 
 
-def flatten_params(model):
-    return np.concatenate(
-        [w.ravel() for w in model.weights] + [b.ravel() for b in model.biases]
-    )
-
-
-def set_params(model, flat):
-    pos = 0
-    for w in model.weights:
-        w[:] = flat[pos:pos + w.size].reshape(w.shape)
-        pos += w.size
-    for b in model.biases:
-        b[:] = flat[pos:pos + b.size]
-        pos += b.size
-
-
 def composed_loss(model, x, ys, targets):
     probs, _ = forward_batch(model, x)
     return -float(np.sum(targets * np.log(np.maximum(probs, PROB_CLAMP))))
@@ -134,41 +120,23 @@ def variant_targets(k, ys, variant, rng):
     return h[ys]
 
 
-def fresh_grads(model):
-    """A gradient model for backprop, made as the Trainer makes its buffer."""
-    return MlpModel(model.layer_sizes)
-
-
 BACKPROP_CASES = ["ce", "mcel", "sg", "gmcel"]
 
 
 class TestBackprop:
     @pytest.mark.parametrize("variant", BACKPROP_CASES)
     def test_end_to_end_gradient(self, variant):
-        # a fixed seed per case, so every run of the suite checks the same inputs
+        # the trainer's whole step, by the program's own check, without and with
+        # weight decay, through two hidden layers; a fixed seed per case, so
+        # every run checks the same inputs
         rng = np.random.default_rng(BACKPROP_CASES.index(variant))
-        model = init_model((2, 3, 3), seed=11)
+        model = init_model((2, 3, 4, 3), seed=11)
         x = rng.normal(size=(4, 2))
-        ys = rng.integers(3, size=4)
-        targets = variant_targets(3, ys, variant, rng)
-        probs, acts = forward_batch(model, x)
-        grads = backprop(model, acts, logit_grad(probs, targets), fresh_grads(model))
-        analytic = flatten_params(grads)
-        flat = flatten_params(model)
-        h = 1e-6
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            probe = flat.copy()
-            probe[i] = flat[i] + h
-            set_params(model, probe)
-            hi = composed_loss(model, x, ys, targets)
-            probe[i] = flat[i] - h
-            set_params(model, probe)
-            lo = composed_loss(model, x, ys, targets)
-            numeric[i] = (hi - lo) / (2 * h)
-        set_params(model, flat)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-        assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5
+        targets = variant_targets(3, rng.integers(3, size=4), variant, rng)
+        params = model.params.copy()
+        for weight_decay in (0.0, 0.05):
+            assert step_error(model, x, targets, weight_decay) <= 1e-5
+        assert np.array_equal(model.params, params)
 
 
 class TestArgumentsUnchanged:
@@ -178,7 +146,7 @@ class TestArgumentsUnchanged:
     def test_batch_path_leaves_its_arguments_alone(self):
         rng = np.random.default_rng(21)
         model = init_model((3, 5, 4, 3), seed=21)
-        params = flatten_params(model)
+        params = model.params.copy()
         x = rng.normal(size=(6, 3))
         logits = rng.normal(size=(6, 3)) * 50.0
         targets = variant_targets(3, rng.integers(3, size=6), "gmcel", rng)
@@ -196,7 +164,7 @@ class TestArgumentsUnchanged:
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
         assert all(np.array_equal(a, b) for a, b in zip([probs] + acts, kept))
         assert np.array_equal(grad_logits, grad_before)
-        assert np.array_equal(flatten_params(model), params)
+        assert np.array_equal(model.params, params)
         # grads is filled in place, every entry of it: the Trainer's buffer is np.empty_like
         assert filled is grads
         assert np.isfinite(grads.params).all()
@@ -210,10 +178,10 @@ class TestTrainer:
     def test_zero_lr_noop(self):
         data = self.make_data()
         model = init_model((2, 4, 2), seed=0)
-        before = flatten_params(model.copy())
+        before = model.params.copy()
         cfg = TrainConfig(learning_rate=0.0, epochs=1, batch_size=8, seed=0)
         metrics = Trainer(model, cfg).train_epoch(data)
-        assert np.array_equal(flatten_params(model), before)
+        assert np.array_equal(model.params, before)
         assert "mean_loss" in metrics and "accuracy" in metrics
 
     def test_separable_blobs_learned(self):
@@ -235,7 +203,7 @@ class TestTrainer:
             trainer = Trainer(model, cfg)
             for _ in range(3):
                 trainer.train_epoch(data)
-            runs.append(flatten_params(model))
+            runs.append(model.params)
         assert np.array_equal(runs[0], runs[1])
 
     def test_single_step_decreases_loss(self):
@@ -321,9 +289,28 @@ class TestTrainer:
         expected_metrics, expected_sim = reference_epochs(expected, cfg, sim, data, 3)
         trainer = Trainer(model, cfg, sim)
         assert [trainer.train_epoch(data) for _ in range(3)] == expected_metrics
-        assert np.array_equal(flatten_params(model), flatten_params(expected))
+        assert np.array_equal(model.params, expected.params)
         assert np.array_equal(trainer.sim.a, expected_sim.a)
         assert np.array_equal(trainer.sim.a, sim.a) == (not VARIANTS[variant].moves)
+
+    def test_each_batch_steps_on_batch_gradient(self, monkeypatch):
+        # the step gradcheck verifies is the trainer's: one call per batch, same epoch
+        data = self.make_data(k=3, per_class=25)  # n = 75, batch 8
+        cfg = TrainConfig(momentum=0.9, weight_decay=1e-2, batch_size=8, seed=3, variant="mcel")
+        sim = random_similarity(np.random.default_rng(3), 3)
+        expected = init_model((2, 6, 3), seed=3)
+        expected_metrics = Trainer(expected, cfg, sim).train_epoch(data)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return batch_gradient(*args, **kwargs)
+
+        monkeypatch.setattr("mcel.net.batch_gradient", counted)
+        model = init_model((2, 6, 3), seed=3)
+        assert Trainer(model, cfg, sim).train_epoch(data) == expected_metrics
+        assert len(calls) == math.ceil(data.n / cfg.batch_size) and sum(calls) == data.n
+        assert np.array_equal(model.params, expected.params)
 
     def test_mid_epoch_divergence_names_the_first_bad_batch(self):
         # the trainer finishes the epoch before it raises; the reference
@@ -347,11 +334,11 @@ class TestTrainer:
         trainer = Trainer(model, TrainConfig(learning_rate=0.05, batch_size=8, seed=2))
         trainer.train_epoch(data)
         snapshot = model.copy()
-        at_snapshot = flatten_params(model)
+        at_snapshot = model.params.copy()
         save_checkpoint(model, tmp_path / "at_snapshot.ckpt")
         trainer.train_epoch(data)
-        assert np.array_equal(flatten_params(snapshot), at_snapshot)
-        assert not np.array_equal(flatten_params(model), at_snapshot)
+        assert np.array_equal(snapshot.params, at_snapshot)
+        assert not np.array_equal(model.params, at_snapshot)
         save_checkpoint(snapshot, tmp_path / "snapshot.ckpt")
         save_checkpoint(model, tmp_path / "model.ckpt")
         saved = (tmp_path / "at_snapshot.ckpt").read_bytes()
@@ -513,7 +500,7 @@ def reference_epochs(model, cfg, sim, data, epochs):
             correct += int(np.sum(hit))
             for y, row in zip(ys[hit], probs[hit]):
                 sums[y] += row
-            grads = backprop(model, acts, grad_logits, fresh_grads(model))
+            grads = backprop(model, acts, grad_logits, MlpModel(model.layer_sizes))
             scale = 1.0 / idx.shape[0]
             for layer in range(len(model.weights)):
                 g = grads.weights[layer] * scale + cfg.weight_decay * model.weights[layer]
