@@ -206,6 +206,11 @@ def cmd_train(args):
     if args.similarity and not VARIANTS[tc.variant].similarity:
         raise ValueError(f"mcel train: argument --similarity: loss variant {tc.variant!r} "
                          "takes no similarity matrix")
+    fits_lda = VARIANTS[tc.variant].similarity and not args.similarity  # on the train split
+    for flag, value in (("--lda-components", args.lda_components), ("--ridge", args.ridge)):
+        if value is not None and not fits_lda:
+            raise ValueError(f"mcel train: argument {flag}: no LDA is fitted for loss variant "
+                             f"{tc.variant!r}{' with --similarity' if args.similarity else ''}")
     dataset = load_dataset(args)
     if len(tc.epsilon) not in (1, dataset.k):
         raise ValueError(f"config file {args.config}: [loss] epsilon has "
@@ -216,7 +221,7 @@ def cmd_train(args):
                              f"the model has {dataset.k} classes")
     started = time.monotonic()
     train, val, test = prepare_splits(dataset, tc)
-    if sim is None and VARIANTS[tc.variant].similarity:
+    if fits_lda:
         sim = similarity_from_dataset(train, args.lda_components, args.ridge)
     out = Path(args.out)
 

@@ -27,7 +27,7 @@ from mcel.errors import TrainingDivergedError
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
 from mcel.lda import load_similarity
 from mcel.losses import VARIANTS, build_targets, logit_grad
-from mcel.net import TrainConfig, Trainer, batch_gradient
+from mcel.net import TrainConfig, Trainer, backprop, batch_gradient
 
 
 SRC = str(Path(mcel.__file__).resolve().parents[1])
@@ -735,6 +735,20 @@ class TestOneExitPath:
         # a valid 3 x 3 file for 4-class data, which ce would load and report
         ("similarity-unused", ["train", *BLOBS, "--similarity", "{tmp}/sim3.txt"],
          "mcel train: argument --similarity: loss variant 'ce' takes no similarity matrix"),
+        # train fits an LDA only for a similarity variant with no --similarity file
+        ("lda-components-unused", ["train", *BLOBS, "--lda-components", "3"],
+         "mcel train: argument --lda-components: no LDA is fitted for loss variant 'ce'\n"),
+        ("ridge-unused", ["train", *BLOBS, "--ridge", "0"],
+         "mcel train: argument --ridge: no LDA is fitted for loss variant 'ce'\n"),
+        ("lda-flags-with-similarity", ["train", *BLOBS, "--similarity", "{tmp}/sim3.txt",
+                                       "--lda-components", "3", "--ridge", "5", "--config",
+                                       "{tmp}/mcel.ini"],
+         "mcel train: argument --lda-components: no LDA is fitted for loss variant 'mcel' "
+         "with --similarity\n"),
+        ("ridge-with-similarity", ["train", *BLOBS, "--similarity", "{tmp}/sim3.txt",
+                                   "--ridge", "5", "--config", "{tmp}/mcel.ini"],
+         "mcel train: argument --ridge: no LDA is fitted for loss variant 'mcel' "
+         "with --similarity\n"),
         ("csv-dir", ["similarity", "--data-csv", "{tmp}", "--label-col", "y"],
          "Is a directory"),
         ("out-file", ["similarity", *BLOBS, "--out", "{tmp}/file"], "{tmp}/file"),
@@ -1362,6 +1376,14 @@ class TestGradcheckCommand:
                 grads.weight_params += weight_decay * model.weight_params
             return probs
         monkeypatch.setattr("mcel.gradcheck.batch_gradient", faulty)
+        assert run_cli("gradcheck", "--trials", "3") == 3
+        assert capsys.readouterr().out.count("[FAIL]") == len(VARIANTS)
+
+    def test_deep_layer_fault_detected(self, capsys, monkeypatch):
+        # layer 1's activations where layer 2's belong: a one-hidden-layer check passes it
+        def shallow(model, acts, grad_logits, grads):
+            return backprop(model, acts[:2] + acts[1:2] * (len(acts) - 2), grad_logits, grads)
+        monkeypatch.setattr("mcel.net.backprop", shallow)
         assert run_cli("gradcheck", "--trials", "3") == 3
         assert capsys.readouterr().out.count("[FAIL]") == len(VARIANTS)
 

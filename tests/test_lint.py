@@ -215,12 +215,14 @@ def test_one_builder_per_table():
     assert rule_readers(sources, TABLE_BUILDERS) == TABLE_BUILDERS
 
 
-# the trainer steps on the one function gradcheck verifies, and only that
-# function runs the logit gradient and backprop
+# the trainer steps on the one function gradcheck verifies, only that
+# function runs the logit gradient and backprop, and only that check takes
+# finite differences in the program
 STEP = {
     "batch_gradient": {"net.Trainer.train_epoch", "gradcheck.step_error"},
     "logit_grad": {"net.batch_gradient"},
     "backprop": {"net.batch_gradient"},
+    "central_diff": {"gradcheck.step_error"},
 }
 
 

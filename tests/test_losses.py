@@ -17,6 +17,8 @@ from mcel.losses import (
     target_matrix,
 )
 
+FD_STEP = 1e-6  # the logit-level checks' finite-difference step
+
 
 def variants(fact, value=True):
     """The VARIANTS names whose `fact` is `value`."""
@@ -54,7 +56,8 @@ def logit_fd_error(logits, y, h):
     """FD relative error of the kernel's logit gradient for one sample."""
     targets = h[[y]]
     grad = logit_grad(softmax(logits)[None, :], targets)
-    num = central_diff(lambda lg: batch_values(softmax(lg)[None, :], targets, 1)[0], logits)
+    num = central_diff(lambda lg: batch_values(softmax(lg)[None, :], targets, 1)[0], logits,
+                       FD_STEP)
     return max_rel_error(grad[0], num)
 
 
@@ -316,7 +319,7 @@ class TestLogitGradient:
         def value_of(lg):
             return -float(np.dot(target, np.log(softmax(lg))))
 
-        num = central_diff(value_of, logits)
+        num = central_diff(value_of, logits, FD_STEP)
         assert max_rel_error(g, num) <= 1e-7
 
     def test_gradient_sums_to_zero(self):

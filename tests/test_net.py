@@ -107,32 +107,19 @@ def composed_loss(model, x, ys, targets):
     return -float(np.sum(targets * np.log(np.maximum(probs, PROB_CLAMP))))
 
 
-def variant_targets(k, ys, variant, rng):
-    sim = random_similarity(rng, k)
-    if variant == "ce":
-        h = np.eye(k)
-    elif variant == "mcel":
-        h = target_matrix(sim, np.full(k, 0.3))
-    elif variant == "sg":
-        h = target_matrix(sim, rng.uniform(0.05, 0.45, k))
-    else:
-        h = rng.dirichlet(np.ones(k), size=k)  # any row-stochastic mixture matrix
-    return h[ys]
-
-
-BACKPROP_CASES = ["ce", "mcel", "sg", "gmcel"]
+def mixture_targets(k, ys, rng):
+    return rng.dirichlet(np.ones(k), size=k)[ys]  # any row-stochastic mixture matrix
 
 
 class TestBackprop:
-    @pytest.mark.parametrize("variant", BACKPROP_CASES)
-    def test_end_to_end_gradient(self, variant):
+    def test_end_to_end_gradient(self):
         # the trainer's whole step, by the program's own check, without and with
-        # weight decay, through two hidden layers; a fixed seed per case, so
-        # every run checks the same inputs
-        rng = np.random.default_rng(BACKPROP_CASES.index(variant))
+        # weight decay, through two hidden layers, on targets no loss variant
+        # builds (mcel gradcheck checks every variant's); fixed inputs
+        rng = np.random.default_rng(3)
         model = init_model((2, 3, 4, 3), seed=11)
         x = rng.normal(size=(4, 2))
-        targets = variant_targets(3, rng.integers(3, size=4), variant, rng)
+        targets = mixture_targets(3, rng.integers(3, size=4), rng)
         params = model.params.copy()
         for weight_decay in (0.0, 0.05):
             assert step_error(model, x, targets, weight_decay) <= 1e-5
@@ -149,7 +136,7 @@ class TestArgumentsUnchanged:
         params = model.params.copy()
         x = rng.normal(size=(6, 3))
         logits = rng.normal(size=(6, 3)) * 50.0
-        targets = variant_targets(3, rng.integers(3, size=6), "gmcel", rng)
+        targets = mixture_targets(3, rng.integers(3, size=6), rng)
         inputs = [x, logits, targets]
         before = [a.copy() for a in inputs]
 
