@@ -115,6 +115,7 @@ def add_dataset_flags(parser):
     parser.add_argument("--label-col", metavar="NAME")
     parser.add_argument("--data-seed", type=SEED, default=0)
     parser.add_argument("--lda-components", type=_flag("an integer", _at_least(1)))
+    parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="out")
 
 
@@ -188,8 +189,9 @@ def _write_table(path, rows, header):
 
 
 def cmd_similarity(args):
-    dataset = load_dataset(args)
-    sim = similarity_from_dataset(dataset, args.lda_components, args.ridge)
+    cfg = load_config(args.config, args.seed)  # the prior train fits, on its train split
+    train = prepare_splits(load_dataset(args), cfg)[0]
+    sim = similarity_from_dataset(train, args.lda_components, args.ridge)
     out = _outdir(args)
     sim_path = out / "similarity.txt"
     sim_path.write_text(ldamod.format_similarity(sim), encoding="utf-8")
@@ -203,19 +205,19 @@ def cmd_similarity(args):
 
 def cmd_train(args):
     tc = load_config(args.config, args.seed)
-    if args.similarity and not VARIANTS[tc.variant].similarity:
+    if (given := args.similarity is not None) and not VARIANTS[tc.variant].similarity:
         raise ValueError(f"mcel train: argument --similarity: loss variant {tc.variant!r} "
                          "takes no similarity matrix")
-    fits_lda = VARIANTS[tc.variant].similarity and not args.similarity  # on the train split
+    fits_lda = VARIANTS[tc.variant].similarity and not given  # on the train split
     for flag, value in (("--lda-components", args.lda_components), ("--ridge", args.ridge)):
         if value is not None and not fits_lda:
             raise ValueError(f"mcel train: argument {flag}: no LDA is fitted for loss variant "
-                             f"{tc.variant!r}{' with --similarity' if args.similarity else ''}")
+                             f"{tc.variant!r}{' with --similarity' if given else ''}")
     dataset = load_dataset(args)
     if len(tc.epsilon) not in (1, dataset.k):
         raise ValueError(f"config file {args.config}: [loss] epsilon has "
                          f"{len(tc.epsilon)} values, the data has {dataset.k} classes")
-    sim = ldamod.load_similarity(args.similarity) if args.similarity else None
+    sim = ldamod.load_similarity(args.similarity) if given else None
     if sim is not None and sim.k != dataset.k:
         raise DimensionError(f"similarity matrix is {sim.k} x {sim.k}, "
                              f"the model has {dataset.k} classes")
@@ -301,12 +303,12 @@ def build_parser():
 
     p = sub.add_parser("similarity", help="build and save a class-similarity matrix")
     add_dataset_flags(p)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--ridge", type=RIDGE)
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("train", help="train and evaluate one model")
     add_dataset_flags(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--similarity", default=None, metavar="PATH")
     p.add_argument("--ridge", type=RIDGE)
@@ -314,7 +316,6 @@ def build_parser():
 
     p = sub.add_parser("gridsearch", help="epsilon grid search")
     add_dataset_flags(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--epsilons", default=(0.0, 0.1, 0.2, 0.3, 0.4, 0.45), type=_flag(
         "a list of numbers", _items(float), partial(check_epsilons, what="grid epsilon")))
     p.add_argument("--seeds", type=SEEDS, default=(0,))
@@ -323,7 +324,6 @@ def build_parser():
 
     p = sub.add_parser("noise-exp", help="pairwise label-noise robustness comparison")
     add_dataset_flags(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--fractions", default=(0.3,), type=_flag(
         "a list of numbers", _items(float), datamod.check_noise_fractions,
         partial(_distinct, what="noise fraction")))

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 import mcel
 from mcel import gradcheck, harness
 from mcel.cli import CONFIG_KEYS, FIELDS, load_config, main
-from mcel.data import gen_blobs, split
+from mcel.data import gen_blobs, load_csv, split
 from mcel.errors import TrainingDivergedError
 from mcel.harness import run_grid_search, run_noise_experiment, similarity_from_dataset
-from mcel.lda import load_similarity
+from mcel.lda import load_similarity, scatter_matrices
 from mcel.losses import VARIANTS, build_targets, logit_grad
 from mcel.net import TrainConfig, Trainer, backprop, batch_gradient
 
@@ -75,18 +75,31 @@ class TestSimilarityCommand:
             f"checksum = {digest}",
         ]
 
-    def test_train_reports_the_printed_checksum(self, tmp_path, capsys):
-        # train --similarity trains on the matrix as similarity wrote it
-        out = tmp_path / "sim"
-        assert run_cli("similarity", "--blobs", "4,100,3,1.5", "--out", str(out)) == 0
-        printed = capsys.readouterr().out.splitlines()[-1].removeprefix("checksum = ")
+    @pytest.mark.parametrize("loss", [
+        "variant = mcel\n", "variant = sg-mcel-soft\nepsilon = 0.1,0.2,0.3,0.25\n",
+    ], ids=["mcel", "sg-mcel-soft"])
+    def test_train_reports_the_printed_checksum(self, tmp_path, capsys, loss):
+        # similarity writes the prior that train fits on the same split, so
+        # train on that file trains what train alone does, byte for byte
         config = tmp_path / "cfg.ini"
-        config.write_text("[train]\nepochs = 1\n[loss]\nvariant = mcel\n")
-        assert run_cli("train", "--blobs", "4,100,3,1.5", "--config", str(config),
-                       "--similarity", str(out / "similarity.txt"),
-                       "--out", str(tmp_path / "train")) == 0
-        report = json.loads((tmp_path / "train" / "report.json").read_text())
+        config.write_text(f"[train]\nepochs = 2\n[loss]\n{loss}")
+        run = ("--blobs", "4,100,3,1.5", "--config", str(config), "--seed", "3")
+        out = tmp_path / "sim"
+        assert run_cli("similarity", *run, "--out", str(out)) == 0
+        printed = capsys.readouterr().out.splitlines()[-1].removeprefix("checksum = ")
+        assert run_cli("train", *run, "--similarity", str(out / "similarity.txt"),
+                       "--out", str(tmp_path / "file")) == 0
+        assert run_cli("train", *run, "--out", str(tmp_path / "fit")) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0] == stdout[1]
+        report = json.loads((tmp_path / "file" / "report.json").read_text())
         assert report["similarity_checksum"] == printed
+
+        def outputs(name):  # all but meta.json, which holds times
+            return {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()
+                    if path.name != "meta.json"}
+        assert sorted(outputs("fit")) == ["epochs.jsonl", "model.ckpt", "report.json"]
+        assert outputs("file") == outputs("fit")
 
     def test_rerun_identical_output(self, tmp_path):
         outs = []
@@ -313,9 +326,12 @@ class TestBadValues:
         assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_too_few_samples(self, tmp_path):
+        # seed 1 puts one row of each class in the 3-row train split
+        path = tmp_path / "half.ini"
+        path.write_text("[split]\nfractions = 0.5,0.25,0.25\n")
         proc = run_python(
-            "-m", "mcel.cli", "similarity", "--blobs", "3,1,2,1.0",
-            "--out", str(tmp_path / "x"),
+            "-m", "mcel.cli", "similarity", "--blobs", "3,2,2,1.0", "--config", str(path),
+            "--seed", "1", "--out", str(tmp_path / "x"),
         )
         self.assert_clean_usage_error(proc)
         assert "more samples than classes" in proc.stderr
@@ -473,13 +489,14 @@ class TestBadValues:
     def no_lda(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("fit the LDA before the bad value was rejected")
-        # train and gridsearch fit through the cli's name, noise-exp through harness's
+        # similarity and train fit through the cli's name, gridsearch and
+        # noise-exp through harness's
         monkeypatch.setattr("mcel.cli.similarity_from_dataset", fail)
         monkeypatch.setattr("mcel.harness.similarity_from_dataset", fail)
 
-    # (id, config, message); gridsearch and noise-exp ignore [loss] epsilon
-    # but still reject an invalid one. The count of epsilons is checked
-    # against the data, by train only.
+    # (id, config, message); gridsearch, noise-exp and similarity ignore
+    # [loss] epsilon but still reject an invalid one. The count of
+    # epsilons is checked against the data, by train only.
     CONFIG_ERRORS = [
         ("epsilons-count", "[loss]\nvariant = sg-mcel\nepsilon = 0.1,0.2\n",
          "[loss] epsilon has 2 values, the data has 4 classes"),
@@ -506,7 +523,7 @@ class TestBadValues:
         pytest.param(command, config, message,
                      id=case if command == "train" else f"{case}-{command}")
         for case, config, message in CONFIG_ERRORS
-        for command in ("train", "gridsearch", "noise-exp")
+        for command in ("train", "gridsearch", "noise-exp", "similarity")
         if case != "epsilons-count" or command == "train"
     ])
     def test_train_config_errors_come_before_the_lda_fit(self, tmp_path, capsys, no_lda,
@@ -629,7 +646,8 @@ class TestBadValues:
 
     def test_one_class_data_leaves_no_out(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
-        path.write_text("a,b,label\n0.0,1.0,x\n1.0,0.5,x\n2.0,0.0,x\n")
+        # six rows, so that every split part has one
+        path.write_text("a,b,label\n" + "".join(f"{i},{i % 2},x\n" for i in range(6)))
         err = self.assert_usage_error_in_process(
             capsys, "similarity", "--data-csv", str(path), "--label-col", "label",
             "--out", str(tmp_path / "x"),
@@ -732,6 +750,14 @@ class TestOneExitPath:
          "{tmp}/img.idx"),
         ("similarity-dir", ["train", *BLOBS, "--similarity", "{tmp}", "--config",
                             "{tmp}/mcel.ini"], "Is a directory"),
+        # an empty path names no file; it is not the absence of --similarity
+        ("empty-similarity", ["train", *BLOBS, "--similarity", "", "--config",
+                              "{tmp}/mcel.ini"],
+         "error: [Errno 2] No such file or directory: ''"),
+        ("ridge-with-empty-similarity", ["train", *BLOBS, "--similarity", "", "--ridge", "5",
+                                         "--config", "{tmp}/mcel.ini"],
+         "mcel train: argument --ridge: no LDA is fitted for loss variant 'mcel' "
+         "with --similarity\n"),
         # a valid 3 x 3 file for 4-class data, which ce would load and report
         ("similarity-unused", ["train", *BLOBS, "--similarity", "{tmp}/sim3.txt"],
          "mcel train: argument --similarity: loss variant 'ce' takes no similarity matrix"),
@@ -1020,18 +1046,25 @@ class TestRuntimeExitCodes:
 
     def test_scatter_near_the_float64_limit(self, tmp_path):
         # finite scatter matrices whose Frobenius norm passes 1.8e308: no
-        # RuntimeWarning from the eigensolve or the similarity build
+        # RuntimeWarning from the eigensolve or the similarity build. The
+        # split stays raw, so the LDA sees the features at this scale.
         rng = np.random.default_rng(0)
         rows = []
         for c in range(3):
-            block = rng.standard_normal((40, 3)) * 3e152
-            block[:, c] += 9e152
+            block = rng.standard_normal((40, 3)) * 7.5e152
+            block[:, c] += 2.25e153
             rows += [",".join(repr(float(v)) for v in row) + f",{c}" for row in block]
         path = tmp_path / "big.csv"
         path.write_text("a,b,c,label\n" + "\n".join(rows) + "\n")
+        config = tmp_path / "raw.ini"
+        config.write_text("[split]\nstandardize = false\n")
+        train = harness.prepare_splits(load_csv(path, "label")[0],
+                                       load_config(config))[0]
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(scatter_matrices(train)[1]) == np.inf
         out = tmp_path / "x"
         proc = run_python("-m", "mcel.cli", "similarity", "--data-csv", str(path),
-                          "--label-col", "label", "--out", str(out))
+                          "--label-col", "label", "--config", str(config), "--out", str(out))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert load_similarity(out / "similarity.txt").k == 3
 
@@ -1057,7 +1090,7 @@ class TestRuntimeExitCodes:
     @pytest.mark.parametrize("command,message", [
         pytest.param(command, message, id=command) for command, message in (
             ("train", STD_OVERFLOW), ("gridsearch", STD_OVERFLOW),
-            ("similarity", SCATTER_OVERFLOW), ("noise-exp", SCATTER_OVERFLOW))
+            ("similarity", STD_OVERFLOW), ("noise-exp", SCATTER_OVERFLOW))
     ])
     def test_features_whose_squares_overflow(self, tmp_path, command, message):
         # finite features whose squares overflow float64: no RuntimeWarning, no
